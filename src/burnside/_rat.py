@@ -1,16 +1,17 @@
 """Exact rational scalar backend.
 
 Every kernel entry, stationary mass and TV distance in this package is an
-exact rational.  The hot loops (kernel assembly, distribution evolution,
-closed-form cross checks) therefore run on arbitrary-precision rationals.
-When gmpy2 is installed we use its compiled GMP-backed ``mpq``; otherwise we
-fall back to the pure-Python ``fractions.Fraction``.  The two backends are
-value-compatible (equal hashes, equal string form), so everything downstream
-is backend-agnostic.
+exact rational.  Matrices and evolving distributions hold them as integer
+numerators over one denominator per row (``ratmat``); single entries,
+closed-form cross checks and exact elimination use the rational type chosen
+here.  When gmpy2 is installed we use its compiled GMP-backed ``mpq``;
+otherwise we fall back to the pure-Python ``fractions.Fraction``.  The two
+backends are value-compatible (equal hashes, equal string form), so
+everything downstream is backend-agnostic.
 
 Set ``BURNSIDE_EXACT_BACKEND=fractions`` (or ``gmpy2``) to force a backend;
-the default is gmpy2 when importable.  ``benchmarks/bench_backends.py``
-compares the two.
+the default is gmpy2 when importable.  ``perfbench/run.py`` measures the
+exact layers under ``fractions``.
 """
 
 from __future__ import annotations

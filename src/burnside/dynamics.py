@@ -1,24 +1,26 @@
 """Exact distribution evolution, TV profiles, mixing bounds, and lumping.
 
-Distances stay exact rationals throughout.  Worst-case profiles for a bundle
-are computed by walking point masses through the legs (one B- then A-scatter
-per primal step) with integer numerators over a running denominator, and by
-reducing the start set to orbit representatives for K and conjugacy-class
-representatives for Q; both kernels are equivariant, so every other start
-reproduces a representative's curve exactly (validated in the tests against
-the all-starts computation).
+Distances stay exact rationals throughout.  A distribution evolves as
+integer numerators over a running denominator, reduced by their gcd after
+every step (``RationalMatrix.step``).  Worst-case profiles for a bundle walk
+point masses through the legs (a step through B, then one through A, per
+primal step) and reduce the start set to orbit representatives for K and
+conjugacy-class representatives for Q; both kernels are equivariant, so
+every other start reproduces a representative's curve exactly (validated in
+the tests against the all-starts computation).  Lumping, the floors and the
+sign checks compare the integers as well.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
-from math import gcd
 from typing import Callable, Optional, Sequence
+
+import numpy as np
 
 from ._rat import Rat
 from .kernels import ChainBundle, check_detailed_balance
-from .ratmat import RationalMatrix
+from .ratmat import RationalMatrix, rat_vector, scaled_vector
 
 __all__ = [
     "evolve",
@@ -65,13 +67,39 @@ def tv(mu: Sequence, nu: Sequence):
 
 
 def evolve(p: RationalMatrix, mu: Sequence, t: int) -> list:
-    """Exact mu P^t by repeated vector-matrix products."""
+    """Exact mu P^t by repeated integer steps."""
     if len(mu) != p.rows:
         raise ValueError("dimension mismatch")
-    out = list(mu)
+    nums, den = scaled_vector(mu)
     for _ in range(t):
-        out = p.vec_mul(out)
-    return out
+        nums, den = p.step(nums, den)
+    return rat_vector(nums, den)
+
+
+def _point_mass_scaled(n: int, i: int) -> tuple[np.ndarray, int]:
+    nums = np.zeros(n, dtype=object)
+    nums[i] = 1
+    return nums, 1
+
+
+def _tv_scaled(nums: np.ndarray, den: int, pi_nums: np.ndarray, pi_den: int):
+    """TV between nums/den and pi_nums/pi_den (object arrays of Python ints)."""
+    return Rat(int(np.abs(nums * pi_den - pi_nums * den).sum()), 2 * den * pi_den)
+
+
+def _tv_curve(
+    steps: Sequence[RationalMatrix], start: int, pi_scaled: tuple[np.ndarray, int], t_max: int
+) -> list:
+    """TV to pi of the point mass at start after 0..t_max steps, one step
+    being an integer step through each matrix of steps in turn."""
+    pi_nums, pi_den = pi_scaled
+    nums, den = _point_mass_scaled(steps[0].rows, start)
+    curve = [_tv_scaled(nums, den, pi_nums, pi_den)]
+    for _ in range(t_max):
+        for m in steps:
+            nums, den = m.step(nums, den)
+        curve.append(_tv_scaled(nums, den, pi_nums, pi_den))
+    return curve
 
 
 @dataclass
@@ -85,16 +113,9 @@ class DProfile:
 
 
 def d_profile(p: RationalMatrix, pi: Sequence, t_max: int) -> DProfile:
-    """Exact worst-case TV profile over every start (dense; small chains)."""
-    n = p.rows
-    per_start = []
-    for x in range(n):
-        mu = point_mass(n, x)
-        curve = [tv(mu, pi)]
-        for _ in range(t_max):
-            mu = p.vec_mul(mu)
-            curve.append(tv(mu, pi))
-        per_start.append(curve)
+    """Exact worst-case TV profile over every start."""
+    pi_scaled = scaled_vector(pi)
+    per_start = [_tv_curve((p,), x, pi_scaled, t_max) for x in range(p.rows)]
     worst = [max(c[t] for c in per_start) for t in range(t_max + 1)]
     for t in range(t_max):
         if worst[t + 1] > worst[t]:
@@ -112,72 +133,18 @@ def mixing_time_from_curve(curve: Sequence, eps) -> Optional[int]:
 
 def mixing_time(p: RationalMatrix, pi: Sequence, eps, t_max: int = 200) -> int:
     """Least t with worst-case TV at most eps (linear scan, exact compare)."""
-    n = p.rows
-    mus = [point_mass(n, x) for x in range(n)]
+    pi_nums, pi_den = scaled_vector(pi)
+    mus = [_point_mass_scaled(p.rows, x) for x in range(p.rows)]
     for t in range(t_max + 1):
-        if max(tv(mu, pi) for mu in mus) <= eps:
+        if max(_tv_scaled(nums, den, pi_nums, pi_den) for nums, den in mus) <= eps:
             return t
-        mus = [p.vec_mul(mu) for mu in mus]
+        mus = [p.step(nums, den) for nums, den in mus]
     raise RuntimeError(f"chain did not mix to {eps} within {t_max} steps")
 
 
 # ---------------------------------------------------------------------------
-# fast exact profiles for a bundle (integer-scaled leg walks)
+# exact profiles for a bundle (point masses walked through the legs)
 # ---------------------------------------------------------------------------
-
-def _reduce_scaled(nums: list[int], den: int) -> tuple[list[int], int]:
-    g = reduce(gcd, nums, den)
-    if g > 1:
-        nums = [v // g for v in nums]
-        den //= g
-    return nums, den
-
-
-def _lcm(values) -> int:
-    out = 1
-    for v in values:
-        out = out * v // gcd(out, v)
-    return out
-
-
-class _LegWalk:
-    """Point-mass evolution through the legs with integer numerators."""
-
-    def __init__(self, bundle: ChainBundle) -> None:
-        self.fixed = bundle.fixed_idx
-        self.stab = bundle.stab_idx
-        self.nd = bundle.num_duals
-        self.ns = bundle.num_states
-        self.la = _lcm(len(f) for f in self.fixed)
-        self.lb = _lcm(len(s) for s in self.stab)
-        self.wa = [self.la // len(f) for f in self.fixed]
-        self.wb = [self.lb // len(s) for s in self.stab]
-
-    def to_duals(self, nums: list[int], den: int) -> tuple[list[int], int]:
-        out = [0] * self.nd
-        for xi, v in enumerate(nums):
-            if v:
-                w = v * self.wb[xi]
-                for gi in self.stab[xi]:
-                    out[gi] += w
-        return out, den * self.lb
-
-    def to_states(self, nums: list[int], den: int) -> tuple[list[int], int]:
-        out = [0] * self.ns
-        for gi, v in enumerate(nums):
-            if v:
-                w = v * self.wa[gi]
-                for xi in self.fixed[gi]:
-                    out[xi] += w
-        return out, den * self.la
-
-
-def _tv_scaled(nums: list[int], den: int, pi_nums: list[int], pi_den: int):
-    total = 0
-    for a, b in zip(nums, pi_nums):
-        total += abs(a * pi_den - b * den)
-    return Rat(total, 2 * den * pi_den)
-
 
 @dataclass
 class ChainProfile:
@@ -206,34 +173,15 @@ class BundleProfiles:
     q: ChainProfile
 
 
-def _scaled_pi(masses: list) -> tuple[list[int], int]:
-    den = _lcm(v.denominator for v in masses)
-    return [int(v.numerator) * (den // int(v.denominator)) for v in masses], den
-
-
 def _profile_from_reps(
-    walk: _LegWalk,
     reps: list[int],
     key_of: list,
-    start_size: int,
-    first_leg: Callable,
-    second_leg: Callable,
-    pi_scaled: tuple[list[int], int],
+    steps: Sequence[RationalMatrix],
+    pi: Sequence,
     t_max: int,
 ) -> ChainProfile:
-    pi_nums, pi_den = pi_scaled
-    curves = {}
-    for rep in reps:
-        nums = [0] * start_size
-        nums[rep] = 1
-        den = 1
-        curve = [_tv_scaled(nums, den, pi_nums, pi_den)]
-        for _ in range(t_max):
-            mid, den = first_leg(nums, den)
-            nums, den = second_leg(mid, den)
-            nums, den = _reduce_scaled(nums, den)
-            curve.append(_tv_scaled(nums, den, pi_nums, pi_den))
-        curves[rep] = curve
+    pi_scaled = scaled_vector(pi)
+    curves = {rep: _tv_curve(steps, rep, pi_scaled, t_max) for rep in reps}
     worst = [max(curves[rep][t] for rep in reps) for t in range(t_max + 1)]
     for t in range(t_max):
         if worst[t + 1] > worst[t]:
@@ -255,33 +203,15 @@ def bundle_profiles(
     bundle: ChainBundle, t_max: int = 60, reduce_starts: bool = True
 ) -> BundleProfiles:
     """Exact d_K and d_Q curves for every start, up to equivariance."""
-    walk = _LegWalk(bundle)
     if reduce_starts:
         k_reps = _first_of_each_key(bundle.state_orbit_keys)
         q_reps = _first_of_each_key(bundle.dual_class_keys)
     else:
         k_reps = list(range(bundle.num_states))
         q_reps = list(range(bundle.num_duals))
-    k_profile = _profile_from_reps(
-        walk,
-        k_reps,
-        bundle.state_orbit_keys,
-        bundle.num_states,
-        walk.to_duals,
-        walk.to_states,
-        _scaled_pi(bundle.piK),
-        t_max,
-    )
-    q_profile = _profile_from_reps(
-        walk,
-        q_reps,
-        bundle.dual_class_keys,
-        bundle.num_duals,
-        walk.to_states,
-        walk.to_duals,
-        _scaled_pi(bundle.piQ),
-        t_max,
-    )
+    legs_k = (bundle.B, bundle.A)  # K = BA
+    k_profile = _profile_from_reps(k_reps, bundle.state_orbit_keys, legs_k, bundle.piK, t_max)
+    q_profile = _profile_from_reps(q_reps, bundle.dual_class_keys, legs_k[::-1], bundle.piQ, t_max)
     return BundleProfiles(t_max, k_profile, q_profile)
 
 
@@ -346,14 +276,6 @@ class StrongLumpabilityFailure(Exception):
         raise KeyError(f"no mismatch over target block {target_label!r}")
 
 
-def _block_row_sums(p: RationalMatrix, partition: StatePartition, i: int) -> list:
-    sums = [Rat(0)] * partition.num_blocks
-    for j, v in enumerate(p.data[i]):
-        if v:
-            sums[partition.block_of[j]] += v
-    return sums
-
-
 def lump(p: RationalMatrix, pi: Sequence, partition: StatePartition):
     """Check strong lumpability exactly and return the lumped (kernel, pi).
 
@@ -361,21 +283,21 @@ def lump(p: RationalMatrix, pi: Sequence, partition: StatePartition):
     their differing block sums otherwise.
     """
     partition.validate_cover(p.rows)
-    bar_rows = []
+    sums = p.block_sums(partition.block_of, partition.num_blocks)
     for block in partition.blocks:
         rep = block[0]
-        rep_sums = _block_row_sums(p, partition, rep)
-        for other in block[1:]:
-            other_sums = _block_row_sums(p, partition, other)
-            if other_sums != rep_sums:
-                mismatches = [
-                    (partition.labels[bi], rep_sums[bi], other_sums[bi])
-                    for bi in range(partition.num_blocks)
-                    if rep_sums[bi] != other_sums[bi]
-                ]
-                raise StrongLumpabilityFailure(rep, other, mismatches)
-        bar_rows.append(rep_sums)
-    bar_p = RationalMatrix.from_rows(bar_rows)
+        # canonical rows: equal block sums have equal numerators and denominator
+        same = (sums.num[block] == sums.num[rep]).all(axis=1) & (sums.den[block] == sums.den[rep])
+        if not same.all():
+            other = block[int(np.argmin(same))]
+            rep_sums, other_sums = sums.row(rep), sums.row(other)
+            mismatches = [
+                (partition.labels[bi], rep_sums[bi], other_sums[bi])
+                for bi in range(partition.num_blocks)
+                if rep_sums[bi] != other_sums[bi]
+            ]
+            raise StrongLumpabilityFailure(rep, other, mismatches)
+    bar_p = sums.select_rows([block[0] for block in partition.blocks])
     bar_pi = [sum((pi[i] for i in block), Rat(0)) for block in partition.blocks]
     return bar_p, bar_pi
 
@@ -412,7 +334,7 @@ def orbit_lump_K(bundle: ChainBundle, verify_formula: bool = True) -> LumpedChai
                     inside = sum(1 for xi in bundle.fixed_idx[gi] if xi in target)
                     acc += Rat(inside, len(bundle.fixed_idx[gi]))
                 acc /= len(bundle.stab_idx[x])
-                if acc != bar_k.data[bi][bj]:
+                if acc != bar_k[bi, bj]:
                     raise AssertionError("orbit aggregation formula mismatch")
     return LumpedChain(bar_k, bar_pi, partition)
 
@@ -441,7 +363,7 @@ def conjugacy_lump_Q(bundle: ChainBundle, verify_formula: bool = True) -> Lumped
                     inside = sum(1 for hj in bundle.stab_idx[xi] if hj in target)
                     acc += Rat(inside, len(bundle.stab_idx[xi]))
                 acc /= len(bundle.fixed_idx[gi])
-                if acc != bar_q.data[bi][bj]:
+                if acc != bar_q[bi, bj]:
                     raise AssertionError("class aggregation formula mismatch")
     return LumpedChain(bar_q, bar_pi, partition)
 
@@ -479,16 +401,18 @@ def tv_preservation_check(
 ) -> list[TvPreservationRow]:
     """Per-step comparison of fine TV against pushforward TV from one start."""
     partition.validate_cover(p.rows)
-    mu = point_mass(p.rows, start)
-    bar_pi = [sum((pi[i] for i in block), Rat(0)) for block in partition.blocks]
+    pi_nums, pi_den = scaled_vector(pi)
+    nums, den = _point_mass_scaled(p.rows, start)
     rows = []
     for t in range(t_max + 1):
-        fine = tv(mu, pi)
-        bar_mu = [sum((mu[i] for i in block), Rat(0)) for block in partition.blocks]
-        lumped = tv(bar_mu, bar_pi)
+        # diff[i] / (den pi_den) = mu(i) - pi(i)
+        diff = (nums * pi_den - pi_nums * den).tolist()
+        scale = 2 * den * pi_den
+        fine = Rat(sum(abs(d) for d in diff), scale)
+        lumped = Rat(sum(abs(sum(diff[i] for i in block)) for block in partition.blocks), scale)
         sign_ok = True
         for block in partition.blocks:
-            signs = {(mu[i] > pi[i]) - (mu[i] < pi[i]) for i in block}
+            signs = {(diff[i] > 0) - (diff[i] < 0) for i in block}
             signs.discard(0)
             if len(signs) > 1:
                 sign_ok = False
@@ -498,7 +422,7 @@ def tv_preservation_check(
             raise AssertionError("lumped TV exceeded fine TV")
         if sign_ok and fine != lumped:
             raise AssertionError("sign condition held but TV was not preserved")
-        mu = p.vec_mul(mu)
+        nums, den = p.step(nums, den)
     return rows
 
 
@@ -548,22 +472,22 @@ def minorization_transfer(
         delta = Rat(1, m)
     if nu is None:
         nu = [Rat(1, bundle.num_states)] * bundle.num_states
-    for xi, row in enumerate(bundle.K.data):
-        for yi, v in enumerate(row):
-            if v < delta * nu[yi]:
-                raise MinorizationError(
-                    f"K({xi},{yi}) = {v} < delta nu = {delta * nu[yi]}"
-                )
+    below = bundle.K.first_below([delta * v for v in nu])
+    if below is not None:
+        xi, yi = below
+        raise MinorizationError(
+            f"K({xi},{yi}) = {bundle.K[xi, yi]} < delta nu = {delta * nu[yi]}"
+        )
     note = ""
     if bundle.num_duals <= exact_square_cap:
         q2 = bundle.Q @ bundle.Q
         nub = bundle.B.vec_mul(list(nu))
-        for gi, row in enumerate(q2.data):
-            for hi, v in enumerate(row):
-                if v < delta * nub[hi]:
-                    raise MinorizationError(
-                        f"Q^2({gi},{hi}) = {v} < delta (nu B) = {delta * nub[hi]}"
-                    )
+        below = q2.first_below([delta * v for v in nub])
+        if below is not None:
+            gi, hi = below
+            raise MinorizationError(
+                f"Q^2({gi},{hi}) = {q2[gi, hi]} < delta (nu B) = {delta * nub[hi]}"
+            )
         note = "Q^2 floor verified exactly"
     else:
         note = f"dual space {bundle.num_duals} > {exact_square_cap}: Q^2 floor not squared"
@@ -623,11 +547,7 @@ def bound_suite(
     )
 
     order = bundle.group_order
-    floor_ok = all(
-        v >= pi_y / order
-        for row in bundle.K.data
-        for v, pi_y in zip(row, bundle.piK)
-    )
+    floor_ok = bundle.K.first_below([pi_y / order for pi_y in bundle.piK]) is None
     chen = _geometric(1 - Rat(1, order), t_max)
     results.append(
         BoundResult(

@@ -1,15 +1,21 @@
 """Leg matrices A and B, the kernels Q = AB and K = BA, and stationary laws.
 
 A has one row per dual state g (uniform on the fixed words of g); B has one
-row per word x (uniform on the stabilizer of x).  Everything is exact.  The
-same assembly runs for the two concrete models and for tabled test actions.
+row per word x (uniform on the stabilizer of x).  Everything is exact: each
+matrix is integer numerators over one denominator per row (see ``ratmat``),
+and the checks here (detailed balance, the diagonal identity, the Doeblin
+floors) compare those integers.  The same assembly runs for the two concrete
+models and for tabled test actions.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from math import lcm
 from typing import Optional
+
+import numpy as np
 
 from ._rat import Rat
 from .actions import (
@@ -167,23 +173,25 @@ def _adjacency(source) -> tuple[list, list, list[list[int]], list[list[int]], in
     )
 
 
+def _uniform_rows(supports: list[list[int]], cols: int) -> RationalMatrix:
+    """The matrix whose row i is uniform on the columns supports[i]."""
+    num = np.zeros((len(supports), cols), dtype=np.int64)
+    for i, support in enumerate(supports):
+        num[i, support] = 1
+    return RationalMatrix.from_scaled(num, [len(support) for support in supports])
+
+
+def _legs(
+    fixed_idx: list[list[int]], stab_idx: list[list[int]]
+) -> tuple[RationalMatrix, RationalMatrix]:
+    return _uniform_rows(fixed_idx, len(stab_idx)), _uniform_rows(stab_idx, len(fixed_idx))
+
+
 def build_legs(source) -> tuple[RationalMatrix, RationalMatrix]:
     """The forward leg A(g,x) = 1[x in X_g]/|X_g| and backward leg
     B(x,h) = 1[h in G_x]/|G_x|; both are row-stochastic."""
-    states, duals, fixed_idx, stab_idx, *_ = _adjacency(source)
-    a = RationalMatrix.zeros(len(duals), len(states))
-    for gi, fixed in enumerate(fixed_idx):
-        w = Rat(1, len(fixed))
-        row = a.data[gi]
-        for xi in fixed:
-            row[xi] = w
-    b = RationalMatrix.zeros(len(states), len(duals))
-    for xi, stab in enumerate(stab_idx):
-        w = Rat(1, len(stab))
-        row = b.data[xi]
-        for gi in stab:
-            row[gi] = w
-    return a, b
+    _, _, fixed_idx, stab_idx, *_ = _adjacency(source)
+    return _legs(fixed_idx, stab_idx)
 
 
 def build_bundle(source) -> ChainBundle:
@@ -200,19 +208,7 @@ def build_bundle(source) -> ChainBundle:
         state_labels,
     ) = _adjacency(source)
 
-    a = RationalMatrix.zeros(len(duals), len(states))
-    for gi, fixed in enumerate(fixed_idx):
-        w = Rat(1, len(fixed))
-        row = a.data[gi]
-        for xi in fixed:
-            row[xi] = w
-    b = RationalMatrix.zeros(len(states), len(duals))
-    for xi, stab in enumerate(stab_idx):
-        w = Rat(1, len(stab))
-        row = b.data[xi]
-        for gi in stab:
-            row[gi] = w
-
+    a, b = _legs(fixed_idx, stab_idx)
     q = a @ b
     k = b @ a
 
@@ -257,35 +253,27 @@ def build_k_matrix(spec: ActionSpec) -> RationalMatrix:
 
     Useful when |G*| is too large to hold Q (e.g. long words over a binary
     alphabet): the stabilizers are generated constructively per word and only
-    the |X| x |X| kernel is materialized, with integer row accumulation.
+    the |X| x |X| kernel is materialized.  Row x accumulates integer
+    numerators over |G_x| lcm_h |X_h|, which become the matrix's rows.
     """
     if spec.num_states > state_cap():
         raise CapExceeded(f"k^n = {spec.num_states} exceeds the state cap {state_cap()}")
-    from math import gcd
-
     state_list = list(words(spec))
     pos = {x: i for i, x in enumerate(state_list)}
-    lcm_fixed = 1
-    for f in range(1, (spec.k if spec.model == "value" else spec.n) + 1):
-        size = f**spec.n if spec.model == "value" else spec.k**f
-        lcm_fixed = lcm_fixed * size // gcd(lcm_fixed, size)
-    n_states = len(state_list)
-    k = RationalMatrix.zeros(n_states, n_states)
-    for xi, x in enumerate(state_list):
-        acc = [0] * n_states
+    top = spec.k if spec.model == "value" else spec.n
+    lcm_fixed = lcm(*(f**spec.n if spec.model == "value" else spec.k**f for f in range(1, top + 1)))
+    rows, dens = [], []
+    for x in state_list:
+        acc = [0] * len(state_list)
         stab_order = 0
         for h in stabilizer_elements(spec, x):
             stab_order += 1
-            size = fixed_set_size(spec, h)
-            w = lcm_fixed // size
+            w = lcm_fixed // fixed_set_size(spec, h)
             for y in enumerate_fixed_words(spec, h):
                 acc[pos[y]] += w
-        denom = stab_order * lcm_fixed
-        row = k.data[xi]
-        for yi, v in enumerate(acc):
-            if v:
-                row[yi] = Rat(v, denom)
-    return k
+        rows.append(acc)
+        dens.append(stab_order * lcm_fixed)
+    return RationalMatrix.from_scaled(rows, dens)
 
 
 def build_q_direct(spec: ActionSpec) -> RationalMatrix:
@@ -307,20 +295,16 @@ def check_detailed_balance(p: RationalMatrix, pi) -> bool:
     """Exact detailed balance pi(i) P(i,j) == pi(j) P(j,i) for all pairs."""
     if p.rows != p.cols or len(pi) != p.rows:
         raise ValueError("dimension mismatch")
-    d = p.data
-    for i in range(p.rows):
-        for j in range(i + 1, p.rows):
-            if pi[i] * d[i][j] != pi[j] * d[j][i]:
-                return False
-    return True
+    flow = p.scale_rows(pi)  # flow(i, j) = pi(i) P(i, j)
+    return flow == flow.transpose()
 
 
 def reversibility_ratio(bundle: ChainBundle, g, h):
     """Q(g,h)/Q(h,g); equals |X_h|/|X_g| by detailed balance."""
     gi = bundle.dual_index(g) if not isinstance(g, int) else g
     hi = bundle.dual_index(h) if not isinstance(h, int) else h
-    forward = bundle.Q.data[gi][hi]
-    backward = bundle.Q.data[hi][gi]
+    forward = bundle.Q[gi, hi]
+    backward = bundle.Q[hi, gi]
     if not backward:
         raise ZeroDivisionError("Q(h,g) = 0: ratio undefined")
     ratio = forward / backward
@@ -331,24 +315,20 @@ def reversibility_ratio(bundle: ChainBundle, g, h):
 
 
 def diagonal_equals_e_column(bundle: ChainBundle) -> bool:
-    """Q(g,g) == Q(g,e) for every dual state g."""
-    e = bundle.e_index
-    return all(
-        bundle.Q.data[gi][gi] == bundle.Q.data[gi][e] for gi in range(bundle.num_duals)
-    )
+    """Q(g,g) == Q(g,e) for every dual state g (one row, one denominator)."""
+    q = bundle.Q.num
+    return np.array_equal(np.diagonal(q), q[:, bundle.e_index])
 
 
 def doeblin_floor(bundle: ChainBundle):
     """delta = 1/max|G_u|; asserts Q(g,e) >= delta and K(x,y) >= delta/|X|."""
     m = max(bundle.stab_size(xi) for xi in range(bundle.num_states))
     delta = Rat(1, m)
-    e = bundle.e_index
-    for gi in range(bundle.num_duals):
-        if bundle.Q.data[gi][e] < delta:
+    q = bundle.Q
+    # Q(g, e) = num[g, e] / den[g] >= 1/m
+    for gi, (x, d) in enumerate(zip(q.num[:, bundle.e_index].tolist(), q.den.tolist())):
+        if m * x < d:
             raise AssertionError(f"dual floor violated at row {bundle.dual_labels[gi]}")
-    floor_k = delta / bundle.num_states
-    for row in bundle.K.data:
-        for v in row:
-            if v < floor_k:
-                raise AssertionError("primal floor violated")
+    if bundle.K.first_below([delta / bundle.num_states] * bundle.num_states) is not None:
+        raise AssertionError("primal floor violated")
     return delta

@@ -5,17 +5,19 @@ the standard determinant recurrence, all over rationals.  Rational roots are
 peeled off with candidate denominators taken from the matrix entries; the
 remaining factor is handed to a float companion-matrix solver.
 
-For kernel pairs too large for exact elimination, nonzero_spectrum_equal
+For kernel pairs too large for exact elimination, spectrum_equal_report
 falls back to a factorization certificate: it verifies Q == A B and
-K == B A entrywise in exact arithmetic, which pins the two nonzero spectra
-to the same product pair (the report records which mode ran).
+K == B A exactly, which pins the two nonzero spectra to the same product
+pair (the report records which mode ran).  The certificate recomputes every
+row of A B as the scatter of A's row over the rows of B, with integer
+numerators, and never calls the matrix product that built Q and K.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from math import comb, gcd
+from math import comb, gcd, lcm
 from typing import Optional
 
 import numpy as np
@@ -28,7 +30,6 @@ __all__ = [
     "CharPoly",
     "char_poly",
     "extract_rational_roots",
-    "nonzero_spectrum_equal",
     "spectrum_equal_report",
     "eigen_nullspace",
     "intertwine_check",
@@ -38,13 +39,12 @@ __all__ = [
     "gap_report",
     "bundle_gap_report",
     "EXACT_DIM_CAP",
-    "DIRECT_COMPARE_CAP",
 ]
 
+# Above this dimension exact elimination is too slow: char_poly refuses, the
+# shared-spectrum check switches to the factorization certificate and gap
+# reports use floats.
 EXACT_DIM_CAP = 512
-# Above this dimension the exact elimination route is too slow and the
-# shared-spectrum check switches to the factorization certificate.
-DIRECT_COMPARE_CAP = 512
 
 
 @dataclass
@@ -82,9 +82,9 @@ class CharPoly:
         return CharPoly(out)
 
 
-def _hessenberg(data: list[list]) -> list[list]:
-    n = len(data)
-    h = [list(row) for row in data]
+def _hessenberg(h: list[list]) -> list[list]:
+    """Reduce the rows h to upper Hessenberg form in place."""
+    n = len(h)
     for j in range(n - 2):
         piv = next((i for i in range(j + 1, n) if h[i][j]), None)
         if piv is None:
@@ -117,7 +117,7 @@ def char_poly(p: RationalMatrix, cap: int = EXACT_DIM_CAP) -> CharPoly:
         raise ValueError(f"dimension {n} exceeds the exact char-poly cap {cap}")
     if n == 0:
         return CharPoly([Rat(1)])
-    h = _hessenberg(p.data)
+    h = _hessenberg([p.row(i) for i in range(n)])
     zero, one = Rat(0), Rat(1)
     polys = [[one]]  # p_0 = 1
     for m in range(1, n + 1):
@@ -157,12 +157,7 @@ def _divisors(d: int, cap: int = 10_000_000) -> list[int]:
 
 
 def _lcm_denominators(p: RationalMatrix) -> int:
-    out = 1
-    for row in p.data:
-        for v in row:
-            den = v.denominator
-            out = out * den // gcd(out, den)
-    return out
+    return lcm(*p.den.tolist())
 
 
 def extract_rational_roots(poly: CharPoly, denominator_hint: int = 1):
@@ -184,12 +179,23 @@ def extract_rational_roots(poly: CharPoly, denominator_hint: int = 1):
     return roots, rem
 
 
-def _verify_products(bundle_or_legs) -> bool:
-    if isinstance(bundle_or_legs, ChainBundle):
-        a, b, q, k = bundle_or_legs.A, bundle_or_legs.B, bundle_or_legs.Q, bundle_or_legs.K
-    else:
-        a, b, q, k = bundle_or_legs
-    return (a @ b) == q and (b @ a) == k
+def _rows_are_products(p: RationalMatrix, left: RationalMatrix, right: RationalMatrix) -> bool:
+    """p == left @ right, row i of the product recomputed as the integer
+    scatter of left's row i over the rows of right (never through @)."""
+    if (p.rows, p.cols) != (left.rows, right.cols) or left.cols != right.rows:
+        return False
+    for i in range(left.rows):
+        # both sides are reduced, so equal rows have equal integers
+        row, row_den = right.step(left.num[i], int(left.den[i]))
+        if row_den != int(p.den[i]) or not np.array_equal(row, p.num[i]):
+            return False
+    return True
+
+
+def _verify_products(
+    a: RationalMatrix, b: RationalMatrix, q: RationalMatrix, k: RationalMatrix
+) -> bool:
+    return _rows_are_products(q, a, b) and _rows_are_products(k, b, a)
 
 
 @dataclass
@@ -205,7 +211,7 @@ def spectrum_equal_report(
     q: RationalMatrix,
     k: RationalMatrix,
     legs: Optional[tuple[RationalMatrix, RationalMatrix]] = None,
-    direct_cap: int = DIRECT_COMPARE_CAP,
+    direct_cap: int = EXACT_DIM_CAP,
 ) -> SpectrumEqualReport:
     """Decide whether Q and K share their nonzero spectra exactly.
 
@@ -230,7 +236,7 @@ def spectrum_equal_report(
             "legs were supplied for the factorization certificate"
         )
     a, b = legs
-    ok = _verify_products((a, b, q, k))
+    ok = _verify_products(a, b, q, k)
     detail = "verified Q == A@B and K == B@A entrywise"
     small = min(q.rows, k.rows)
     if ok and small <= direct_cap:
@@ -241,15 +247,6 @@ def spectrum_equal_report(
             return SpectrumEqualReport(False, "certificate", q.rows, k.rows, "char(1) != 0")
         detail += f"; char poly of the {small}-dim side computed exactly"
     return SpectrumEqualReport(ok, "certificate", q.rows, k.rows, detail)
-
-
-def nonzero_spectrum_equal(
-    q: RationalMatrix,
-    k: RationalMatrix,
-    legs: Optional[tuple[RationalMatrix, RationalMatrix]] = None,
-    direct_cap: int = DIRECT_COMPARE_CAP,
-) -> bool:
-    return spectrum_equal_report(q, k, legs, direct_cap).equal
 
 
 def eigen_nullspace(p: RationalMatrix, lam) -> list[list]:
@@ -287,7 +284,7 @@ def eigen_nullspace(p: RationalMatrix, lam) -> list[list]:
     return basis
 
 
-def intertwine_check(bundle: ChainBundle, direct_cap: int = DIRECT_COMPARE_CAP) -> dict:
+def intertwine_check(bundle: ChainBundle, direct_cap: int = EXACT_DIM_CAP) -> dict:
     """Verify QA == AK and KB == BQ exactly, then transport eigenvectors.
 
     For every nonzero rational eigenvalue lambda found exactly, the map
@@ -422,7 +419,7 @@ def gap_report(
     p: RationalMatrix,
     pi,
     name: str = "",
-    direct_cap: int = DIRECT_COMPARE_CAP,
+    direct_cap: int = EXACT_DIM_CAP,
     tol: float = 1e-9,
 ) -> SpectrumReport:
     """Spectral gap, absolute gap and relaxation time of a reversible kernel."""

@@ -27,28 +27,28 @@ def as_matrix(rows):
 def brute_q(bundle):
     """Definition oracle: Q(g,h) = sum over common fixed words of 1/(|X_g||G_x|)."""
     nd = bundle.num_duals
-    q = RationalMatrix.zeros(nd, nd)
+    rows = [[Rat(0)] * nd for _ in range(nd)]
     fixed_sets = [set(f) for f in bundle.fixed_idx]
     for gi in range(nd):
         for hi in range(nd):
             total = Rat(0)
             for xi in fixed_sets[gi] & fixed_sets[hi]:
                 total += Rat(1, len(bundle.stab_idx[xi]))
-            q.data[gi][hi] = total / len(bundle.fixed_idx[gi])
-    return q
+            rows[gi][hi] = total / len(bundle.fixed_idx[gi])
+    return RationalMatrix.from_rows(rows)
 
 
 def brute_k(bundle):
     ns = bundle.num_states
-    k = RationalMatrix.zeros(ns, ns)
+    rows = [[Rat(0)] * ns for _ in range(ns)]
     stab_sets = [set(s) for s in bundle.stab_idx]
     for xi in range(ns):
         for yi in range(ns):
             total = Rat(0)
             for gi in stab_sets[xi] & stab_sets[yi]:
                 total += Rat(1, len(bundle.fixed_idx[gi]))
-            k.data[xi][yi] = total / len(bundle.stab_idx[xi])
-    return k
+            rows[xi][yi] = total / len(bundle.stab_idx[xi])
+    return RationalMatrix.from_rows(rows)
 
 
 class TestGoldenValue:

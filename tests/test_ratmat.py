@@ -136,3 +136,13 @@ def test_matmul_beyond_int64():
     _assert_exact_product(c, c)
     _assert_exact_product(c, a)
     _assert_exact_product(a, c)
+
+
+def test_entries_are_read_only():
+    m = RationalMatrix([[Rat(1, 2), Rat(1, 2)], [Rat(1, 3), Rat(2, 3)]])
+    with pytest.raises(TypeError):
+        m.data[0][0] = Rat(1)
+    with pytest.raises(TypeError):
+        m.data.append([Rat(1), Rat(0)])
+    assert m.data == [[Rat(1, 2), Rat(1, 2)], [Rat(1, 3), Rat(2, 3)]]
+    assert m == RationalMatrix.from_rows([list(row) for row in m.data])

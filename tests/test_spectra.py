@@ -15,7 +15,6 @@ from burnside.spectra import (
     extract_rational_roots,
     gap_report,
     intertwine_check,
-    nonzero_spectrum_equal,
     spectrum_equal_report,
 )
 
@@ -120,8 +119,8 @@ class TestRationalRoots:
 
 class TestSpectrumEqual:
     def test_goldens(self, golden_value, golden_coord):
-        assert nonzero_spectrum_equal(golden_value.Q, golden_value.K)
-        assert nonzero_spectrum_equal(golden_coord.Q, golden_coord.K)
+        assert spectrum_equal_report(golden_value.Q, golden_value.K).equal
+        assert spectrum_equal_report(golden_coord.Q, golden_coord.K).equal
 
     def test_certificate_agrees_with_direct(self, bundles):
         for key in [("value", 4, 3), ("coord", 2, 4), ("coord", 3, 3)]:
@@ -140,11 +139,34 @@ class TestSpectrumEqual:
         rep = spectrum_equal_report(wrong, b.K, legs=(b.A, b.B), direct_cap=2)
         assert not rep.equal
 
+    def test_certificate_catches_faulty_product(self, monkeypatch):
+        # a product that moves one entry of its result builds a wrong Q and K;
+        # the certificate must recompute them without that product
+        good_matmul = RationalMatrix.__matmul__
+
+        def faulty_matmul(self, other):
+            rows = [list(row) for row in good_matmul(self, other).data]
+            j = next(j for j, v in enumerate(rows[0]) if v)
+            moved, rows[0][j] = rows[0][j], Rat(0)
+            rows[0][(j + 1) % len(rows[0])] += moved
+            return RationalMatrix.from_rows(rows)
+
+        def no_matmul(self, other):
+            raise AssertionError("the certificate called the matrix product")
+
+        monkeypatch.setattr(RationalMatrix, "__matmul__", faulty_matmul)
+        b = build_bundle(value_spec(3, 2))
+        assert b.Q.is_row_stochastic() and b.K.is_row_stochastic()
+        monkeypatch.setattr(RationalMatrix, "__matmul__", no_matmul)
+        rep = spectrum_equal_report(b.Q, b.K, legs=(b.A, b.B), direct_cap=2)
+        assert rep.mode == "certificate"
+        assert not rep.equal
+
     def test_random_tabled_actions(self):
         rng = make_rng(555)
         for _ in range(6):
             b = build_bundle(random_tabled_action(rng))
-            assert nonzero_spectrum_equal(b.Q, b.K, legs=(b.A, b.B))
+            assert spectrum_equal_report(b.Q, b.K, legs=(b.A, b.B)).equal
 
 
 class TestIntertwine:
