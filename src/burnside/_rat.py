@@ -37,15 +37,6 @@ elif _requested in ("fractions", "python", "fraction"):
 else:
     raise ValueError(f"unknown BURNSIDE_EXACT_BACKEND={_requested!r}")
 
-ZERO = Rat(0)
-ONE = Rat(1)
-
-
-def rat(p, q=1):
-    """Build an exact rational from integers (or pass one through)."""
-    return Rat(p, q)
-
-
 def rat_str(x) -> str:
     """Canonical "p/q" string (plain "p" when the denominator is 1)."""
     return str(Rat(x))
@@ -58,11 +49,3 @@ def parse_rat(s: str):
         p, q = s.split("/")
         return Rat(int(p), int(q))
     return Rat(int(s))
-
-
-def as_int(x) -> int:
-    """Convert an integer-valued rational to int, raising if it is not one."""
-    r = Rat(x)
-    if r.denominator != 1:
-        raise ValueError(f"{r} is not an integer")
-    return int(r.numerator)

@@ -340,9 +340,6 @@ class TabledAction:
     def duals(self) -> list[Permutation]:
         return [self.elements[gi] for gi in self.dual_indices]
 
-    def act_index(self, gi: int, xi: int) -> int:
-        return self._table[gi][xi]
-
     def orbit_keys(self) -> list[int]:
         """A stable orbit id per state (equal ids exactly within one orbit)."""
         n = len(self.states)

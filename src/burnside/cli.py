@@ -286,8 +286,8 @@ def cmd_mix(args) -> int:
     results = bound_suite(bundle, args.tmax, profiles, eps_list=eps_list)
     d_k = profiles.k.worst
     d_q = profiles.q.worst
-    bar_k = orbit_lump_K(bundle, verify_formula=False)
-    bar_q = conjugacy_lump_Q(bundle, verify_formula=False)
+    bar_k = orbit_lump_K(bundle)
+    bar_q = conjugacy_lump_Q(bundle)
     dbar_k = d_profile(bar_k.kernel, bar_k.pi, args.tmax).worst
     dbar_q = d_profile(bar_q.kernel, bar_q.pi, args.tmax).worst
 

@@ -8,7 +8,8 @@ primal step) and reduce the start set to orbit representatives for K and
 conjugacy-class representatives for Q; both kernels are equivariant, so
 every other start reproduces a representative's curve exactly (validated in
 the tests against the all-starts computation).  Lumping, the floors and the
-sign checks compare the integers as well.
+sign checks compare the integers as well; the orbit and class lumpings also
+check their aggregation identity against the legs, row by row.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from ._rat import Rat
 from .kernels import ChainBundle, check_detailed_balance
-from .ratmat import RationalMatrix, rat_vector, scaled_vector
+from .ratmat import RationalMatrix, rat_vector, rows_are_products, scaled_vector
 
 __all__ = [
     "evolve",
@@ -313,7 +314,22 @@ class LumpedChain:
         return self.partition.labels
 
 
-def orbit_lump_K(bundle: ChainBundle, verify_formula: bool = True) -> LumpedChain:
+def _aggregation_holds(
+    bar: RationalMatrix, leg: RationalMatrix, partition: StatePartition, support: list[list[int]]
+) -> bool:
+    """The aggregation identity of a lumped kernel built as a leg product:
+    bar == (leg at the block representatives) @ R, where row h of R is the
+    share of support[h] in each block (K 1_O = B (A 1_O), Q 1_C = A (B 1_C)).
+    R is counted from the incidence lists and the product is checked row by
+    row, so neither the kernel nor its block sums are reused."""
+    block_of = np.asarray(partition.block_of, dtype=np.intp)
+    counts = [np.bincount(block_of[s], minlength=partition.num_blocks) for s in support]
+    right = RationalMatrix.from_scaled(np.array(counts), [len(s) for s in support])
+    left = leg.select_rows([block[0] for block in partition.blocks])
+    return rows_are_products(bar, left, right)
+
+
+def orbit_lump_K(bundle: ChainBundle) -> LumpedChain:
     """Lump K by orbits: symmetric kernel, uniform lumped stationary law."""
     partition = StatePartition.from_keys(bundle.state_orbit_keys)
     bar_k, bar_pi = lump(bundle.K, bundle.piK, partition)
@@ -322,24 +338,13 @@ def orbit_lump_K(bundle: ChainBundle, verify_formula: bool = True) -> LumpedChai
         raise AssertionError("orbit-lumped stationary law is not uniform")
     if bar_k != bar_k.transpose():
         raise AssertionError("orbit-lumped kernel is not symmetric")
-    if verify_formula:
-        # aggregation identity: sum over the target orbit of K(x, .) equals
-        # the stabilizer average of |X_h & O'| / |X_h|
-        for bi, block in enumerate(partition.blocks):
-            x = block[0]
-            for bj in range(partition.num_blocks):
-                target = set(partition.blocks[bj])
-                acc = Rat(0)
-                for gi in bundle.stab_idx[x]:
-                    inside = sum(1 for xi in bundle.fixed_idx[gi] if xi in target)
-                    acc += Rat(inside, len(bundle.fixed_idx[gi]))
-                acc /= len(bundle.stab_idx[x])
-                if acc != bar_k[bi, bj]:
-                    raise AssertionError("orbit aggregation formula mismatch")
+    # K(x, O') = stabilizer average of |X_h & O'| / |X_h|
+    if not _aggregation_holds(bar_k, bundle.B, partition, bundle.fixed_idx):
+        raise AssertionError("orbit aggregation formula mismatch")
     return LumpedChain(bar_k, bar_pi, partition)
 
 
-def conjugacy_lump_Q(bundle: ChainBundle, verify_formula: bool = True) -> LumpedChain:
+def conjugacy_lump_Q(bundle: ChainBundle) -> LumpedChain:
     """Lump Q by conjugacy classes; the lumped chain stays reversible."""
     partition = StatePartition.from_keys(bundle.dual_class_keys)
     bar_q, bar_pi = lump(bundle.Q, bundle.piQ, partition)
@@ -351,20 +356,9 @@ def conjugacy_lump_Q(bundle: ChainBundle, verify_formula: bool = True) -> Lumped
             raise AssertionError("class-lumped stationary mass mismatch")
     if not check_detailed_balance(bar_q, bar_pi):
         raise AssertionError("class-lumped kernel lost reversibility")
-    if verify_formula:
-        # aggregation identity: sum over the class C' of Q(g, .) equals the
-        # fixed-word average of |G_u & C'| / |G_u|
-        for bi, block in enumerate(partition.blocks):
-            gi = block[0]
-            for bj in range(partition.num_blocks):
-                target = set(partition.blocks[bj])
-                acc = Rat(0)
-                for xi in bundle.fixed_idx[gi]:
-                    inside = sum(1 for hj in bundle.stab_idx[xi] if hj in target)
-                    acc += Rat(inside, len(bundle.stab_idx[xi]))
-                acc /= len(bundle.fixed_idx[gi])
-                if acc != bar_q[bi, bj]:
-                    raise AssertionError("class aggregation formula mismatch")
+    # Q(g, C') = fixed-word average of |G_u & C'| / |G_u|
+    if not _aggregation_holds(bar_q, bundle.A, partition, bundle.stab_idx):
+        raise AssertionError("class aggregation formula mismatch")
     return LumpedChain(bar_q, bar_pi, partition)
 
 
@@ -557,7 +551,7 @@ def bound_suite(
     )
 
     # Chen's coupling bound lives on the orbit-lumped chain.
-    lumped = orbit_lump_K(bundle, verify_formula=False)
+    lumped = orbit_lump_K(bundle)
     bar_profile = d_profile(lumped.kernel, lumped.pi, t_max)
     coupling = _geometric(1 - Rat(1, bundle.num_states), t_max)
     results.append(

@@ -1,18 +1,20 @@
 """Leg matrices A and B, the kernels Q = AB and K = BA, and stationary laws.
 
 A has one row per dual state g (uniform on the fixed words of g); B has one
-row per word x (uniform on the stabilizer of x).  Everything is exact: each
-matrix is integer numerators over one denominator per row (see ``ratmat``),
-and the checks here (detailed balance, the diagonal identity, the Doeblin
-floors) compare those integers.  The same assembly runs for the two concrete
-models and for tabled test actions.
+row per word x (uniform on the stabilizer of x).  Every kernel is a product
+of the two legs: ``build_bundle`` forms both, ``build_k_matrix`` only
+K = BA.  Everything is exact: each matrix is integer numerators over one
+denominator per row (see ``ratmat``), and the checks here (detailed balance,
+the diagonal identity, the Doeblin floors) compare those integers.  The same
+assembly runs for the two concrete models and for tabled test actions; the
+caps on |X| and |G*| are checked from closed forms before any enumeration.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from math import lcm
+from math import factorial
 from typing import Optional
 
 import numpy as np
@@ -23,7 +25,7 @@ from .actions import (
     TabledAction,
     dual_states,
     enumerate_fixed_words,
-    fixed_set_size,
+    group_degree,
     group_order,
     orbit_key,
     stabilizer_elements,
@@ -31,6 +33,7 @@ from .actions import (
     word_to_str,
     words,
 )
+from .combinat import subfactorial
 from .ratmat import RationalMatrix
 
 __all__ = [
@@ -104,12 +107,8 @@ class ChainBundle:
     def dual_index(self, g) -> int:
         return self._dual_pos[g]
 
-    def state_index(self, x) -> int:
-        return self._state_pos[x]
-
     def __post_init__(self) -> None:
         self._dual_pos = {g: i for i, g in enumerate(self.duals)}
-        self._state_pos = {x: i for i, x in enumerate(self.states)}
 
     def fixed_size(self, gi: int) -> int:
         return len(self.fixed_idx[gi])
@@ -127,9 +126,12 @@ def _adjacency(source) -> tuple[list, list, list[list[int]], list[list[int]], in
                 f"k^n = {spec.num_states} exceeds the state cap {state_cap()} "
                 "(override with BURNSIDE_MAX_STATES)"
             )
+        # |G*|: all of S_n (coord), or the non-derangements of S_k (value)
+        m = group_degree(spec)
+        num_duals = factorial(m) - (subfactorial(m) if spec.model == "value" else 0)
+        if num_duals > DUAL_CAP:
+            raise CapExceeded(f"|G*| = {num_duals} exceeds the dual cap {DUAL_CAP}")
         duals = list(dual_states(spec))
-        if len(duals) > DUAL_CAP:
-            raise CapExceeded(f"|G*| = {len(duals)} exceeds the dual cap {DUAL_CAP}")
         states = list(words(spec))
         dual_pos = {g: i for i, g in enumerate(duals)}
         fixed_idx = [
@@ -249,31 +251,13 @@ def build_bundle(source) -> ChainBundle:
 
 
 def build_k_matrix(spec: ActionSpec) -> RationalMatrix:
-    """K alone, assembled from the definition without touching the dual side.
+    """K = B @ A alone, from the two legs; Q is never formed.
 
-    Useful when |G*| is too large to hold Q (e.g. long words over a binary
-    alphabet): the stabilizers are generated constructively per word and only
-    the |X| x |X| kernel is materialized.  Row x accumulates integer
-    numerators over |G_x| lcm_h |X_h|, which become the matrix's rows.
+    For long words over a small alphabet |X| is far below |G*|, so K is the
+    small kernel of the pair (coord 2,8: 256 words against 40320 duals).
     """
-    if spec.num_states > state_cap():
-        raise CapExceeded(f"k^n = {spec.num_states} exceeds the state cap {state_cap()}")
-    state_list = list(words(spec))
-    pos = {x: i for i, x in enumerate(state_list)}
-    top = spec.k if spec.model == "value" else spec.n
-    lcm_fixed = lcm(*(f**spec.n if spec.model == "value" else spec.k**f for f in range(1, top + 1)))
-    rows, dens = [], []
-    for x in state_list:
-        acc = [0] * len(state_list)
-        stab_order = 0
-        for h in stabilizer_elements(spec, x):
-            stab_order += 1
-            w = lcm_fixed // fixed_set_size(spec, h)
-            for y in enumerate_fixed_words(spec, h):
-                acc[pos[y]] += w
-        rows.append(acc)
-        dens.append(stab_order * lcm_fixed)
-    return RationalMatrix.from_scaled(rows, dens)
+    a, b = build_legs(spec)
+    return b @ a
 
 
 def build_q_direct(spec: ActionSpec) -> RationalMatrix:

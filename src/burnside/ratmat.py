@@ -25,7 +25,8 @@ single entries (serialization, exact elimination) and for the tests.
 ``step`` moves a row vector held as integer numerators over one denominator,
 ``(nums, den) -> (nums, den)``: each nonzero of the vector scatters its row's
 nonzero entries, and the result is reduced by its gcd.  ``vec_mul`` and all
-distribution evolution use it.
+distribution evolution use it, and so does ``rows_are_products``, which
+checks a claimed product row by row without calling ``@``.
 
 Entries serialize in canonical "p/q" form alongside row/column label lists.
 """
@@ -43,6 +44,7 @@ from ._rat import Rat, parse_rat, rat_str
 
 __all__ = [
     "RationalMatrix",
+    "rows_are_products",
     "scaled_vector",
     "rat_vector",
     "matrix_to_json",
@@ -257,13 +259,8 @@ class RationalMatrix:
         return (int(below[0, 0]), int(below[0, 1])) if below.size else None
 
     def is_row_stochastic(self) -> bool:
-        return bool((self.num >= 0).all()) and np.array_equal(self._num_row_sums(), self.den)
-
-    def row_sums(self) -> list:
-        return [Rat(s, d) for s, d in zip(self._num_row_sums().tolist(), self.den.tolist())]
-
-    def _num_row_sums(self) -> np.ndarray:
-        return _wide(self.num, self.cols).sum(axis=1)
+        row_sums = _wide(self.num, self.cols).sum(axis=1)
+        return bool((self.num >= 0).all()) and np.array_equal(row_sums, self.den)
 
     def to_float_array(self):
         return np.array([[float(v) for v in row] for row in self.data], dtype=float)
@@ -286,6 +283,19 @@ class RationalMatrix:
         num[: a.rows, : a.cols] = a.num
         num[a.rows :, a.cols :] = b.num
         return cls._canonical(num, np.concatenate([a.den, b.den]))
+
+
+def rows_are_products(p: RationalMatrix, left: RationalMatrix, right: RationalMatrix) -> bool:
+    """p == left @ right, row i of the product recomputed as the integer
+    scatter of left's row i over the rows of right (never through @)."""
+    if (p.rows, p.cols) != (left.rows, right.cols) or left.cols != right.rows:
+        return False
+    for i in range(left.rows):
+        # both sides are reduced, so equal rows have equal integers
+        row, row_den = right.step(left.num[i], int(left.den[i]))
+        if row_den != int(p.den[i]) or not np.array_equal(row, p.num[i]):
+            return False
+    return True
 
 
 def scaled_vector(v: Sequence) -> tuple[np.ndarray, int]:

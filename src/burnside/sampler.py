@@ -32,7 +32,8 @@ from .actions import (
     words,
 )
 from .closedforms import pi_coord, pi_value
-from .permgroup import Permutation
+from .kernels import DEFAULT_STATE_CAP
+from .permgroup import ENUMERATION_CAP, Permutation
 
 __all__ = [
     "make_rng",
@@ -112,12 +113,12 @@ class RunResult:
 
 def _stationary_law(spec: ActionSpec, chain: str) -> Optional[dict]:
     if chain == DUAL:
-        if group_degree(spec) > 9:
+        if group_degree(spec) > ENUMERATION_CAP:
             return None
         if spec.model == "value":
             return {g: pi_value(spec.k, spec.n, g) for g in dual_states(spec)}
         return {g: pi_coord(spec.n, spec.k, g) for g in dual_states(spec)}
-    if spec.num_states > 65536:
+    if spec.num_states > DEFAULT_STATE_CAP:
         return None
     total = 0
     sizes = {}

@@ -24,7 +24,7 @@ import numpy as np
 
 from ._rat import Rat, rat_str
 from .kernels import ChainBundle, check_detailed_balance
-from .ratmat import RationalMatrix
+from .ratmat import RationalMatrix, rows_are_products
 
 __all__ = [
     "CharPoly",
@@ -179,25 +179,6 @@ def extract_rational_roots(poly: CharPoly, denominator_hint: int = 1):
     return roots, rem
 
 
-def _rows_are_products(p: RationalMatrix, left: RationalMatrix, right: RationalMatrix) -> bool:
-    """p == left @ right, row i of the product recomputed as the integer
-    scatter of left's row i over the rows of right (never through @)."""
-    if (p.rows, p.cols) != (left.rows, right.cols) or left.cols != right.rows:
-        return False
-    for i in range(left.rows):
-        # both sides are reduced, so equal rows have equal integers
-        row, row_den = right.step(left.num[i], int(left.den[i]))
-        if row_den != int(p.den[i]) or not np.array_equal(row, p.num[i]):
-            return False
-    return True
-
-
-def _verify_products(
-    a: RationalMatrix, b: RationalMatrix, q: RationalMatrix, k: RationalMatrix
-) -> bool:
-    return _rows_are_products(q, a, b) and _rows_are_products(k, b, a)
-
-
 @dataclass
 class SpectrumEqualReport:
     equal: bool
@@ -236,7 +217,7 @@ def spectrum_equal_report(
             "legs were supplied for the factorization certificate"
         )
     a, b = legs
-    ok = _verify_products(a, b, q, k)
+    ok = rows_are_products(q, a, b) and rows_are_products(k, b, a)
     detail = "verified Q == A@B and K == B@A entrywise"
     small = min(q.rows, k.rows)
     if ok and small <= direct_cap:

@@ -1,5 +1,7 @@
 """Evolution, TV profiles, lumping machinery, and the bound suite."""
 
+import dataclasses
+
 import pytest
 
 from burnside._rat import Rat, parse_rat
@@ -191,6 +193,32 @@ class TestLumping:
                                     if m.data[j][l]:
                                         reach[i][l] = True
                 assert all(all(row) for row in reach)
+
+    def test_orbit_aggregation_catches_moved_word(self, bundles):
+        b = bundles("value", 4, 3)
+        orbit_lump_K(b)
+        # the identity fixes every word: trade one of them for a word of another orbit
+        fixed = [list(f) for f in b.fixed_idx]
+        keys = b.state_orbit_keys
+        x0 = fixed[b.e_index][0]
+        y = next(y for y in range(b.num_states) if keys[y] != keys[x0])
+        fixed[b.e_index] = [y if x == x0 else x for x in fixed[b.e_index]]
+        faulty = dataclasses.replace(b, fixed_idx=fixed)
+        with pytest.raises(AssertionError, match="orbit aggregation formula mismatch"):
+            orbit_lump_K(faulty)
+
+    def test_class_aggregation_catches_moved_element(self, bundles):
+        b = bundles("coord", 2, 4)
+        conjugacy_lump_Q(b)
+        # every dual fixes the constant word 0000: trade one for a dual of another class
+        stab = [list(s) for s in b.stab_idx]
+        keys = b.dual_class_keys
+        h0 = stab[0][-1]
+        h1 = next(h for h in range(b.num_duals) if keys[h] != keys[h0])
+        stab[0] = [h1 if h == h0 else h for h in stab[0]]
+        faulty = dataclasses.replace(b, stab_idx=stab)
+        with pytest.raises(AssertionError, match="class aggregation formula mismatch"):
+            conjugacy_lump_Q(faulty)
 
     def test_partition_validation(self, golden_value):
         bad = StatePartition(labels=["a"], blocks=[[0, 1]], block_of=[0, 0])

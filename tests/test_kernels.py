@@ -4,9 +4,11 @@ import pytest
 
 from burnside._rat import Rat, parse_rat
 from burnside.actions import coord_spec, random_tabled_action, value_spec
+import burnside.kernels
 from burnside.kernels import (
     CapExceeded,
     build_bundle,
+    build_k_matrix,
     build_legs,
     build_q_direct,
     check_detailed_balance,
@@ -211,6 +213,25 @@ class TestKernelOps:
         monkeypatch.setenv("BURNSIDE_MAX_STATES", "100")
         with pytest.raises(CapExceeded):
             build_bundle(coord_spec(2, 7))
+
+    def test_dual_cap_checked_before_enumeration(self, monkeypatch):
+        # coord 2,9 has 512 words but |G*| = 9!; value 9,1 has |G*| = 9! - !9
+        def refuse(spec):
+            raise AssertionError("dual states enumerated past the dual cap")
+
+        monkeypatch.setattr(burnside.kernels, "dual_states", refuse)
+        for spec in (coord_spec(2, 9), value_spec(9, 1)):
+            with pytest.raises(CapExceeded, match="exceeds the dual cap"):
+                build_bundle(spec)
+            with pytest.raises(CapExceeded, match="exceeds the dual cap"):
+                build_k_matrix(spec)
+
+    @pytest.mark.parametrize(
+        "key", [("value", 3, 3), ("value", 4, 3), ("coord", 2, 5), ("coord", 3, 4)]
+    )
+    def test_k_only_assembly(self, bundles, key):
+        b = bundles(*key)
+        assert build_k_matrix(b.spec) == b.K
 
     def test_legs_only(self):
         a, b = build_legs(value_spec(3, 2))
