@@ -18,7 +18,7 @@ from math import comb, factorial
 from typing import Callable, Iterator, Sequence
 
 from .combinat import rising_factorial, stirling2, subfactorial
-from .permgroup import Permutation, canonical_sort_key, enumerate_sym, identity
+from .permgroup import Permutation, _UnionFind, canonical_sort_key, enumerate_sym, identity
 
 __all__ = [
     "ActionSpec",
@@ -49,6 +49,9 @@ Word = tuple[int, ...]
 
 VALUE = "value"
 COORD = "coord"
+
+# count_orbits sums |X_g| over all of S_m up to this degree, by cycle data above.
+COUNT_ENUMERATION_DEGREE = 8
 
 
 @dataclass(frozen=True)
@@ -250,12 +253,12 @@ def orbit_key(spec: ActionSpec, x: Word):
     return tuple(x.count(a) for a in range(1, spec.k + 1))
 
 
-def count_orbits(spec: ActionSpec, enumerate_cap: int = 8) -> int:
+def count_orbits(spec: ActionSpec) -> int:
     """Number of orbits, by closed form and by the Burnside average.
 
     The two computations must agree; the Burnside side enumerates the group
-    when its degree is small and otherwise uses the exact fixed-size counts
-    aggregated over cycle data.
+    up to degree COUNT_ENUMERATION_DEGREE and above it uses the exact
+    fixed-size counts aggregated over cycle data.
     """
     n, k = spec.n, spec.k
     if spec.model == VALUE:
@@ -264,7 +267,7 @@ def count_orbits(spec: ActionSpec, enumerate_cap: int = 8) -> int:
         closed = comb(n + k - 1, k - 1)
 
     m = group_degree(spec)
-    if m <= enumerate_cap:
+    if m <= COUNT_ENUMERATION_DEGREE:
         total = sum(fixed_set_size(spec, g) for g in enumerate_sym(m))
     elif spec.model == VALUE:
         total = sum(
@@ -323,13 +326,8 @@ class TabledAction:
                     raise ValueError(f"action leaves the state set: {g} . {x} = {y}")
                 row.append(state_pos[y])
             self._table.append(row)
-        nstates = len(self.states)
         self.fixed_lists: list[list[int]] = [
-            [i for i in range(nstates) if row[i] == i] for row in self._table
-        ]
-        self.stab_lists: list[list[int]] = [
-            [gi for gi in range(len(self.elements)) if self._table[gi][xi] == xi]
-            for xi in range(nstates)
+            [i for i, y in enumerate(row) if y == i] for row in self._table
         ]
         self.dual_indices = [gi for gi, f in enumerate(self.fixed_lists) if f]
 
@@ -342,26 +340,11 @@ class TabledAction:
 
     def orbit_keys(self) -> list[int]:
         """A stable orbit id per state (equal ids exactly within one orbit)."""
-        n = len(self.states)
-        reach = [set([i]) for i in range(n)]
+        uf = _UnionFind(len(self.states))
         for row in self._table:
-            for i in range(n):
-                reach[i].add(row[i])
-        # union-find over the action graph
-        parent = list(range(n))
-
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for i in range(n):
-            for j in reach[i]:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
-        return [find(i) for i in range(n)]
+            for i, j in enumerate(row):
+                uf.union(i, j)
+        return [uf.find(i) for i in range(len(self.states))]
 
     def class_keys(self) -> list[int]:
         """Conjugacy class id (within this group) per element."""

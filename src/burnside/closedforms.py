@@ -267,17 +267,18 @@ def _orbit_sizes(g: Permutation, h: Permutation) -> tuple[int, ...]:
     return tuple(len(b) for b in joint_orbits(g, h))
 
 
-def q_coord_colorings(n: int, k: int, g: Permutation, h: Permutation, cap: int = COLORING_CAP):
-    """Colorings sum k^-c(g) * sum_phi prod_a 1/M_a(phi)! over orbit colorings."""
+def q_coord_colorings(n: int, k: int, g: Permutation, h: Permutation):
+    """Colorings sum k^-c(g) * sum_phi prod_a 1/M_a(phi)! over orbit colorings;
+    refuses more than COLORING_CAP colorings."""
     sizes = _orbit_sizes(g, h)
-    return _coord_from_sizes_enumerate(n, k, g.cycle_count(), sizes, cap)
+    return _coord_from_sizes_enumerate(n, k, g.cycle_count(), sizes)
 
 
-def _coord_from_sizes_enumerate(n: int, k: int, c: int, sizes: tuple[int, ...], cap: int):
+def _coord_from_sizes_enumerate(n: int, k: int, c: int, sizes: tuple[int, ...]):
     s = len(sizes)
-    if k**s > cap:
+    if k**s > COLORING_CAP:
         raise ValueError(
-            f"k^s = {k**s} colorings exceed the enumeration cap {cap}; "
+            f"k^s = {k**s} colorings exceed the enumeration cap {COLORING_CAP}; "
             "use the expectation form"
         )
     # integer accumulation over a common denominator n! k^c

@@ -49,6 +49,11 @@ __all__ = [
     "bound_suite",
 ]
 
+# mixing_time scans at most this many steps.
+MIXING_HORIZON = 200
+# minorization_transfer squares Q exactly up to this many dual states.
+Q_SQUARE_DUALS = 200
+
 
 # ---------------------------------------------------------------------------
 # distributions
@@ -132,15 +137,16 @@ def mixing_time_from_curve(curve: Sequence, eps) -> Optional[int]:
     return None
 
 
-def mixing_time(p: RationalMatrix, pi: Sequence, eps, t_max: int = 200) -> int:
-    """Least t with worst-case TV at most eps (linear scan, exact compare)."""
+def mixing_time(p: RationalMatrix, pi: Sequence, eps) -> int:
+    """Least t with worst-case TV at most eps (linear scan, exact compare),
+    searched up to MIXING_HORIZON steps."""
     pi_nums, pi_den = scaled_vector(pi)
     mus = [_point_mass_scaled(p.rows, x) for x in range(p.rows)]
-    for t in range(t_max + 1):
+    for t in range(MIXING_HORIZON + 1):
         if max(_tv_scaled(nums, den, pi_nums, pi_den) for nums, den in mus) <= eps:
             return t
         mus = [p.step(nums, den) for nums, den in mus]
-    raise RuntimeError(f"chain did not mix to {eps} within {t_max} steps")
+    raise RuntimeError(f"chain did not mix to {eps} within {MIXING_HORIZON} steps")
 
 
 # ---------------------------------------------------------------------------
@@ -174,13 +180,11 @@ class BundleProfiles:
     q: ChainProfile
 
 
-def _profile_from_reps(
-    reps: list[int],
-    key_of: list,
-    steps: Sequence[RationalMatrix],
-    pi: Sequence,
-    t_max: int,
+def _profile_per_key(
+    key_of: list, steps: Sequence[RationalMatrix], pi: Sequence, t_max: int
 ) -> ChainProfile:
+    """Curves from the first start of each key, one step through each of steps."""
+    reps = [block[0] for block in StatePartition.from_keys(key_of).blocks]
     pi_scaled = scaled_vector(pi)
     curves = {rep: _tv_curve(steps, rep, pi_scaled, t_max) for rep in reps}
     worst = [max(curves[rep][t] for rep in reps) for t in range(t_max + 1)]
@@ -190,29 +194,12 @@ def _profile_from_reps(
     return ChainProfile(t_max, reps, curves, key_of, worst)
 
 
-def _first_of_each_key(keys: list) -> list[int]:
-    seen = set()
-    reps = []
-    for i, key in enumerate(keys):
-        if key not in seen:
-            seen.add(key)
-            reps.append(i)
-    return reps
-
-
-def bundle_profiles(
-    bundle: ChainBundle, t_max: int = 60, reduce_starts: bool = True
-) -> BundleProfiles:
-    """Exact d_K and d_Q curves for every start, up to equivariance."""
-    if reduce_starts:
-        k_reps = _first_of_each_key(bundle.state_orbit_keys)
-        q_reps = _first_of_each_key(bundle.dual_class_keys)
-    else:
-        k_reps = list(range(bundle.num_states))
-        q_reps = list(range(bundle.num_duals))
+def bundle_profiles(bundle: ChainBundle, t_max: int = 60) -> BundleProfiles:
+    """Exact d_K and d_Q curves for every start, up to equivariance: one
+    curve per orbit (K) and per conjugacy class (Q)."""
     legs_k = (bundle.B, bundle.A)  # K = BA
-    k_profile = _profile_from_reps(k_reps, bundle.state_orbit_keys, legs_k, bundle.piK, t_max)
-    q_profile = _profile_from_reps(q_reps, bundle.dual_class_keys, legs_k[::-1], bundle.piQ, t_max)
+    k_profile = _profile_per_key(bundle.state_orbit_keys, legs_k, bundle.piK, t_max)
+    q_profile = _profile_per_key(bundle.dual_class_keys, legs_k[::-1], bundle.piQ, t_max)
     return BundleProfiles(t_max, k_profile, q_profile)
 
 
@@ -451,29 +438,22 @@ class MinorizationError(ValueError):
 
 
 def minorization_transfer(
-    bundle: ChainBundle,
-    delta=None,
-    nu: Optional[Sequence] = None,
-    t_max: int = 60,
-    d_q: Optional[Sequence] = None,
-    exact_square_cap: int = 200,
+    bundle: ChainBundle, t_max: int = 60, d_q: Optional[Sequence] = None
 ) -> BoundResult:
-    """From K >= delta nu (verified exactly) build the two-step dual curve
-    (1-delta)^floor(t/2); also verifies Q^2(g,.) >= delta (nu B) when the
-    dual space is small enough to square exactly."""
+    """From K >= delta nu (verified exactly; delta = 1/max|G_x|, nu uniform)
+    build the two-step dual curve (1-delta)^floor(t/2); also verifies
+    Q^2(g,.) >= delta (nu B) when there are at most Q_SQUARE_DUALS dual
+    states to square exactly."""
     m = max(bundle.stab_size(xi) for xi in range(bundle.num_states))
-    if delta is None:
-        delta = Rat(1, m)
-    if nu is None:
-        nu = [Rat(1, bundle.num_states)] * bundle.num_states
+    delta = Rat(1, m)
+    nu = [Rat(1, bundle.num_states)] * bundle.num_states
     below = bundle.K.first_below([delta * v for v in nu])
     if below is not None:
         xi, yi = below
         raise MinorizationError(
             f"K({xi},{yi}) = {bundle.K[xi, yi]} < delta nu = {delta * nu[yi]}"
         )
-    note = ""
-    if bundle.num_duals <= exact_square_cap:
+    if bundle.num_duals <= Q_SQUARE_DUALS:
         q2 = bundle.Q @ bundle.Q
         nub = bundle.B.vec_mul(list(nu))
         below = q2.first_below([delta * v for v in nub])
@@ -484,8 +464,8 @@ def minorization_transfer(
             )
         note = "Q^2 floor verified exactly"
     else:
-        note = f"dual space {bundle.num_duals} > {exact_square_cap}: Q^2 floor not squared"
-    curve = [(1 - Rat(delta)) ** (t // 2) for t in range(t_max + 1)]
+        note = f"dual space {bundle.num_duals} > {Q_SQUARE_DUALS}: Q^2 floor not squared"
+    curve = [(1 - delta) ** (t // 2) for t in range(t_max + 1)]
     verified = None
     if d_q is not None:
         verified = _holds_above(curve, d_q)

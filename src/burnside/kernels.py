@@ -6,13 +6,16 @@ of the two legs: ``build_bundle`` forms both, ``build_k_matrix`` only
 K = BA.  Everything is exact: each matrix is integer numerators over one
 denominator per row (see ``ratmat``), and the checks here (detailed balance,
 the diagonal identity, the Doeblin floors) compare those integers.  The same
-assembly runs for the two concrete models and for tabled test actions; the
-caps on |X| and |G*| are checked from closed forms before any enumeration.
+assembly runs for the two concrete models and for tabled test actions.  The
+incidence is enumerated once, as the fixed words of each dual; the
+stabilizer lists are its transpose.  The caps on |X| and |G*| and the budget
+on dense entries are checked from closed forms before any enumeration.
 """
 
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 from math import factorial
 from typing import Optional
@@ -28,7 +31,6 @@ from .actions import (
     group_degree,
     group_order,
     orbit_key,
-    stabilizer_elements,
     word_index,
     word_to_str,
     words,
@@ -51,6 +53,9 @@ __all__ = [
 
 DEFAULT_STATE_CAP = 65536
 DUAL_CAP = 40320
+# Entries of the dense matrices one call may form (2**25 int64 entries are
+# 256 MiB): A, B and K, plus Q for build_bundle.
+DENSE_BUDGET = 2**25
 
 
 def state_cap() -> int:
@@ -117,29 +122,40 @@ class ChainBundle:
         return len(self.stab_idx[xi])
 
 
+def _closed_form_sizes(spec: ActionSpec) -> tuple[int, int]:
+    """|X| and |G*| from closed forms, checked against the state and dual caps."""
+    if spec.num_states > state_cap():
+        raise CapExceeded(
+            f"k^n = {spec.num_states} exceeds the state cap {state_cap()} "
+            "(override with BURNSIDE_MAX_STATES)"
+        )
+    # |G*|: all of S_n (coord), or the non-derangements of S_k (value)
+    m = group_degree(spec)
+    num_duals = factorial(m) - (subfactorial(m) if spec.model == "value" else 0)
+    if num_duals > DUAL_CAP:
+        raise CapExceeded(f"|G*| = {num_duals} exceeds the dual cap {DUAL_CAP}")
+    return spec.num_states, num_duals
+
+
+def _check_dense(what: str, num_states: int, num_duals: int, entries: int) -> None:
+    if entries > DENSE_BUDGET:
+        raise CapExceeded(
+            f"{what} for |X| = {num_states}, |G*| = {num_duals} would hold {entries} "
+            f"dense entries, over the budget {DENSE_BUDGET}"
+        )
+
+
 def _adjacency(source) -> tuple[list, list, list[list[int]], list[list[int]], int, list, list, list, list]:
-    """States, duals, incidence lists and labels for a spec or tabled action."""
+    """States, duals, incidence lists and labels for a spec or tabled action;
+    stab_idx is the transpose of fixed_idx, the one incidence enumerated."""
     if isinstance(source, ActionSpec):
         spec = source
-        if spec.num_states > state_cap():
-            raise CapExceeded(
-                f"k^n = {spec.num_states} exceeds the state cap {state_cap()} "
-                "(override with BURNSIDE_MAX_STATES)"
-            )
-        # |G*|: all of S_n (coord), or the non-derangements of S_k (value)
-        m = group_degree(spec)
-        num_duals = factorial(m) - (subfactorial(m) if spec.model == "value" else 0)
-        if num_duals > DUAL_CAP:
-            raise CapExceeded(f"|G*| = {num_duals} exceeds the dual cap {DUAL_CAP}")
+        _closed_form_sizes(spec)
         duals = list(dual_states(spec))
         states = list(words(spec))
-        dual_pos = {g: i for i, g in enumerate(duals)}
         fixed_idx = [
             sorted(word_index(spec, x) for x in enumerate_fixed_words(spec, g))
             for g in duals
-        ]
-        stab_idx = [
-            sorted(dual_pos[h] for h in stabilizer_elements(spec, x)) for x in states
         ]
         order = group_order(spec)
         orbit_keys = [orbit_key(spec, x) for x in states]
@@ -151,17 +167,18 @@ def _adjacency(source) -> tuple[list, list, list[list[int]], list[list[int]], in
         duals = ta.duals()
         states = list(ta.states)
         fixed_idx = [ta.fixed_lists[gi] for gi in ta.dual_indices]
-        dual_rank = {gi: r for r, gi in enumerate(ta.dual_indices)}
-        stab_idx = [sorted(dual_rank[gi] for gi in ta.stab_lists[xi]) for xi in range(len(states))]
         order = ta.group_order
-        okeys = ta.orbit_keys()
-        orbit_keys = list(okeys)
+        orbit_keys = ta.orbit_keys()
         ckeys = ta.class_keys()
         class_keys = [ckeys[gi] for gi in ta.dual_indices]
         dual_labels = [str(g) for g in duals]
         state_labels = [str(x) for x in states]
     else:
         raise TypeError(f"cannot build kernels from {type(source).__name__}")
+    stab_idx: list[list[int]] = [[] for _ in states]
+    for gi, fixed in enumerate(fixed_idx):
+        for xi in fixed:
+            stab_idx[xi].append(gi)
     return (
         states,
         duals,
@@ -197,7 +214,11 @@ def build_legs(source) -> tuple[RationalMatrix, RationalMatrix]:
 
 
 def build_bundle(source) -> ChainBundle:
-    """Assemble A, B, Q = AB, K = BA, and both stationary laws."""
+    """Assemble A, B, Q = AB, K = BA, and both stationary laws; a spec whose
+    four dense matrices pass DENSE_BUDGET is rejected before enumeration."""
+    if isinstance(source, ActionSpec):
+        num_states, num_duals = _closed_form_sizes(source)
+        _check_dense("A, B, Q and K", num_states, num_duals, (num_states + num_duals) ** 2)
     (
         states,
         duals,
@@ -214,16 +235,16 @@ def build_bundle(source) -> ChainBundle:
     q = a @ b
     k = b @ a
 
+    orbit_size = Counter(orbit_keys)
+    if any(len(stab) * orbit_size[key] != order for stab, key in zip(stab_idx, orbit_keys)):
+        raise AssertionError("orbit-stabilizer identity |G_x| |orbit(x)| = |G| fails")
     total_fixed = sum(len(f) for f in fixed_idx)
-    total_stab = sum(len(s) for s in stab_idx)
-    if total_fixed != total_stab:
-        raise AssertionError("incidence mismatch between legs")
     z, rem = divmod(total_fixed, order)
     if rem:
         raise AssertionError("Burnside average is not an integer")
 
     pi_q = [Rat(len(fixed), order * z) for fixed in fixed_idx]
-    pi_k = [Rat(len(stab), total_stab) for stab in stab_idx]
+    pi_k = [Rat(len(stab), total_fixed) for stab in stab_idx]
 
     e_index = next(i for i, g in enumerate(duals) if g.is_identity())
 
@@ -254,8 +275,11 @@ def build_k_matrix(spec: ActionSpec) -> RationalMatrix:
     """K = B @ A alone, from the two legs; Q is never formed.
 
     For long words over a small alphabet |X| is far below |G*|, so K is the
-    small kernel of the pair (coord 2,8: 256 words against 40320 duals).
+    small kernel of the pair (coord 2,8: 256 words against 40320 duals).  A
+    spec whose A, B and K pass DENSE_BUDGET is rejected before enumeration.
     """
+    num_states, num_duals = _closed_form_sizes(spec)
+    _check_dense("A, B and K", num_states, num_duals, num_states * (num_states + 2 * num_duals))
     a, b = build_legs(spec)
     return b @ a
 

@@ -159,12 +159,13 @@ def canonical_sort_key(g: Permutation):
     return (len(g.moved_points()), moved_cycles)
 
 
-def enumerate_sym(m: int, cap: int = ENUMERATION_CAP) -> Iterator[Permutation]:
-    """All m! permutations in lexicographic one-line order."""
+def enumerate_sym(m: int) -> Iterator[Permutation]:
+    """All m! permutations in lexicographic one-line order, for degrees up
+    to ENUMERATION_CAP."""
     if m < 1:
         raise ValueError("degree must be >= 1")
-    if m > cap:
-        raise ValueError(f"enumeration degree {m} exceeds cap {cap}")
+    if m > ENUMERATION_CAP:
+        raise ValueError(f"enumeration degree {m} exceeds cap {ENUMERATION_CAP}")
     for images in itertools.permutations(range(1, m + 1)):
         yield Permutation(images)
 

@@ -162,14 +162,13 @@ def empirical_one_step_row(
     return EmpiricalLaw(counts, draws)
 
 
-def estimate_orbit_count(spec: ActionSpec, samples: int, rng=None, seed: int = 0):
-    """Monte Carlo orbit count: the mean of |X_g| over uniform g, with its
-    standard error.  samples == 0 falls back to the exact count."""
+def estimate_orbit_count(spec: ActionSpec, samples: int, seed: int = 0):
+    """Monte Carlo orbit count: the mean of |X_g| over uniform g drawn from
+    stream 0 of seed, with its standard error.  samples == 0 falls back to
+    the exact count."""
     if samples == 0:
-        exact = count_orbits(spec)
-        return float(exact), 0.0
-    if rng is None:
-        rng = make_rng(seed)
+        return float(count_orbits(spec)), 0.0
+    rng = make_rng(seed)
     m = group_degree(spec)
     vals = np.empty(samples, dtype=float)
     for i in range(samples):

@@ -18,8 +18,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from math import comb, gcd, lcm
-from typing import Optional
-
 import numpy as np
 
 from ._rat import Rat, rat_str
@@ -45,6 +43,8 @@ __all__ = [
 # shared-spectrum check switches to the factorization certificate and gap
 # reports use floats.
 EXACT_DIM_CAP = 512
+# Float eigenvalues agree with a closed form, or with each other, within this.
+FLOAT_TOL = 1e-9
 
 
 @dataclass
@@ -108,13 +108,14 @@ def _hessenberg(h: list[list]) -> list[list]:
     return h
 
 
-def char_poly(p: RationalMatrix, cap: int = EXACT_DIM_CAP) -> CharPoly:
-    """Exact characteristic polynomial of a square rational matrix."""
+def char_poly(p: RationalMatrix) -> CharPoly:
+    """Exact characteristic polynomial of a square rational matrix of
+    dimension at most EXACT_DIM_CAP."""
     if p.rows != p.cols:
         raise ValueError("matrix is not square")
     n = p.rows
-    if n > cap:
-        raise ValueError(f"dimension {n} exceeds the exact char-poly cap {cap}")
+    if n > EXACT_DIM_CAP:
+        raise ValueError(f"dimension {n} exceeds the exact char-poly cap {EXACT_DIM_CAP}")
     if n == 0:
         return CharPoly([Rat(1)])
     h = _hessenberg([p.row(i) for i in range(n)])
@@ -143,8 +144,9 @@ def char_poly(p: RationalMatrix, cap: int = EXACT_DIM_CAP) -> CharPoly:
     return CharPoly(polys[n])
 
 
-def _divisors(d: int, cap: int = 10_000_000) -> list[int]:
-    if d <= 0 or d > cap:
+def _divisors(d: int) -> list[int]:
+    """Divisors of d by trial division; empty above 10**7, where that is slow."""
+    if not 0 < d <= 10_000_000:
         return []
     out = set()
     i = 1
@@ -191,39 +193,33 @@ class SpectrumEqualReport:
 def spectrum_equal_report(
     q: RationalMatrix,
     k: RationalMatrix,
-    legs: Optional[tuple[RationalMatrix, RationalMatrix]] = None,
-    direct_cap: int = EXACT_DIM_CAP,
+    legs: tuple[RationalMatrix, RationalMatrix],
 ) -> SpectrumEqualReport:
     """Decide whether Q and K share their nonzero spectra exactly.
 
-    Direct mode compares full exact characteristic polynomials (the larger
-    must be x^delta times the smaller).  Certificate mode, used above the
-    elimination cap, verifies the exact factorizations through the legs.
+    Direct mode, when both dimensions are at most EXACT_DIM_CAP, compares
+    full exact characteristic polynomials (the larger must be x^delta times
+    the smaller).  Certificate mode, above it, verifies the exact
+    factorizations through the legs (A, B).
     """
     if q.rows != q.cols or k.rows != k.cols:
         raise ValueError("kernels must be square")
-    big_dim = max(q.rows, k.rows)
-    if big_dim <= direct_cap:
-        cq = char_poly(q, cap=max(direct_cap, EXACT_DIM_CAP))
-        ck = char_poly(k, cap=max(direct_cap, EXACT_DIM_CAP))
+    if max(q.rows, k.rows) <= EXACT_DIM_CAP:
+        cq = char_poly(q)
+        ck = char_poly(k)
         if q.rows <= k.rows:
             equal = ck == cq.shifted(k.rows - q.rows)
         else:
             equal = cq == ck.shifted(q.rows - k.rows)
         return SpectrumEqualReport(equal, "direct", q.rows, k.rows)
-    if legs is None:
-        raise ValueError(
-            f"dimension {big_dim} exceeds the direct cap {direct_cap} and no "
-            "legs were supplied for the factorization certificate"
-        )
     a, b = legs
     ok = rows_are_products(q, a, b) and rows_are_products(k, b, a)
     detail = "verified Q == A@B and K == B@A entrywise"
     small = min(q.rows, k.rows)
-    if ok and small <= direct_cap:
+    if ok and small <= EXACT_DIM_CAP:
         # Exact char poly of the small side for the record; evaluating it at 1
         # must give 0 (stochasticity), a cheap independent sanity anchor.
-        cs = char_poly(q if q.rows <= k.rows else k, cap=max(direct_cap, EXACT_DIM_CAP))
+        cs = char_poly(q if q.rows <= k.rows else k)
         if cs(Rat(1)) != 0:
             return SpectrumEqualReport(False, "certificate", q.rows, k.rows, "char(1) != 0")
         detail += f"; char poly of the {small}-dim side computed exactly"
@@ -265,12 +261,13 @@ def eigen_nullspace(p: RationalMatrix, lam) -> list[list]:
     return basis
 
 
-def intertwine_check(bundle: ChainBundle, direct_cap: int = EXACT_DIM_CAP) -> dict:
+def intertwine_check(bundle: ChainBundle) -> dict:
     """Verify QA == AK and KB == BQ exactly, then transport eigenvectors.
 
-    For every nonzero rational eigenvalue lambda found exactly, the map
-    v -> Av must carry ker(K - lambda I) into ker(Q - lambda I) without
-    killing anything, and B must map back as multiplication by lambda.
+    For every nonzero rational eigenvalue lambda of the smaller kernel (at
+    most EXACT_DIM_CAP states), the map v -> Av must carry ker(K - lambda I)
+    into ker(Q - lambda I) without killing anything, and B must map back as
+    multiplication by lambda.
     """
     a, b, q, k = bundle.A, bundle.B, bundle.Q, bundle.K
     report: dict = {
@@ -279,7 +276,7 @@ def intertwine_check(bundle: ChainBundle, direct_cap: int = EXACT_DIM_CAP) -> di
         "eigenvalues": {},
     }
     small = q if q.rows <= k.rows else k
-    poly = char_poly(small, cap=direct_cap)
+    poly = char_poly(small)
     hint = _lcm_denominators(small)
     roots, _ = extract_rational_roots(poly, hint)
     for lam in sorted((r for r in roots if r != 0), reverse=True):
@@ -327,15 +324,16 @@ def dz_eigenvalues(n: int) -> list:
     return [Rat(comb(2 * m, m) ** 2, 16**m) for m in range(1, n // 2 + 1)]
 
 
-def dz_check(n: int, k_matrix: RationalMatrix, tol: float = 1e-9) -> bool:
-    """Distinct nontrivial nonzero eigenvalues of K match the closed list."""
+def dz_check(n: int, k_matrix: RationalMatrix) -> bool:
+    """Distinct nontrivial nonzero eigenvalues of K match the closed list,
+    each within FLOAT_TOL."""
     eigs = np.linalg.eigvalsh(_symmetrized(k_matrix, _uniformish_pi(k_matrix)))
     nontrivial = [x for x in eigs if abs(x - 1.0) > 1e-6 and abs(x) > 1e-6]
     found = sorted(set(round(float(x), 12) for x in nontrivial), reverse=True)
     expected = sorted((float(v) for v in dz_eigenvalues(n)), reverse=True)
     if len(found) != len(expected):
         return False
-    return all(abs(f - e) <= tol for f, e in zip(found, expected))
+    return all(abs(f - e) <= FLOAT_TOL for f, e in zip(found, expected))
 
 
 def _uniformish_pi(p: RationalMatrix):
@@ -385,25 +383,21 @@ class SpectrumReport:
         )
 
 
-def bundle_gap_report(bundle: ChainBundle, tol: float = 1e-9) -> tuple[SpectrumReport, SpectrumReport]:
-    """Gap reports for Q and K together; their absolute gaps must agree."""
-    rep_q = gap_report(bundle.Q, bundle.piQ, "Q", tol=tol)
-    rep_k = gap_report(bundle.K, bundle.piK, "K", tol=tol)
-    if abs(rep_q.gamma_star - rep_k.gamma_star) > tol:
+def bundle_gap_report(bundle: ChainBundle) -> tuple[SpectrumReport, SpectrumReport]:
+    """Gap reports for Q and K together; their absolute gaps must agree
+    within FLOAT_TOL."""
+    rep_q = gap_report(bundle.Q, bundle.piQ, "Q")
+    rep_k = gap_report(bundle.K, bundle.piK, "K")
+    if abs(rep_q.gamma_star - rep_k.gamma_star) > FLOAT_TOL:
         raise AssertionError(
             f"absolute gaps differ: Q gives {rep_q.gamma_star}, K gives {rep_k.gamma_star}"
         )
     return rep_q, rep_k
 
 
-def gap_report(
-    p: RationalMatrix,
-    pi,
-    name: str = "",
-    direct_cap: int = EXACT_DIM_CAP,
-    tol: float = 1e-9,
-) -> SpectrumReport:
-    """Spectral gap, absolute gap and relaxation time of a reversible kernel."""
+def gap_report(p: RationalMatrix, pi, name: str = "") -> SpectrumReport:
+    """Spectral gap, absolute gap and relaxation time of a reversible kernel:
+    from the exact char poly up to EXACT_DIM_CAP states, from floats above."""
     if not check_detailed_balance(p, pi):
         raise ValueError("kernel is not reversible with respect to pi")
     if p.rows == 1:
@@ -411,7 +405,7 @@ def gap_report(
         return SpectrumReport(name, 1, [(Rat(1), 1)], 0, [1.0], 1.0, 1.0, 1.0)
     exact_roots: list = []
     remaining_degree = 0
-    if p.rows <= direct_cap:
+    if p.rows <= EXACT_DIM_CAP:
         poly = char_poly(p)
         if poly(Rat(1)) != 0:
             raise AssertionError("characteristic polynomial does not vanish at 1")
@@ -428,7 +422,7 @@ def gap_report(
         floats = [float(x) for x in np.linalg.eigvalsh(_symmetrized(p, pi))]
         mode = "float"
     floats.sort(reverse=True)
-    below_one = [x for x in floats if x < 1.0 - tol]
+    below_one = [x for x in floats if x < 1.0 - FLOAT_TOL]
     lam1 = max(below_one) if below_one else 1.0
     lam_star = max((abs(x) for x in floats[1:]), default=0.0)
     gamma = 1.0 - lam1

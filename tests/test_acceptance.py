@@ -334,9 +334,9 @@ def test_criterion_6_bound_suite(bundles, profiles_cache):
 def test_criterion_7_dz_eigenvalues(bundles):
     results = {}
     for n in (4, 5, 6):
-        results[n] = dz_check(n, bundles("coord", 2, n).K, tol=1e-9)
+        results[n] = dz_check(n, bundles("coord", 2, n).K)
     for n in (7, 8):
-        results[n] = dz_check(n, build_k_matrix(coord_spec(2, n)), tol=1e-9)
+        results[n] = dz_check(n, build_k_matrix(coord_spec(2, n)))
     report(
         7, all(results.values()),
         f"distinct nontrivial eigenvalues match the squared central-binomial law for n=4..8 ({results})",

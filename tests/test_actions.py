@@ -186,6 +186,9 @@ class TestOrbits:
         assert count_orbits(value_spec(5, 4)) == 15
         assert count_orbits(coord_spec(3, 4)) == 15
         assert count_orbits(value_spec(3, 2)) == 2
+        # degree 9: the Burnside side sums the cycle-data closed forms
+        assert count_orbits(value_spec(9, 2)) == 2
+        assert count_orbits(coord_spec(2, 9)) == 10
 
     def test_burnside_by_enumeration(self):
         for spec in SMALL_SPECS:

@@ -4,8 +4,9 @@ import json
 
 import pytest
 
+from burnside._rat import Rat
 from burnside.cli import main
-from burnside.ratmat import matrix_from_csv, matrix_from_json
+from burnside.ratmat import RationalMatrix, matrix_from_csv, matrix_from_json
 
 import goldens
 
@@ -51,6 +52,26 @@ def test_verify_pass(capsys):
     assert code == 0
     assert "FAIL" not in out
     assert "PASS nonzero_spectrum_equal" in out
+
+
+def test_verify_catches_faulty_product(monkeypatch, capsys):
+    # a product that moves one entry of its result builds a wrong Q and K;
+    # the factorization checks must recompute both without that product
+    good_matmul = RationalMatrix.__matmul__
+
+    def faulty_matmul(self, other):
+        rows = [list(row) for row in good_matmul(self, other).data]
+        j = next(j for j, v in enumerate(rows[0]) if v)
+        moved, rows[0][j] = rows[0][j], Rat(0)
+        rows[0][(j + 1) % len(rows[0])] += moved
+        return RationalMatrix.from_rows(rows)
+
+    monkeypatch.setattr(RationalMatrix, "__matmul__", faulty_matmul)
+    code = main(["verify", "--model", "value", "--k", "3", "--n", "2", "--tmax", "10"])
+    out = capsys.readouterr().out
+    assert "FAIL factorization_Q_eq_AB" in out
+    assert "FAIL factorization_K_eq_BA" in out
+    assert code == 1
 
 
 def test_verify_expected_lump_failure(capsys):

@@ -6,6 +6,7 @@ import pytest
 
 from burnside._rat import Rat
 from burnside.actions import coord_spec, dual_states, value_spec
+import burnside.closedforms
 from burnside.closedforms import (
     cycle_index_Fk,
     fixed_count_classes,
@@ -257,9 +258,10 @@ class TestCoordForms:
             )
             assert total == 1
 
-    def test_enumeration_cap(self):
+    def test_enumeration_cap(self, monkeypatch):
+        monkeypatch.setattr(burnside.closedforms, "COLORING_CAP", 100)
         with pytest.raises(ValueError):
-            q_coord_colorings(8, 3, identity(8), identity(8), cap=100)
+            q_coord_colorings(8, 3, identity(8), identity(8))
         # the expectation form has no such cap
         assert q_coord_expectation(8, 3, identity(8), identity(8)) > 0
 

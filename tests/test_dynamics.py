@@ -75,14 +75,16 @@ class TestProfiles:
             assert profs.k.worst == d_profile(b.K, b.piK, 12).worst
 
     def test_reduced_matches_all_starts(self, golden_coord):
-        reduced = bundle_profiles(golden_coord, 10)
-        full = bundle_profiles(golden_coord, 10, reduce_starts=False)
-        assert reduced.q.worst == full.q.worst
-        assert reduced.k.worst == full.k.worst
-        for gi in range(golden_coord.num_duals):
-            assert reduced.q.curve_for(gi) == full.q.curves[gi]
-        for xi in range(golden_coord.num_states):
-            assert reduced.k.curve_for(xi) == full.k.curves[xi]
+        b = golden_coord
+        reduced = bundle_profiles(b, 10)
+        full_q = d_profile(b.Q, b.piQ, 10)
+        full_k = d_profile(b.K, b.piK, 10)
+        assert reduced.q.worst == full_q.worst
+        assert reduced.k.worst == full_k.worst
+        for gi in range(b.num_duals):
+            assert reduced.q.curve_for(gi) == full_q.per_start[gi]
+        for xi in range(b.num_states):
+            assert reduced.k.curve_for(xi) == full_k.per_start[xi]
 
     def test_one_step_lag_both_directions(self, bundles):
         for key in [("value", 3, 2), ("coord", 2, 4), ("coord", 3, 3)]:
@@ -96,13 +98,14 @@ class TestProfiles:
     def test_pointwise_transfer(self, golden_coord):
         # TV(Q^t(g,.), piQ) <= max over fixed words of TV(K^(t-1)(x,.), piK)
         b = golden_coord
-        profs = bundle_profiles(b, 20, reduce_starts=False)
+        curves_q = d_profile(b.Q, b.piQ, 20).per_start
+        curves_k = d_profile(b.K, b.piK, 20).per_start
         for gi in range(b.num_duals):
             for t in range(1, 21):
                 bound = max(
-                    profs.k.curves[xi][t - 1] for xi in b.fixed_idx[gi]
+                    curves_k[xi][t - 1] for xi in b.fixed_idx[gi]
                 )
-                assert profs.q.curves[gi][t] <= bound
+                assert curves_q[gi][t] <= bound
 
     def test_mixing_time_equivalence_three_eps(self, bundles):
         for key in [("value", 3, 2), ("value", 4, 3), ("coord", 2, 4), ("coord", 3, 4)]:
@@ -272,8 +275,13 @@ class TestMinorization:
         assert res.curve[3] == Rat(1, 2)
 
     def test_hypothesis_failure_raises(self, golden_value):
-        with pytest.raises(MinorizationError):
-            minorization_transfer(golden_value, delta=Rat(9, 10))
+        # move the mass of K(0, 1) onto K(0, 0): one entry below delta/|X|
+        rows = [list(row) for row in golden_value.K.data]
+        rows[0][0] += rows[0][1]
+        rows[0][1] = Rat(0)
+        tampered = dataclasses.replace(golden_value, K=RationalMatrix.from_rows(rows))
+        with pytest.raises(MinorizationError, match=r"K\(0,1\) = 0"):
+            minorization_transfer(tampered)
 
 
 class TestBoundSuite:

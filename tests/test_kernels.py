@@ -226,6 +226,32 @@ class TestKernelOps:
             with pytest.raises(CapExceeded, match="exceeds the dual cap"):
                 build_k_matrix(spec)
 
+    def test_dense_budget_checked_before_enumeration(self, monkeypatch):
+        # value 2,16 has one dual but a 65536^2 K; coord 2,8 has a 40320^2 Q
+        class Enumerated(Exception):
+            pass
+
+        def refuse(spec):
+            raise Enumerated(spec)
+
+        monkeypatch.setattr(burnside.kernels, "dual_states", refuse)
+        for build, spec in [
+            (build_bundle, value_spec(2, 16)),
+            (build_k_matrix, value_spec(2, 16)),
+            (build_bundle, coord_spec(2, 8)),
+        ]:
+            with pytest.raises(CapExceeded, match="dense entries"):
+                build(spec)
+        # within the budget, enumeration starts: K alone for coord 2,8, and
+        # the whole bundle for coord 2,7 and coord 3,6
+        for build, spec in [
+            (build_k_matrix, coord_spec(2, 8)),
+            (build_bundle, coord_spec(2, 7)),
+            (build_bundle, coord_spec(3, 6)),
+        ]:
+            with pytest.raises(Enumerated):
+                build(spec)
+
     @pytest.mark.parametrize(
         "key", [("value", 3, 3), ("value", 4, 3), ("coord", 2, 5), ("coord", 3, 4)]
     )

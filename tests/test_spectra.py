@@ -7,6 +7,7 @@ from burnside.actions import random_tabled_action, value_spec
 from burnside.kernels import build_bundle
 from burnside.ratmat import RationalMatrix
 from burnside.sampler import make_rng
+import burnside.spectra
 from burnside.spectra import (
     char_poly,
     dz_check,
@@ -84,9 +85,10 @@ class TestCharPoly:
             assert char_poly(b.Q)(Rat(1)) == 0
             assert char_poly(b.K)(Rat(1)) == 0
 
-    def test_dimension_cap(self):
+    def test_dimension_cap(self, monkeypatch):
+        monkeypatch.setattr(burnside.spectra, "EXACT_DIM_CAP", 3)
         with pytest.raises(ValueError):
-            char_poly(RationalMatrix.identity(4), cap=3)
+            char_poly(RationalMatrix.identity(4))
 
 
 class TestRationalRoots:
@@ -119,24 +121,29 @@ class TestRationalRoots:
 
 class TestSpectrumEqual:
     def test_goldens(self, golden_value, golden_coord):
-        assert spectrum_equal_report(golden_value.Q, golden_value.K).equal
-        assert spectrum_equal_report(golden_coord.Q, golden_coord.K).equal
+        for b in (golden_value, golden_coord):
+            assert spectrum_equal_report(b.Q, b.K, legs=(b.A, b.B)).equal
 
-    def test_certificate_agrees_with_direct(self, bundles):
-        for key in [("value", 4, 3), ("coord", 2, 4), ("coord", 3, 3)]:
+    def test_certificate_agrees_with_direct(self, bundles, monkeypatch):
+        keys = [("value", 4, 3), ("coord", 2, 4), ("coord", 3, 3)]
+        for key in keys:
             b = bundles(*key)
             direct = spectrum_equal_report(b.Q, b.K, legs=(b.A, b.B))
             assert direct.mode == "direct" and direct.equal
-            cert = spectrum_equal_report(b.Q, b.K, legs=(b.A, b.B), direct_cap=2)
+        monkeypatch.setattr(burnside.spectra, "EXACT_DIM_CAP", 2)
+        for key in keys:
+            b = bundles(*key)
+            cert = spectrum_equal_report(b.Q, b.K, legs=(b.A, b.B))
             assert cert.mode == "certificate" and cert.equal
 
-    def test_certificate_rejects_wrong_product(self, golden_value):
+    def test_certificate_rejects_wrong_product(self, golden_value, monkeypatch):
         b = golden_value
         data = [list(row) for row in b.Q.data]
         data[0][0] += Rat(1, 18)
         data[0][1] -= Rat(1, 18)
         wrong = RationalMatrix.from_rows(data)
-        rep = spectrum_equal_report(wrong, b.K, legs=(b.A, b.B), direct_cap=2)
+        monkeypatch.setattr(burnside.spectra, "EXACT_DIM_CAP", 2)
+        rep = spectrum_equal_report(wrong, b.K, legs=(b.A, b.B))
         assert not rep.equal
 
     def test_certificate_catches_faulty_product(self, monkeypatch):
@@ -158,7 +165,8 @@ class TestSpectrumEqual:
         b = build_bundle(value_spec(3, 2))
         assert b.Q.is_row_stochastic() and b.K.is_row_stochastic()
         monkeypatch.setattr(RationalMatrix, "__matmul__", no_matmul)
-        rep = spectrum_equal_report(b.Q, b.K, legs=(b.A, b.B), direct_cap=2)
+        monkeypatch.setattr(burnside.spectra, "EXACT_DIM_CAP", 2)
+        rep = spectrum_equal_report(b.Q, b.K, legs=(b.A, b.B))
         assert rep.mode == "certificate"
         assert not rep.equal
 
@@ -263,8 +271,3 @@ def test_bundle_gap_agreement(bundles):
     for key in [("value", 3, 2), ("value", 4, 3), ("coord", 2, 4), ("coord", 3, 3)]:
         rep_q, rep_k = bundle_gap_report(bundles(*key))
         assert rep_q.gamma_star == pytest.approx(rep_k.gamma_star, abs=1e-9)
-
-
-def test_spectrum_check_requires_legs_above_cap(golden_value):
-    with pytest.raises(ValueError):
-        spectrum_equal_report(golden_value.Q, golden_value.K, legs=None, direct_cap=2)
