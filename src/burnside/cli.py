@@ -51,6 +51,20 @@ from .ratmat import RationalMatrix, matrix_to_csv, matrix_to_json, rows_are_prod
 from .sampler import ChainRun, dump_trajectory, run_chain, summary_json
 from .spectra import bundle_gap_report, intertwine_check, spectrum_equal_report
 
+# build writes M = [[0, A], [B, 0]] up to this many rows (|G*| + |X|): its
+# JSON grows with the square of its side.
+M_EXPORT_ROWS = 1024
+# verify squares M (block_flip_square) up to this many rows.
+BLOCK_FLIP_ROWS = 300
+# verify runs intertwining and the gap report (dense Rat eigenvectors) up to
+# this many rows of M.
+EIGEN_ROWS = 200
+# verify rebuilds Q from the closed forms (|G*|^2 entries) up to this many duals.
+DIRECT_Q_DUALS = 200
+# verify compares the closed forms on every dual pair up to this many duals,
+# else on a grid of about this many rows and columns.
+CLOSED_FORM_DUALS = 40
+
 # bound name -> which worst-case curve it constrains ("K", "Q", or None)
 _BOUND_CHAIN = {
     "rosenthal_K": "K",
@@ -90,7 +104,7 @@ def cmd_build(args) -> int:
         "Q": (bundle.Q, dl, dl),
         "K": (bundle.K, sl, sl),
     }
-    if bundle.num_duals + bundle.num_states <= 1024:
+    if bundle.num_duals + bundle.num_states <= M_EXPORT_ROWS:
         matrices["M"] = (bundle.M, dl + sl, dl + sl)
     fmts = ["json", "csv"] if args.format == "both" else [args.format]
     for name, (mat, rows, cols) in matrices.items():
@@ -125,16 +139,16 @@ class _Checker:
         print(f"{tag} {name}{suffix}")
 
 
-def _closed_form_pairs(bundle, limit: int = 40):
+def _closed_form_pairs(bundle):
     """All dual pairs when the dual space is small, else a deterministic
     sample that always includes the identity row and column."""
     nd = bundle.num_duals
-    if nd <= limit:
+    if nd <= CLOSED_FORM_DUALS:
         for gi in range(nd):
             for hi in range(nd):
                 yield gi, hi
         return
-    idx = sorted(set(range(0, nd, max(1, nd // limit))) | {bundle.e_index})
+    idx = sorted(set(range(0, nd, max(1, nd // CLOSED_FORM_DUALS))) | {bundle.e_index})
     for gi in idx:
         for hi in idx:
             yield gi, hi
@@ -160,7 +174,7 @@ def cmd_verify(args) -> int:
     # row by row from the legs, never through the product that built Q and K
     ck.check("factorization_Q_eq_AB", rows_are_products(bundle.Q, bundle.A, bundle.B))
     ck.check("factorization_K_eq_BA", rows_are_products(bundle.K, bundle.B, bundle.A))
-    if bundle.num_duals + bundle.num_states <= 300:
+    if bundle.num_duals + bundle.num_states <= BLOCK_FLIP_ROWS:
         ck.check(
             "block_flip_square",
             bundle.M @ bundle.M == RationalMatrix.block_diag(bundle.Q, bundle.K),
@@ -184,7 +198,7 @@ def cmd_verify(args) -> int:
 
     rep = spectrum_equal_report(bundle.Q, bundle.K, legs=(bundle.A, bundle.B))
     ck.check("nonzero_spectrum_equal", rep.equal, f"mode = {rep.mode}")
-    if bundle.num_duals + bundle.num_states <= 200:
+    if bundle.num_duals + bundle.num_states <= EIGEN_ROWS:
         rep_i = intertwine_check(bundle)
         ck.check("eigenvector_intertwining", rep_i["ok"])
         try:
@@ -218,10 +232,10 @@ def cmd_verify(args) -> int:
             detail = f"mismatch at ({g}, {h})"
             break
     ck.check("closed_forms_match_kernel", ok, detail)
-    if bundle.num_duals <= 200:
+    if bundle.num_duals <= DIRECT_Q_DUALS:
         ck.check("direct_q_construction", build_q_direct(spec) == bundle.Q)
     else:
-        print(f"SKIP direct_q_construction: {bundle.num_duals} dual states (> 200)")
+        print(f"SKIP direct_q_construction: {bundle.num_duals} dual states (> {DIRECT_Q_DUALS})")
 
     try:
         lumped = conjugacy_lump_Q(bundle)
@@ -281,14 +295,14 @@ def _parse_eps(values) -> list:
     out = [parse_rat(v) for v in (values or ["1/4", "1/10"])]
     for eps in out:
         if not 0 < eps < 1:
-            raise SystemExit(2)
+            raise ValueError(f"eps must lie in (0, 1), got {rat_str(eps)}")
     return out
 
 
 def cmd_mix(args) -> int:
     spec = _spec_from_args(args)
-    bundle = build_bundle(spec)
     eps_list = _parse_eps(args.eps)
+    bundle = build_bundle(spec)
     profiles = bundle_profiles(bundle, args.tmax)
     results = bound_suite(bundle, args.tmax, profiles, eps_list=eps_list)
     d_k = profiles.k.worst

@@ -48,11 +48,10 @@ def subfactorial(m: int) -> int:
     """Number of derangements of m items (!0 = 1, !1 = 0)."""
     if m < 0:
         raise ValueError("subfactorial needs a nonnegative argument")
-    if m == 0:
-        return 1
-    if m == 1:
-        return 0
-    return (m - 1) * (subfactorial(m - 1) + subfactorial(m - 2))
+    count = 1
+    for i in range(1, m + 1):
+        count = i * count + (-1) ** i  # !i = i !(i-1) + (-1)^i
+    return count
 
 
 def rising_factorial(k: int, n: int) -> int:

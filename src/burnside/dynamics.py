@@ -28,10 +28,9 @@ __all__ = [
     "tv",
     "point_mass",
     "d_profile",
-    "DProfile",
+    "ChainProfile",
     "mixing_time",
     "mixing_time_from_curve",
-    "ChainProfile",
     "BundleProfiles",
     "bundle_profiles",
     "StatePartition",
@@ -109,24 +108,48 @@ def _tv_curve(
 
 
 @dataclass
-class DProfile:
+class ChainProfile:
+    """Exact TV curves of one chain, one per key of its starts; starts that
+    share a key share a curve (one key per start, or one per orbit or class
+    by equivariance)."""
+
     t_max: int
-    per_start: list[list]  # per_start[x][t]
-    worst: list            # worst[t] = max over starts
+    reps: list[int]  # the first start of each key
+    key_of: list
+    curves: dict     # key -> curve[t]
+    worst: list      # worst[t] = max over starts
+
+    @property
+    def per_start(self) -> list[list]:
+        return [self.curves[key] for key in self.key_of]
+
+    def curve_for(self, start: int) -> list:
+        return self.curves[self.key_of[start]]
 
     def mixing_time(self, eps) -> Optional[int]:
         return mixing_time_from_curve(self.worst, eps)
 
 
-def d_profile(p: RationalMatrix, pi: Sequence, t_max: int) -> DProfile:
-    """Exact worst-case TV profile over every start."""
+def _profile_per_key(
+    key_of: list, steps: Sequence[RationalMatrix], pi: Sequence, t_max: int
+) -> ChainProfile:
+    """Curves from the first start of each key, one step through each of steps."""
     pi_scaled = scaled_vector(pi)
-    per_start = [_tv_curve((p,), x, pi_scaled, t_max) for x in range(p.rows)]
-    worst = [max(c[t] for c in per_start) for t in range(t_max + 1)]
+    reps, curves = [], {}
+    for start, key in enumerate(key_of):
+        if key not in curves:
+            reps.append(start)
+            curves[key] = _tv_curve(steps, start, pi_scaled, t_max)
+    worst = [max(curve[t] for curve in curves.values()) for t in range(t_max + 1)]
     for t in range(t_max):
         if worst[t + 1] > worst[t]:
             raise AssertionError(f"worst-case TV increased from t={t} to t={t + 1}")
-    return DProfile(t_max, per_start, worst)
+    return ChainProfile(t_max, reps, key_of, curves, worst)
+
+
+def d_profile(p: RationalMatrix, pi: Sequence, t_max: int) -> ChainProfile:
+    """Exact worst-case TV profile over every start."""
+    return _profile_per_key(list(range(p.rows)), (p,), pi, t_max)
 
 
 def mixing_time_from_curve(curve: Sequence, eps) -> Optional[int]:
@@ -154,44 +177,10 @@ def mixing_time(p: RationalMatrix, pi: Sequence, eps) -> int:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class ChainProfile:
-    t_max: int
-    reps: list[int]
-    curves: dict  # rep index -> list[Rat]
-    key_of: list
-    worst: list
-
-    def curve_for(self, start: int) -> list:
-        """Curve for any start, via its representative (equivariance)."""
-        key = self.key_of[start]
-        for rep in self.reps:
-            if self.key_of[rep] == key:
-                return self.curves[rep]
-        raise KeyError(f"no representative found for start {start}")
-
-    def mixing_time(self, eps) -> Optional[int]:
-        return mixing_time_from_curve(self.worst, eps)
-
-
-@dataclass
 class BundleProfiles:
     t_max: int
     k: ChainProfile
     q: ChainProfile
-
-
-def _profile_per_key(
-    key_of: list, steps: Sequence[RationalMatrix], pi: Sequence, t_max: int
-) -> ChainProfile:
-    """Curves from the first start of each key, one step through each of steps."""
-    reps = [block[0] for block in StatePartition.from_keys(key_of).blocks]
-    pi_scaled = scaled_vector(pi)
-    curves = {rep: _tv_curve(steps, rep, pi_scaled, t_max) for rep in reps}
-    worst = [max(curves[rep][t] for rep in reps) for t in range(t_max + 1)]
-    for t in range(t_max):
-        if worst[t + 1] > worst[t]:
-            raise AssertionError("worst-case TV profile is not monotone")
-    return ChainProfile(t_max, reps, curves, key_of, worst)
 
 
 def bundle_profiles(bundle: ChainBundle, t_max: int = 60) -> BundleProfiles:

@@ -8,13 +8,12 @@ denominator per row (see ``ratmat``), and the checks here (detailed balance,
 the diagonal identity, the Doeblin floors) compare those integers.  The same
 assembly runs for the two concrete models and for tabled test actions.  The
 incidence is enumerated once, as the fixed words of each dual; the
-stabilizer lists are its transpose.  The caps on |X| and |G*| and the budget
-on dense entries are checked from closed forms before any enumeration.
+stabilizer lists are its transpose.  Each public builder checks its spec
+once, from closed forms, before any enumeration (``_check_size``).
 """
 
 from __future__ import annotations
 
-import os
 from collections import Counter
 from dataclasses import dataclass, field
 from math import factorial
@@ -48,18 +47,13 @@ __all__ = [
     "reversibility_ratio",
     "diagonal_equals_e_column",
     "doeblin_floor",
-    "state_cap",
 ]
 
-DEFAULT_STATE_CAP = 65536
-DUAL_CAP = 40320
+# Largest state space a builder enumerates, |X| and |G*| alike.
+STATE_CAP = 65536
 # Entries of the dense matrices one call may form (2**25 int64 entries are
-# 256 MiB): A, B and K, plus Q for build_bundle.
+# 256 MiB).
 DENSE_BUDGET = 2**25
-
-
-def state_cap() -> int:
-    return int(os.environ.get("BURNSIDE_MAX_STATES", DEFAULT_STATE_CAP))
 
 
 class CapExceeded(ValueError):
@@ -122,27 +116,30 @@ class ChainBundle:
         return len(self.stab_idx[xi])
 
 
-def _closed_form_sizes(spec: ActionSpec) -> tuple[int, int]:
-    """|X| and |G*| from closed forms, checked against the state and dual caps."""
-    if spec.num_states > state_cap():
-        raise CapExceeded(
-            f"k^n = {spec.num_states} exceeds the state cap {state_cap()} "
-            "(override with BURNSIDE_MAX_STATES)"
-        )
-    # |G*|: all of S_n (coord), or the non-derangements of S_k (value)
-    m = group_degree(spec)
-    num_duals = factorial(m) - (subfactorial(m) if spec.model == "value" else 0)
-    if num_duals > DUAL_CAP:
-        raise CapExceeded(f"|G*| = {num_duals} exceeds the dual cap {DUAL_CAP}")
-    return spec.num_states, num_duals
+def _check_size(source, matrices: str) -> None:
+    """Refuse a spec before anything is enumerated: |X| = k^n (unless the
+    call forms Q alone) and |G*| (n! for the coordinate model, k! - !k for
+    the value model) against STATE_CAP, then the entries of the dense
+    matrices named in matrices (letters of "ABKQ") against DENSE_BUDGET.
+    Tabled actions pass."""
+    if not isinstance(source, ActionSpec):
+        return
+    x = source.num_states
+    if matrices != "Q":  # A, B and K have a row or column per word
+        _refuse_above("|X| = k^n", x, STATE_CAP, "state cap")
+    m = group_degree(source)
+    g = factorial(m) - (subfactorial(m) if source.model == "value" else 0)
+    _refuse_above("|G*|", g, STATE_CAP, "state cap")
+    entries = {"A": g * x, "B": x * g, "K": x * x, "Q": g * g}
+    dense = sum(entries[name] for name in matrices)
+    _refuse_above(f"dense entries of {', '.join(matrices)}", dense, DENSE_BUDGET, "dense budget")
 
 
-def _check_dense(what: str, num_states: int, num_duals: int, entries: int) -> None:
-    if entries > DENSE_BUDGET:
-        raise CapExceeded(
-            f"{what} for |X| = {num_states}, |G*| = {num_duals} would hold {entries} "
-            f"dense entries, over the budget {DENSE_BUDGET}"
-        )
+def _refuse_above(what: str, size: int, limit: int, limit_name: str) -> None:
+    if size > limit:
+        # past 2**64 only the magnitude: str() refuses ints of over 4300 digits
+        shown = f"= {size}" if size.bit_length() <= 64 else f">= 2**{size.bit_length() - 1}"
+        raise CapExceeded(f"{what} {shown} exceeds the {limit_name} {limit}")
 
 
 def _adjacency(source) -> tuple[list, list, list[list[int]], list[list[int]], int, list, list, list, list]:
@@ -150,7 +147,6 @@ def _adjacency(source) -> tuple[list, list, list[list[int]], list[list[int]], in
     stab_idx is the transpose of fixed_idx, the one incidence enumerated."""
     if isinstance(source, ActionSpec):
         spec = source
-        _closed_form_sizes(spec)
         duals = list(dual_states(spec))
         states = list(words(spec))
         fixed_idx = [
@@ -209,16 +205,13 @@ def _legs(
 def build_legs(source) -> tuple[RationalMatrix, RationalMatrix]:
     """The forward leg A(g,x) = 1[x in X_g]/|X_g| and backward leg
     B(x,h) = 1[h in G_x]/|G_x|; both are row-stochastic."""
-    _, _, fixed_idx, stab_idx, *_ = _adjacency(source)
-    return _legs(fixed_idx, stab_idx)
+    _check_size(source, "AB")
+    return _legs(*_adjacency(source)[2:4])
 
 
 def build_bundle(source) -> ChainBundle:
-    """Assemble A, B, Q = AB, K = BA, and both stationary laws; a spec whose
-    four dense matrices pass DENSE_BUDGET is rejected before enumeration."""
-    if isinstance(source, ActionSpec):
-        num_states, num_duals = _closed_form_sizes(source)
-        _check_dense("A, B, Q and K", num_states, num_duals, (num_states + num_duals) ** 2)
+    """Assemble A, B, Q = AB, K = BA, and both stationary laws."""
+    _check_size(source, "ABKQ")
     (
         states,
         duals,
@@ -275,12 +268,10 @@ def build_k_matrix(spec: ActionSpec) -> RationalMatrix:
     """K = B @ A alone, from the two legs; Q is never formed.
 
     For long words over a small alphabet |X| is far below |G*|, so K is the
-    small kernel of the pair (coord 2,8: 256 words against 40320 duals).  A
-    spec whose A, B and K pass DENSE_BUDGET is rejected before enumeration.
+    small kernel of the pair (coord 2,8: 256 words against 40320 duals).
     """
-    num_states, num_duals = _closed_form_sizes(spec)
-    _check_dense("A, B and K", num_states, num_duals, num_states * (num_states + 2 * num_duals))
-    a, b = build_legs(spec)
+    _check_size(spec, "ABK")
+    a, b = _legs(*_adjacency(spec)[2:4])
     return b @ a
 
 
@@ -291,6 +282,7 @@ def build_q_direct(spec: ActionSpec) -> RationalMatrix:
     """
     from . import closedforms
 
+    _check_size(spec, "Q")
     duals = list(dual_states(spec))
     if spec.model == "value":
         entry = lambda g, h: closedforms.q_value_stirling(spec.k, spec.n, g, h)

@@ -24,6 +24,7 @@ from .actions import (
     ActionSpec,
     count_orbits,
     dual_states,
+    fixed_set_size,
     group_degree,
     sample_fixed_word_uniform,
     sample_stabilizer_uniform,
@@ -32,7 +33,7 @@ from .actions import (
     words,
 )
 from .closedforms import pi_coord, pi_value
-from .kernels import DEFAULT_STATE_CAP
+from .kernels import STATE_CAP
 from .permgroup import ENUMERATION_CAP, Permutation
 
 __all__ = [
@@ -118,7 +119,7 @@ def _stationary_law(spec: ActionSpec, chain: str) -> Optional[dict]:
         if spec.model == "value":
             return {g: pi_value(spec.k, spec.n, g) for g in dual_states(spec)}
         return {g: pi_coord(spec.n, spec.k, g) for g in dual_states(spec)}
-    if spec.num_states > DEFAULT_STATE_CAP:
+    if spec.num_states > STATE_CAP:
         return None
     total = 0
     sizes = {}
@@ -173,20 +174,7 @@ def estimate_orbit_count(spec: ActionSpec, samples: int, seed: int = 0):
     vals = np.empty(samples, dtype=float)
     for i in range(samples):
         images = rng.permutation(m) + 1
-        if spec.model == "value":
-            fixed = int(np.count_nonzero(images == np.arange(1, m + 1)))
-            vals[i] = float(fixed**spec.n)
-        else:
-            seen = np.zeros(m, dtype=bool)
-            cycles = 0
-            for start in range(m):
-                if not seen[start]:
-                    cycles += 1
-                    j = start
-                    while not seen[j]:
-                        seen[j] = True
-                        j = int(images[j]) - 1
-            vals[i] = float(spec.k**cycles)
+        vals[i] = float(fixed_set_size(spec, Permutation(images.tolist())))
     # z = (1/|G|) sum_g |X_g| is the expectation of |X_g| under uniform g
     est = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(samples)) if samples > 1 else float("inf")

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import burnside.kernels
 from burnside._rat import Rat
 from burnside.cli import main
 from burnside.ratmat import RationalMatrix, matrix_from_csv, matrix_from_json
@@ -165,9 +166,17 @@ def test_usage_error_exit_code():
 
 
 def test_cap_exceeded_exit_code(monkeypatch):
-    monkeypatch.setenv("BURNSIDE_MAX_STATES", "10")
+    monkeypatch.setattr(burnside.kernels, "STATE_CAP", 10)
     code = main(["build", "--model", "coord", "--k", "2", "--n", "5", "--out", "/tmp/ignored"])
     assert code == 2
+
+
+@pytest.mark.parametrize("eps", ["0", "2"])
+def test_mix_eps_out_of_range(capsys, eps):
+    code = main(["mix", "--model", "value", "--k", "3", "--n", "2", "--eps", eps])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: eps must lie in (0, 1), got {eps}\n"
 
 
 def test_mix_tmax_zero_emits_only_t0_rows(tmp_path):

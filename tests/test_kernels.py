@@ -210,20 +210,20 @@ class TestKernelOps:
         assert not check_detailed_balance(perturbed, b.piQ)
 
     def test_state_cap(self, monkeypatch):
-        monkeypatch.setenv("BURNSIDE_MAX_STATES", "100")
+        monkeypatch.setattr(burnside.kernels, "STATE_CAP", 100)
         with pytest.raises(CapExceeded):
             build_bundle(coord_spec(2, 7))
 
     def test_dual_cap_checked_before_enumeration(self, monkeypatch):
         # coord 2,9 has 512 words but |G*| = 9!; value 9,1 has |G*| = 9! - !9
         def refuse(spec):
-            raise AssertionError("dual states enumerated past the dual cap")
+            raise AssertionError("dual states enumerated past the state cap")
 
         monkeypatch.setattr(burnside.kernels, "dual_states", refuse)
         for spec in (coord_spec(2, 9), value_spec(9, 1)):
-            with pytest.raises(CapExceeded, match="exceeds the dual cap"):
+            with pytest.raises(CapExceeded, match="exceeds the state cap"):
                 build_bundle(spec)
-            with pytest.raises(CapExceeded, match="exceeds the dual cap"):
+            with pytest.raises(CapExceeded, match="exceeds the state cap"):
                 build_k_matrix(spec)
 
     def test_dense_budget_checked_before_enumeration(self, monkeypatch):
@@ -251,6 +251,39 @@ class TestKernelOps:
         ]:
             with pytest.raises(Enumerated):
                 build(spec)
+
+    @pytest.mark.parametrize(
+        "build, spec, refused",
+        [
+            # over a limit: the legs of coord 3,8 (2 * 6561 * 40320 entries),
+            # |G*| = 9!, 9! - !9 and 5000! - !5000 (over 4300 digits), K of
+            # 65536^2 entries, Q of 40320^2
+            (build_legs, coord_spec(3, 8), True),
+            (build_legs, coord_spec(2, 9), True),
+            (build_k_matrix, value_spec(9, 1), True),
+            (build_bundle, value_spec(5000, 1), True),
+            (build_bundle, value_spec(2, 16), True),
+            (build_q_direct, coord_spec(2, 8), True),
+            # within both limits
+            (build_legs, coord_spec(2, 8), False),
+            (build_k_matrix, coord_spec(2, 8), False),
+            (build_bundle, coord_spec(2, 7), False),
+            (build_q_direct, value_spec(5, 4), False),
+        ],
+        ids=lambda v: v.__name__ if callable(v) else str(v) if isinstance(v, bool)
+        else f"{v.model}{v.k},{v.n}",
+    )
+    def test_every_builder_checks_size_before_enumeration(self, monkeypatch, build, spec, refused):
+        class Enumerated(Exception):
+            pass
+
+        def refuse(spec):
+            raise Enumerated(spec)
+
+        monkeypatch.setattr(burnside.kernels, "dual_states", refuse)
+        monkeypatch.setattr(burnside.kernels, "words", refuse)
+        with pytest.raises(CapExceeded if refused else Enumerated):
+            build(spec)
 
     @pytest.mark.parametrize(
         "key", [("value", 3, 3), ("value", 4, 3), ("coord", 2, 5), ("coord", 3, 4)]
