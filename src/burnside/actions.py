@@ -7,6 +7,16 @@ Words are stored internally as tuples over {1..k}.  The coordinate model is
 displayed with the 0-based alphabet {0..k-1} (so binary words print as
 bitstrings), the value model with its 1-based symbols; this relabelling is
 presentation-only.
+
+Both models are stated once, in two functions, and every stabilizer and
+fixed-set primitive reads them without asking which model it serves:
+
+- ``stabilizer_blocks(spec, x)``: G_x is the Young subgroup prod Sym(block),
+  S_{k-r} on the r symbols x leaves unused (value model) or prod_a S_{m_a}
+  on the positions of each letter a (coordinate model);
+- ``fixed_coloring(spec, g)``: X_g is the set of colorings of slots by a
+  palette, each position by a fixed symbol of g (value model) or each cycle
+  of g by one of the k letters (coordinate model).
 """
 
 from __future__ import annotations
@@ -14,7 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, prod
 from typing import Callable, Iterator, Sequence
 
 from .combinat import rising_factorial, stirling2, subfactorial
@@ -32,6 +42,8 @@ __all__ = [
     "word_index",
     "word_to_str",
     "word_from_str",
+    "stabilizer_blocks",
+    "fixed_coloring",
     "fixed_set_size",
     "enumerate_fixed_words",
     "stabilizer_size",
@@ -41,6 +53,8 @@ __all__ = [
     "orbit_key",
     "count_orbits",
     "dual_states",
+    "word_count",
+    "dual_state_count",
     "TabledAction",
     "random_tabled_action",
 ]
@@ -142,105 +156,91 @@ def word_from_str(spec: ActionSpec, s: str) -> Word:
     return x
 
 
-def fixed_set_size(spec: ActionSpec, g: Permutation) -> int:
-    """|X_g|: f(g)^n for the value model, k^c(g) for the coordinate model."""
+def stabilizer_blocks(spec: ActionSpec, x: Word) -> list[list[int]]:
+    """G_x = prod Sym(block): one block of the symbols x leaves unused (value
+    model), or the positions of each letter in letter order (coordinate model)."""
+    if spec.model == VALUE:
+        return [sorted(set(range(1, spec.k + 1)) - set(x))]
+    blocks: dict[int, list[int]] = {}
+    for pos, a in enumerate(x, start=1):
+        blocks.setdefault(a, []).append(pos)
+    return [blocks[a] for a in sorted(blocks)]
+
+
+def fixed_coloring(
+    spec: ActionSpec, g: Permutation
+) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """X_g as colorings: (slots, palette).  A word is fixed by g exactly when
+    each slot (a block of positions) takes one color of the palette: every
+    position is a slot and the palette is the fixed symbols of g (value
+    model), or the slots are the cycles of g and the palette is 1..k
+    (coordinate model)."""
     _check_degree(spec, g)
     if spec.model == VALUE:
-        return len(g.fixed_points()) ** spec.n
-    return spec.k ** g.cycle_count()
+        return tuple((i,) for i in range(1, spec.n + 1)), tuple(sorted(g.fixed_points()))
+    return g.cycles(), tuple(range(1, spec.k + 1))
+
+
+def fixed_set_size(spec: ActionSpec, g: Permutation) -> int:
+    """|X_g| = |palette|^slots: f(g)^n (value model), k^c(g) (coordinate model)."""
+    slots, palette = fixed_coloring(spec, g)
+    return len(palette) ** len(slots)
+
+
+def _colored_word(spec: ActionSpec, slots, palette, picks) -> Word:
+    word = [0] * spec.n
+    for slot, pick in zip(slots, picks):
+        for pos in slot:
+            word[pos - 1] = palette[pick]
+    return tuple(word)
+
+
+def _nonempty_palette(g: Permutation, palette) -> None:
+    if not palette:
+        raise ValueError(f"{g} is a derangement: empty fixed-word set")
 
 
 def enumerate_fixed_words(spec: ActionSpec, g: Permutation) -> Iterator[Word]:
-    """All words fixed by g, generated without scanning the full state space."""
-    _check_degree(spec, g)
-    if spec.model == VALUE:
-        fixed = sorted(g.fixed_points())
-        if not fixed:
-            raise ValueError(f"{g} is a derangement: empty fixed-word set")
-        yield from itertools.product(fixed, repeat=spec.n)
-    else:
-        cycles = g.cycles()
-        for colors in itertools.product(range(1, spec.k + 1), repeat=len(cycles)):
-            word = [0] * spec.n
-            for cyc, color in zip(cycles, colors):
-                for pos in cyc:
-                    word[pos - 1] = color
-            yield tuple(word)
+    """All words fixed by g, one per coloring, without scanning the state space."""
+    slots, palette = fixed_coloring(spec, g)
+    _nonempty_palette(g, palette)
+    for picks in itertools.product(range(len(palette)), repeat=len(slots)):
+        yield _colored_word(spec, slots, palette, picks)
 
 
-def _index_classes(spec: ActionSpec, x: Word) -> list[list[int]]:
-    """Positions of each letter (coordinate model): nonempty classes only."""
-    classes: dict[int, list[int]] = {}
-    for pos, a in enumerate(x, start=1):
-        classes.setdefault(a, []).append(pos)
-    return [classes[a] for a in sorted(classes)]
+def sample_fixed_word_uniform(spec: ActionSpec, g: Permutation, rng) -> Word:
+    """Uniform word in X_g: an i.i.d. uniform color per slot."""
+    slots, palette = fixed_coloring(spec, g)
+    _nonempty_palette(g, palette)
+    picks = rng.integers(0, len(palette), size=len(slots)).tolist()
+    return _colored_word(spec, slots, palette, picks)
 
 
 def stabilizer_size(spec: ActionSpec, x: Word) -> int:
-    if spec.model == VALUE:
-        r = len(set(x))
-        return factorial(spec.k - r)
-    out = 1
-    for cls in _index_classes(spec, x):
-        out *= factorial(len(cls))
-    return out
+    return prod(factorial(len(block)) for block in stabilizer_blocks(spec, x))
 
 
 def stabilizer_elements(spec: ActionSpec, x: Word) -> Iterator[Permutation]:
     """All of G_x, built constructively; the count matches stabilizer_size."""
     m = group_degree(spec)
-    if spec.model == VALUE:
-        unused = sorted(set(range(1, spec.k + 1)) - set(x))
-        for tau in itertools.permutations(unused):
-            images = list(range(1, m + 1))
-            for a, b in zip(unused, tau):
+    blocks = stabilizer_blocks(spec, x)
+    for taus in itertools.product(*(itertools.permutations(b) for b in blocks)):
+        images = list(range(1, m + 1))
+        for block, tau in zip(blocks, taus):
+            for a, b in zip(block, tau):
                 images[a - 1] = b
-            yield Permutation(images)
-    else:
-        classes = _index_classes(spec, x)
-        for taus in itertools.product(*(itertools.permutations(c) for c in classes)):
-            images = list(range(1, m + 1))
-            for cls, tau in zip(classes, taus):
-                for a, b in zip(cls, tau):
-                    images[a - 1] = b
-            yield Permutation(images)
+        yield Permutation(images)
 
 
 def sample_stabilizer_uniform(spec: ActionSpec, x: Word, rng) -> Permutation:
-    """Uniform element of G_x, drawn constructively (no rejection)."""
-    m = group_degree(spec)
-    images = list(range(1, m + 1))
-    if spec.model == VALUE:
-        unused = sorted(set(range(1, spec.k + 1)) - set(x))
-        if unused:
-            shuffled = rng.permutation(unused)
-            for a, b in zip(unused, shuffled):
+    """Uniform element of G_x, drawn constructively (no rejection): one
+    shuffle per block of two or more points."""
+    images = list(range(1, group_degree(spec) + 1))
+    for block in stabilizer_blocks(spec, x):
+        if len(block) > 1:
+            for a, b in zip(block, rng.permutation(block)):
                 images[a - 1] = int(b)
-    else:
-        for cls in _index_classes(spec, x):
-            if len(cls) > 1:
-                shuffled = rng.permutation(cls)
-                for a, b in zip(cls, shuffled):
-                    images[a - 1] = int(b)
     return Permutation(images)
-
-
-def sample_fixed_word_uniform(spec: ActionSpec, g: Permutation, rng) -> Word:
-    """Uniform word in X_g: i.i.d. fixed symbols (value) or cycle coloring (coord)."""
-    _check_degree(spec, g)
-    if spec.model == VALUE:
-        fixed = sorted(g.fixed_points())
-        if not fixed:
-            raise ValueError(f"{g} is a derangement: empty fixed-word set")
-        picks = rng.integers(0, len(fixed), size=spec.n)
-        return tuple(fixed[i] for i in picks)
-    cycles = g.cycles()
-    colors = rng.integers(1, spec.k + 1, size=len(cycles))
-    word = [0] * spec.n
-    for cyc, color in zip(cycles, colors):
-        for pos in cyc:
-            word[pos - 1] = int(color)
-    return tuple(word)
 
 
 def orbit_key(spec: ActionSpec, x: Word):
@@ -293,6 +293,24 @@ def dual_states(spec: ActionSpec) -> tuple[Permutation, ...]:
     m = group_degree(spec)
     elems = [g for g in enumerate_sym(m) if fixed_set_size(spec, g) > 0]
     return tuple(sorted(elems, key=canonical_sort_key))
+
+
+def word_count(spec: ActionSpec, limit: int) -> int:
+    """|X| = k^n when it is at most limit, else a lower bound of it above
+    limit; the power stops at the bit length of limit."""
+    return spec.k ** min(spec.n, limit.bit_length())
+
+
+def dual_state_count(spec: ActionSpec, limit: int) -> int:
+    """|G*| (n! for the coordinate model, k! - !k for the value model) when
+    it is at most limit, else a lower bound of it above limit: the count
+    grows with the degree and stops once past limit."""
+    count = 0
+    for m in range(1, group_degree(spec) + 1):
+        count = factorial(m) - (subfactorial(m) if spec.model == VALUE else 0)
+        if count > limit:
+            break
+    return count
 
 
 class TabledAction:

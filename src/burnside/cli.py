@@ -12,19 +12,8 @@ import os
 import sys
 
 from ._rat import parse_rat, rat_str
-from .actions import ActionSpec, word_from_str
-from .closedforms import (
-    pi_coord,
-    pi_value,
-    q_brute,
-    q_coord_binary,
-    q_coord_colorings,
-    q_coord_expectation,
-    q_value_coefficient,
-    q_value_expectation,
-    q_value_stirling,
-    qbar_value,
-)
+from .actions import ActionSpec, fixed_set_size, group_degree, word_from_str
+from .closedforms import kernel_forms, pi_coord, pi_value, q_brute, qbar_value
 from .dynamics import (
     MinorizationError,
     StrongLumpabilityFailure,
@@ -64,24 +53,6 @@ DIRECT_Q_DUALS = 200
 # verify compares the closed forms on every dual pair up to this many duals,
 # else on a grid of about this many rows and columns.
 CLOSED_FORM_DUALS = 40
-
-# bound name -> which worst-case curve it constrains ("K", "Q", or None)
-_BOUND_CHAIN = {
-    "rosenthal_K": "K",
-    "rosenthal_Q": "Q",
-    "chen_model_free_K": "K",
-    "chen_orbit_coupling": "K",
-    "two_step_transfer": "Q",
-    "paguyo_K": "K",
-    "paguyo_Q_transfer": "Q",
-    "aldous_K": "K",
-    "aldous_Q_transfer": "Q",
-    "dz_upper_K_allequal": "K",
-    "dz_lower_K_allequal": "K",
-    "dz_dual_lower": "Q",
-    "dz_Q_ncycle_upper": "Q",
-}
-
 
 def _spec_from_args(args) -> ActionSpec:
     return ActionSpec(args.model, args.n, args.k)
@@ -212,22 +183,13 @@ def cmd_verify(args) -> int:
 
     ok = True
     detail = ""
+    forms = kernel_forms(spec)
     for gi, hi in _closed_form_pairs(bundle):
         g, h = bundle.duals[gi], bundle.duals[hi]
         expected = bundle.Q[gi, hi]
-        if spec.model == "value":
-            forms = (
-                q_value_stirling(spec.k, spec.n, g, h),
-                q_value_expectation(spec.k, spec.n, g, h),
-                q_value_coefficient(spec.k, spec.n, g, h),
-            )
-        else:
-            forms = (
-                q_coord_colorings(spec.n, spec.k, g, h),
-                q_coord_expectation(spec.n, spec.k, g, h),
-            ) + ((q_coord_binary(spec.n, g, h),) if spec.k == 2 else ())
+        values = [form(g, h) for _, form in forms]
         brute = q_brute(spec, g, h)
-        if brute != expected or any(f != expected for f in forms):
+        if brute != expected or any(v != expected for v in values):
             ok = False
             detail = f"mismatch at ({g}, {h})"
             break
@@ -317,10 +279,9 @@ def cmd_mix(args) -> int:
         rows.append((t, rat_str(d_k[t]), rat_str(dbar_k[t]), "d_K", "", ""))
         rows.append((t, rat_str(d_q[t]), rat_str(dbar_q[t]), "d_Q", "", ""))
     for res in results:
-        chain = _BOUND_CHAIN.get(res.name)
-        if res.curve is None or chain is None:
+        if res.curve is None or res.chain is None:
             continue
-        fine, lumped = (d_k, dbar_k) if chain == "K" else (d_q, dbar_q)
+        fine, lumped = (d_k, dbar_k) if res.chain == "K" else (d_q, dbar_q)
         for t in range(args.tmax + 1):
             rows.append(
                 (t, rat_str(fine[t]), rat_str(lumped[t]), res.name,
@@ -384,14 +345,8 @@ def cmd_sample(args) -> int:
     if args.chain == "primal":
         start = word_from_str(spec, args.start) if args.start else (1,) * spec.n
     else:
-        from .actions import group_degree
-
-        start = (
-            parse_perm(args.start, group_degree(spec))
-            if args.start
-            else parse_perm("e", group_degree(spec))
-        )
-        if spec.model == "value" and not start.fixed_points():
+        start = parse_perm(args.start or "e", group_degree(spec))
+        if fixed_set_size(spec, start) == 0:
             print(f"invalid start: {start} is a derangement", file=sys.stderr)
             return 2
     run = ChainRun(spec, args.chain, start, args.steps, args.seed, thin=args.thin)
@@ -410,25 +365,15 @@ def cmd_sample(args) -> int:
 
 def cmd_closedform(args) -> int:
     spec = _spec_from_args(args)
-    from .actions import group_degree
-
     deg = group_degree(spec)
     g = parse_perm(args.g, deg)
     h = parse_perm(args.h, deg)
-    rows = []
+    rows = [(name, form(g, h)) for name, form in kernel_forms(spec)]
     if spec.model == "value":
-        rows.append(("stirling_sum", q_value_stirling(spec.k, spec.n, g, h)))
-        rows.append(("expectation", q_value_expectation(spec.k, spec.n, g, h)))
-        rows.append(("coefficient", q_value_coefficient(spec.k, spec.n, g, h)))
         pi_g = pi_value(spec.k, spec.n, g)
     else:
-        rows.append(("colorings_sum", q_coord_colorings(spec.n, spec.k, g, h)))
-        rows.append(("expectation", q_coord_expectation(spec.n, spec.k, g, h)))
-        if spec.k == 2:
-            rows.append(("binary", q_coord_binary(spec.n, g, h)))
         pi_g = pi_coord(spec.n, spec.k, g)
-    brute = q_brute(spec, g, h)
-    rows.append(("brute_force", brute))
+    rows.append(("brute_force", q_brute(spec, g, h)))
     payload = {
         "model": spec.model,
         "n": spec.n,

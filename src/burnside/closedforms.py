@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from math import comb, factorial
+from typing import Callable
 
 from ._rat import Rat
 from .actions import ActionSpec, apply_perm, enumerate_fixed_words, stabilizer_size
@@ -42,6 +43,7 @@ __all__ = [
     "q_coord_colorings",
     "q_coord_expectation",
     "q_coord_binary",
+    "kernel_forms",
     "q_coord_id_to_tcycle",
     "q_coord_tcycle_to_e",
     "pi_coord",
@@ -332,6 +334,25 @@ def q_coord_binary(n: int, g: Permutation, h: Permutation):
     if subset != coefficient:
         raise AssertionError(f"binary closed forms disagree for sizes {sizes}")
     return subset
+
+
+def kernel_forms(spec: ActionSpec) -> list[tuple[str, Callable]]:
+    """Every closed form of Q(g, h) for the model of spec, as (name, f(g, h));
+    build_q_direct assembles Q from the first.  The binary form needs k = 2."""
+    n, k = spec.n, spec.k
+    if spec.model == "value":
+        return [
+            ("stirling_sum", lambda g, h: q_value_stirling(k, n, g, h)),
+            ("expectation", lambda g, h: q_value_expectation(k, n, g, h)),
+            ("coefficient", lambda g, h: q_value_coefficient(k, n, g, h)),
+        ]
+    forms = [
+        ("colorings_sum", lambda g, h: q_coord_colorings(n, k, g, h)),
+        ("expectation", lambda g, h: q_coord_expectation(n, k, g, h)),
+    ]
+    if k == 2:
+        forms.append(("binary", lambda g, h: q_coord_binary(n, g, h)))
+    return forms
 
 
 def q_coord_id_to_tcycle(n: int, k: int, t: int):

@@ -15,7 +15,7 @@ check their aggregation identity against the legs, row by row.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -203,7 +203,7 @@ class StatePartition:
     block_of: list[int]
 
     @classmethod
-    def from_keys(cls, keys: Sequence, label_fn: Callable = None) -> "StatePartition":
+    def from_keys(cls, keys: Sequence) -> "StatePartition":
         """Blocks in order of first occurrence of each key."""
         order: dict = {}
         blocks: list[list[int]] = []
@@ -212,9 +212,7 @@ class StatePartition:
                 order[key] = len(blocks)
                 blocks.append([])
             blocks[order[key]].append(i)
-        labels = [label_fn(k) if label_fn else k for k in order]
-        block_of = [order[k] for k in keys]
-        return cls(labels, blocks, block_of)
+        return cls(list(order), blocks, [order[k] for k in keys])
 
     @property
     def num_blocks(self) -> int:
@@ -407,6 +405,7 @@ class BoundResult:
     verified: Optional[bool]
     reason: str = ""
     curve: Optional[list] = field(default=None, repr=False)
+    chain: Optional[str] = None  # the worst-case curve it constrains: "K", "Q" or None
 
 
 def _geometric(base, t_max: int) -> list:
@@ -458,7 +457,7 @@ def minorization_transfer(
     verified = None
     if d_q is not None:
         verified = _holds_above(curve, d_q)
-    return BoundResult("two_step_transfer", True, verified, note, curve)
+    return BoundResult("two_step_transfer", True, verified, note, curve, "Q")
 
 
 def stationarity_transfer_check(bundle: ChainBundle) -> bool:
@@ -500,12 +499,12 @@ def bound_suite(
     ros = _geometric(1 - delta, t_max)
     results.append(
         BoundResult(
-            "rosenthal_K", True, floors_hold and _holds_above(ros, d_k), floor_note, ros
+            "rosenthal_K", True, floors_hold and _holds_above(ros, d_k), floor_note, ros, "K"
         )
     )
     results.append(
         BoundResult(
-            "rosenthal_Q", True, floors_hold and _holds_above(ros, d_q), floor_note, ros
+            "rosenthal_Q", True, floors_hold and _holds_above(ros, d_q), floor_note, ros, "Q"
         )
     )
 
@@ -515,7 +514,7 @@ def bound_suite(
     results.append(
         BoundResult(
             "chen_model_free_K", True, floor_ok and _holds_above(chen, d_k),
-            f"row floor pi/|G| with |G| = {order} verified exactly", chen,
+            f"row floor pi/|G| with |G| = {order} verified exactly", chen, "K",
         )
     )
 
@@ -526,7 +525,7 @@ def bound_suite(
     results.append(
         BoundResult(
             "chen_orbit_coupling", True, _holds_above(coupling, bar_profile.worst),
-            f"|X| = {bundle.num_states}", coupling,
+            f"|X| = {bundle.num_states}", coupling, "K",
         )
     )
 
@@ -542,12 +541,12 @@ def bound_suite(
         if spec.k >= spec.n:
             pag = [spec.n * v for v in _geometric(1 - Rat(1, 2 * spec.k), t_max)]
             results.append(
-                BoundResult("paguyo_K", True, _holds_above(pag, d_k), "k >= n", pag)
+                BoundResult("paguyo_K", True, _holds_above(pag, d_k), "k >= n", pag, "K")
             )
             pag_dual = [Rat(1)] + pag[:-1]
             ok = all(d_q[t] <= pag_dual[t] for t in range(1, t_max + 1))
             results.append(
-                BoundResult("paguyo_Q_transfer", True, ok, "n(1-1/2k)^(t-1)", pag_dual)
+                BoundResult("paguyo_Q_transfer", True, ok, "n(1-1/2k)^(t-1)", pag_dual, "Q")
             )
         else:
             results.append(
@@ -562,12 +561,12 @@ def bound_suite(
     elif spec is not None and spec.model == "coord":
         ald = [spec.n * v for v in _geometric(1 - Rat(1, spec.k), t_max)]
         results.append(
-            BoundResult("aldous_K", True, _holds_above(ald, d_k), "n(1-1/k)^t", ald)
+            BoundResult("aldous_K", True, _holds_above(ald, d_k), "n(1-1/k)^t", ald, "K")
         )
         ald_dual = [Rat(1)] + ald[:-1]
         ok = all(d_q[t] <= ald_dual[t] for t in range(1, t_max + 1))
         results.append(
-            BoundResult("aldous_Q_transfer", True, ok, "n(1-1/k)^(t-1)", ald_dual)
+            BoundResult("aldous_Q_transfer", True, ok, "n(1-1/k)^(t-1)", ald_dual, "Q")
         )
         results.append(
             BoundResult(
@@ -622,10 +621,10 @@ def _dz_bounds(bundle: ChainBundle, profiles: BundleProfiles, t_max: int) -> lis
         ok_up = ok_up and all(curve[t] <= upper[t] for t in range(t_max + 1))
         ok_low = ok_low and all(curve[t] >= lower[t] for t in range(t_max + 1))
     out.append(
-        BoundResult("dz_upper_K_allequal", True, ok_up, "d_K(x0,t) <= 4 (1/4)^t", upper)
+        BoundResult("dz_upper_K_allequal", True, ok_up, "d_K(x0,t) <= 4 (1/4)^t", upper, "K")
     )
     out.append(
-        BoundResult("dz_lower_K_allequal", True, ok_low, "d_K(x0,t) >= (1/4)^(t+1)", lower)
+        BoundResult("dz_lower_K_allequal", True, ok_low, "d_K(x0,t) >= (1/4)^(t+1)", lower, "K")
     )
 
     dual_lower = [quarter ** (t + 2) for t in range(t_max + 1)]
@@ -634,7 +633,7 @@ def _dz_bounds(bundle: ChainBundle, profiles: BundleProfiles, t_max: int) -> lis
         BoundResult(
             "dz_dual_lower", True,
             all(d_q[t] >= dual_lower[t] for t in range(t_max + 1)),
-            "d_Q(t) >= 4^-(t+2)", dual_lower,
+            "d_Q(t) >= 4^-(t+2)", dual_lower, "Q",
         )
     )
 
@@ -648,7 +647,7 @@ def _dz_bounds(bundle: ChainBundle, profiles: BundleProfiles, t_max: int) -> lis
         out.append(
             BoundResult(
                 "dz_Q_ncycle_upper", True, ok, "TV(Q^t(g,.), pi) <= 4^(2-t) for t >= 1",
-                ncycle_upper,
+                ncycle_upper, "Q",
             )
         )
     return out

@@ -8,15 +8,15 @@ denominator per row (see ``ratmat``), and the checks here (detailed balance,
 the diagonal identity, the Doeblin floors) compare those integers.  The same
 assembly runs for the two concrete models and for tabled test actions.  The
 incidence is enumerated once, as the fixed words of each dual; the
-stabilizer lists are its transpose.  Each public builder checks its spec
-once, from closed forms, before any enumeration (``_check_size``).
+stabilizer lists are its transpose.  Only ``build_bundle`` forms the orbit
+and class keys and the labels.  Each public builder checks its spec once,
+from closed forms, before any enumeration (``_check_size``).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from math import factorial
 from typing import Optional
 
 import numpy as np
@@ -25,16 +25,16 @@ from ._rat import Rat
 from .actions import (
     ActionSpec,
     TabledAction,
+    dual_state_count,
     dual_states,
     enumerate_fixed_words,
-    group_degree,
     group_order,
     orbit_key,
+    word_count,
     word_index,
     word_to_str,
     words,
 )
-from .combinat import subfactorial
 from .ratmat import RationalMatrix
 
 __all__ = [
@@ -118,17 +118,17 @@ class ChainBundle:
 
 def _check_size(source, matrices: str) -> None:
     """Refuse a spec before anything is enumerated: |X| = k^n (unless the
-    call forms Q alone) and |G*| (n! for the coordinate model, k! - !k for
-    the value model) against STATE_CAP, then the entries of the dense
-    matrices named in matrices (letters of "ABKQ") against DENSE_BUDGET.
-    Tabled actions pass."""
+    call forms Q alone) and |G*| against STATE_CAP, then the entries of the
+    dense matrices named in matrices (letters of "ABKQ") against
+    DENSE_BUDGET.  Sizes are counted only up to 2**64, past which a refusal
+    shows a lower bound.  Tabled actions pass."""
     if not isinstance(source, ActionSpec):
         return
-    x = source.num_states
+    exact = 2**64
+    x = word_count(source, exact)
     if matrices != "Q":  # A, B and K have a row or column per word
         _refuse_above("|X| = k^n", x, STATE_CAP, "state cap")
-    m = group_degree(source)
-    g = factorial(m) - (subfactorial(m) if source.model == "value" else 0)
+    g = dual_state_count(source, exact)
     _refuse_above("|G*|", g, STATE_CAP, "state cap")
     entries = {"A": g * x, "B": x * g, "K": x * x, "Q": g * g}
     dense = sum(entries[name] for name in matrices)
@@ -137,55 +137,25 @@ def _check_size(source, matrices: str) -> None:
 
 def _refuse_above(what: str, size: int, limit: int, limit_name: str) -> None:
     if size > limit:
-        # past 2**64 only the magnitude: str() refuses ints of over 4300 digits
+        # past 2**64 the size is a lower bound (the counts stop there): its magnitude only
         shown = f"= {size}" if size.bit_length() <= 64 else f">= 2**{size.bit_length() - 1}"
         raise CapExceeded(f"{what} {shown} exceeds the {limit_name} {limit}")
 
 
-def _adjacency(source) -> tuple[list, list, list[list[int]], list[list[int]], int, list, list, list, list]:
-    """States, duals, incidence lists and labels for a spec or tabled action;
-    stab_idx is the transpose of fixed_idx, the one incidence enumerated."""
+def _incidence(source) -> tuple[list, list, list[list[int]]]:
+    """Duals, states, and the fixed words of each dual as state indices,
+    for a spec or a tabled action."""
     if isinstance(source, ActionSpec):
-        spec = source
-        duals = list(dual_states(spec))
-        states = list(words(spec))
+        duals = list(dual_states(source))
         fixed_idx = [
-            sorted(word_index(spec, x) for x in enumerate_fixed_words(spec, g))
+            sorted(word_index(source, x) for x in enumerate_fixed_words(source, g))
             for g in duals
         ]
-        order = group_order(spec)
-        orbit_keys = [orbit_key(spec, x) for x in states]
-        class_keys = [g.conjugacy_class_id() for g in duals]
-        dual_labels = [str(g) for g in duals]
-        state_labels = [word_to_str(spec, x) for x in states]
-    elif isinstance(source, TabledAction):
-        ta = source
-        duals = ta.duals()
-        states = list(ta.states)
-        fixed_idx = [ta.fixed_lists[gi] for gi in ta.dual_indices]
-        order = ta.group_order
-        orbit_keys = ta.orbit_keys()
-        ckeys = ta.class_keys()
-        class_keys = [ckeys[gi] for gi in ta.dual_indices]
-        dual_labels = [str(g) for g in duals]
-        state_labels = [str(x) for x in states]
-    else:
-        raise TypeError(f"cannot build kernels from {type(source).__name__}")
-    stab_idx: list[list[int]] = [[] for _ in states]
-    for gi, fixed in enumerate(fixed_idx):
-        for xi in fixed:
-            stab_idx[xi].append(gi)
-    return (
-        states,
-        duals,
-        fixed_idx,
-        stab_idx,
-        order,
-        orbit_keys,
-        class_keys,
-        dual_labels,
-        state_labels,
-    )
+        return duals, list(words(source)), fixed_idx
+    if isinstance(source, TabledAction):
+        fixed_idx = [source.fixed_lists[gi] for gi in source.dual_indices]
+        return source.duals(), list(source.states), fixed_idx
+    raise TypeError(f"cannot build kernels from {type(source).__name__}")
 
 
 def _uniform_rows(supports: list[list[int]], cols: int) -> RationalMatrix:
@@ -197,36 +167,44 @@ def _uniform_rows(supports: list[list[int]], cols: int) -> RationalMatrix:
 
 
 def _legs(
-    fixed_idx: list[list[int]], stab_idx: list[list[int]]
-) -> tuple[RationalMatrix, RationalMatrix]:
-    return _uniform_rows(fixed_idx, len(stab_idx)), _uniform_rows(stab_idx, len(fixed_idx))
+    fixed_idx: list[list[int]], num_states: int
+) -> tuple[RationalMatrix, RationalMatrix, list[list[int]]]:
+    """A, B and the stabilizer lists, which are the transpose of fixed_idx."""
+    stab_idx: list[list[int]] = [[] for _ in range(num_states)]
+    for gi, fixed in enumerate(fixed_idx):
+        for xi in fixed:
+            stab_idx[xi].append(gi)
+    return _uniform_rows(fixed_idx, num_states), _uniform_rows(stab_idx, len(fixed_idx)), stab_idx
 
 
 def build_legs(source) -> tuple[RationalMatrix, RationalMatrix]:
     """The forward leg A(g,x) = 1[x in X_g]/|X_g| and backward leg
     B(x,h) = 1[h in G_x]/|G_x|; both are row-stochastic."""
     _check_size(source, "AB")
-    return _legs(*_adjacency(source)[2:4])
+    _, states, fixed_idx = _incidence(source)
+    return _legs(fixed_idx, len(states))[:2]
 
 
 def build_bundle(source) -> ChainBundle:
-    """Assemble A, B, Q = AB, K = BA, and both stationary laws."""
+    """Assemble A, B, Q = AB, K = BA, both stationary laws, and the orbit
+    and class keys and labels of the states."""
     _check_size(source, "ABKQ")
-    (
-        states,
-        duals,
-        fixed_idx,
-        stab_idx,
-        order,
-        orbit_keys,
-        class_keys,
-        dual_labels,
-        state_labels,
-    ) = _adjacency(source)
-
-    a, b = _legs(fixed_idx, stab_idx)
+    duals, states, fixed_idx = _incidence(source)
+    a, b, stab_idx = _legs(fixed_idx, len(states))
     q = a @ b
     k = b @ a
+
+    if isinstance(source, ActionSpec):
+        order = group_order(source)
+        orbit_keys = [orbit_key(source, x) for x in states]
+        class_keys = [g.conjugacy_class_id() for g in duals]
+        state_labels = [word_to_str(source, x) for x in states]
+    else:
+        order = source.group_order
+        orbit_keys = source.orbit_keys()
+        ckeys = source.class_keys()
+        class_keys = [ckeys[gi] for gi in source.dual_indices]
+        state_labels = [str(x) for x in states]
 
     orbit_size = Counter(orbit_keys)
     if any(len(stab) * orbit_size[key] != order for stab, key in zip(stab_idx, orbit_keys)):
@@ -246,7 +224,7 @@ def build_bundle(source) -> ChainBundle:
         spec=spec,
         duals=duals,
         states=states,
-        dual_labels=dual_labels,
+        dual_labels=[str(g) for g in duals],
         state_labels=state_labels,
         A=a,
         B=b,
@@ -271,7 +249,8 @@ def build_k_matrix(spec: ActionSpec) -> RationalMatrix:
     small kernel of the pair (coord 2,8: 256 words against 40320 duals).
     """
     _check_size(spec, "ABK")
-    a, b = _legs(*_adjacency(spec)[2:4])
+    _, states, fixed_idx = _incidence(spec)
+    a, b, _ = _legs(fixed_idx, len(states))
     return b @ a
 
 
@@ -280,14 +259,11 @@ def build_q_direct(spec: ActionSpec) -> RationalMatrix:
 
     Must agree with build_bundle(spec).Q whenever both are feasible.
     """
-    from . import closedforms
+    from .closedforms import kernel_forms
 
     _check_size(spec, "Q")
     duals = list(dual_states(spec))
-    if spec.model == "value":
-        entry = lambda g, h: closedforms.q_value_stirling(spec.k, spec.n, g, h)
-    else:
-        entry = lambda g, h: closedforms.q_coord_colorings(spec.n, spec.k, g, h)
+    _, entry = kernel_forms(spec)[0]
     return RationalMatrix.from_rows([[entry(g, h) for h in duals] for g in duals])
 
 

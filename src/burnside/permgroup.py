@@ -33,13 +33,31 @@ CycleType = tuple[int, ...]
 
 
 class Permutation:
-    __slots__ = ("images",)
+    __slots__ = ("images", "_cycles")
 
     def __init__(self, images) -> None:
+        """One walk over the images finds the cycles and checks that they
+        permute 1..m: a walk that leaves the range or meets a point seen
+        before, other than its own start, means they do not."""
         images = tuple(images)
-        if sorted(images) != list(range(1, len(images) + 1)):
-            raise ValueError(f"not a permutation of 1..{len(images)}: {images}")
-        object.__setattr__(self, "images", images)
+        m = len(images)
+        seen = [False] * (m + 1)
+        cycles = []
+        for start in range(1, m + 1):
+            if seen[start]:
+                continue
+            seen[start] = True
+            cyc = [start]
+            j = images[start - 1]
+            while j != start:
+                if not 0 < j <= m or seen[j]:
+                    raise ValueError(f"not a permutation of 1..{m}: {images}")
+                seen[j] = True
+                cyc.append(j)
+                j = images[j - 1]
+            cycles.append(tuple(cyc))
+        self.images = images
+        self._cycles = tuple(cycles)
 
     @property
     def degree(self) -> int:
@@ -61,38 +79,25 @@ class Permutation:
         return Permutation(inv)
 
     def is_identity(self) -> bool:
-        return all(j == i for i, j in enumerate(self.images, start=1))
+        return len(self._cycles) == len(self.images)
 
     def fixed_points(self) -> frozenset[int]:
-        return frozenset(i for i, j in enumerate(self.images, start=1) if i == j)
+        return frozenset(c[0] for c in self._cycles if len(c) == 1)
 
     def moved_points(self) -> frozenset[int]:
-        return frozenset(i for i, j in enumerate(self.images, start=1) if i != j)
+        return frozenset(i for c in self._cycles if len(c) > 1 for i in c)
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """All cycles including fixed points, each starting at its smallest
         element, sorted by smallest element; they partition {1..m}."""
-        seen = [False] * self.degree
-        out = []
-        for start in range(1, self.degree + 1):
-            if seen[start - 1]:
-                continue
-            cyc = [start]
-            seen[start - 1] = True
-            j = self(start)
-            while j != start:
-                cyc.append(j)
-                seen[j - 1] = True
-                j = self(j)
-            out.append(tuple(cyc))
-        return tuple(out)
+        return self._cycles
 
     def cycle_type(self) -> CycleType:
-        return tuple(sorted((len(c) for c in self.cycles()), reverse=True))
+        return tuple(sorted((len(c) for c in self._cycles), reverse=True))
 
     def cycle_count(self) -> int:
         """Total number of cycles, fixed points included; c(e) = degree."""
-        return len(self.cycles())
+        return len(self._cycles)
 
     def conjugacy_class_id(self) -> CycleType:
         """Canonical key shared by g and a*g*a^-1 for every a."""
@@ -108,7 +113,7 @@ class Permutation:
         return f"Permutation({self.images})"
 
     def __str__(self) -> str:
-        moved = [c for c in self.cycles() if len(c) > 1]
+        moved = [c for c in self._cycles if len(c) > 1]
         if not moved:
             return "e"
         return "".join("(" + " ".join(str(p) for p in c) + ")" for c in moved)
@@ -156,7 +161,7 @@ def canonical_sort_key(g: Permutation):
     points, canonical cycle form).  For S_3 this yields
     e, (1 2), (1 3), (2 3), (1 2 3), (1 3 2), matching the worked fixtures."""
     moved_cycles = tuple(c for c in g.cycles() if len(c) > 1)
-    return (len(g.moved_points()), moved_cycles)
+    return (sum(map(len, moved_cycles)), moved_cycles)
 
 
 def enumerate_sym(m: int) -> Iterator[Permutation]:

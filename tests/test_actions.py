@@ -10,17 +10,21 @@ from burnside.actions import (
     apply_perm,
     coord_spec,
     count_orbits,
+    dual_state_count,
     dual_states,
     enumerate_fixed_words,
+    fixed_coloring,
     fixed_set_size,
     group_order,
     orbit_key,
     random_tabled_action,
     sample_fixed_word_uniform,
     sample_stabilizer_uniform,
+    stabilizer_blocks,
     stabilizer_elements,
     stabilizer_size,
     value_spec,
+    word_count,
     word_from_str,
     word_index,
     word_to_str,
@@ -97,6 +101,35 @@ class TestAction:
     def test_degree_mismatch(self):
         with pytest.raises(ValueError):
             apply_perm(value_spec(3, 2), identity(2), (1, 1))
+
+
+class TestModelForms:
+    def test_stabilizer_blocks(self):
+        assert stabilizer_blocks(value_spec(5, 3), (2, 4, 2)) == [[1, 3, 5]]
+        assert stabilizer_blocks(value_spec(2, 2), (1, 2)) == [[]]
+        assert stabilizer_blocks(coord_spec(3, 5), (3, 1, 3, 3, 1)) == [[2, 5], [1, 3, 4]]
+
+    def test_fixed_coloring(self):
+        g = parse_perm("(1 2)", 4)
+        assert fixed_coloring(value_spec(4, 3), g) == (((1,), (2,), (3,)), (3, 4))
+        assert fixed_coloring(coord_spec(3, 4), g) == (((1, 2), (3,), (4,)), (1, 2, 3))
+
+    def test_counts_exact_up_to_the_limit(self):
+        # exact at or below the limit, a lower bound above it past the limit
+        for spec in SMALL_SPECS + [value_spec(6, 2), coord_spec(2, 6), coord_spec(1, 7)]:
+            sizes = [(word_count, len(words(spec))), (dual_state_count, len(dual_states(spec)))]
+            for count, exact in sizes:
+                for limit in (0, 1, 5, 23, 24, 100, 720, 5039, 10**6):
+                    got = count(spec, limit)
+                    if exact <= limit:
+                        assert got == exact, (count.__name__, spec, limit)
+                    else:
+                        assert limit < got <= exact, (count.__name__, spec, limit)
+
+    def test_huge_counts_stop_at_the_limit(self):
+        assert dual_state_count(coord_spec(1, 10**9), 2**64) == factorial(21)
+        assert word_count(value_spec(3, 10**9), 2**64) == 3**65
+        assert word_count(coord_spec(1, 10**9), 2**64) == 1
 
 
 class TestFixedSets:

@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, golden outputs, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -128,6 +129,30 @@ def test_sample_deterministic_summary(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
     payload = json.loads(out1.read_text())
     assert payload["steps"] == 2000 and payload["start"] == "e"
+
+
+# sha256 over the trajectory file, then the summary file, of
+# `sample --steps 2000 --seed 11 --out ... --summary ...` from the default start
+SAMPLE_DIGESTS = {
+    ("coord", 2, 6, "dual"): "45dd7be7a99c623f679d845462e4e963121a4e9a054e36fc16176d69118dc4c8",
+    ("coord", 2, 64, "primal"): "5a4ad27d36c95d7d6704a3a79a10601da6be736e9cd24c5a027b5691df676eda",
+    ("value", 4, 3, "primal"): "e4e61c260ebb54dd635da26b28016e008fea5846377f76b9ca502e7dd1892bc2",
+    ("value", 4, 3, "dual"): "73dde2d7941c25d73d40070dbe36e6b8ab27b470eb819392beb849e13cd63f9c",
+    ("coord", 3, 5, "primal"): "77b20da00e6b2736fa98022f4c1ede26f2f67583e23bcbbdb48d236e5ff40f1b",
+}
+
+
+@pytest.mark.parametrize(
+    "config", list(SAMPLE_DIGESTS), ids=lambda c: "{}{},{}-{}".format(*c)
+)
+def test_sample_trajectory_digest(tmp_path, config):
+    model, k, n, chain = config
+    traj, summary = tmp_path / "traj.txt", tmp_path / "summary.json"
+    code = main(["sample", "--model", model, "--k", str(k), "--n", str(n), "--chain", chain,
+                 "--steps", "2000", "--seed", "11", "--out", str(traj), "--summary", str(summary)])
+    assert code == 0
+    digest = hashlib.sha256(traj.read_bytes() + summary.read_bytes()).hexdigest()
+    assert digest == SAMPLE_DIGESTS[config]
 
 
 def test_sample_primal_no_matrices(tmp_path):

@@ -296,6 +296,12 @@ class TestBoundSuite:
         assert not names["paguyo_K"].applicable  # k = 2 < n = 3
         assert "k >= n" in names["paguyo_K"].reason
 
+    def test_every_curve_names_its_chain(self, bundles):
+        # mix prints each curve beside the worst-case profile of that chain
+        for key in (("value", 3, 2), ("value", 3, 3), ("coord", 2, 4), ("coord", 3, 3)):
+            for res in bound_suite(bundles(*key), 20):
+                assert (res.curve is not None) == (res.chain in ("K", "Q")), res.name
+
     def test_tabled_bundle_universal_subset(self):
         rng = make_rng(808)
         b = build_bundle(random_tabled_action(rng))

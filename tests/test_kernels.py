@@ -1,5 +1,7 @@
 """Kernel assembly: golden matrices, factorization, stationarity, floors."""
 
+import time
+
 import pytest
 
 from burnside._rat import Rat, parse_rat
@@ -256,8 +258,8 @@ class TestKernelOps:
         "build, spec, refused",
         [
             # over a limit: the legs of coord 3,8 (2 * 6561 * 40320 entries),
-            # |G*| = 9!, 9! - !9 and 5000! - !5000 (over 4300 digits), K of
-            # 65536^2 entries, Q of 40320^2
+            # |G*| = 9!, 9! - !9 and 5000! - !5000, K of 65536^2 entries, Q
+            # of 40320^2
             (build_legs, coord_spec(3, 8), True),
             (build_legs, coord_spec(2, 9), True),
             (build_k_matrix, value_spec(9, 1), True),
@@ -284,6 +286,28 @@ class TestKernelOps:
         monkeypatch.setattr(burnside.kernels, "words", refuse)
         with pytest.raises(CapExceeded if refused else Enumerated):
             build(spec)
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            (coord_spec(2, 40), "|X| = k^n = 1099511627776 exceeds the state cap 65536"),
+            (coord_spec(1, 20), "|G*| = 2432902008176640000 exceeds the state cap 65536"),
+            (value_spec(20, 1), "|G*| = 1537887376983737879 exceeds the state cap 65536"),
+            (value_spec(3, 10**7), "|X| = k^n >= 2**103 exceeds the state cap 65536"),
+            (value_spec(65536, 1), "|G*| >= 2**64 exceeds the state cap 65536"),
+            (coord_spec(1, 300000), "|G*| >= 2**65 exceeds the state cap 65536"),
+        ],
+        ids=["coord2,40", "coord1,20", "value20,1", "value3,10000000", "value65536,1",
+             "coord1,300000"],
+    )
+    def test_huge_spec_refused_at_once(self, spec, message):
+        # the sizes are counted only up to 2**64, and shown exactly below it;
+        # counting 65536! - !65536, 300000! or 3^(10^7) in full took seconds
+        start = time.perf_counter()
+        with pytest.raises(CapExceeded) as exc:
+            build_bundle(spec)
+        assert time.perf_counter() - start < 0.5
+        assert str(exc.value) == message
 
     @pytest.mark.parametrize(
         "key", [("value", 3, 3), ("value", 4, 3), ("coord", 2, 5), ("coord", 3, 4)]

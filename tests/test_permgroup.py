@@ -6,6 +6,7 @@ import pytest
 
 from burnside.combinat import subfactorial
 from burnside.permgroup import (
+    Permutation,
     canonical_sort_key,
     conjugate,
     enumerate_sym,
@@ -14,6 +15,34 @@ from burnside.permgroup import (
     joint_orbits,
     parse_perm,
 )
+
+
+class TestConstruction:
+    @pytest.mark.parametrize(
+        "images",
+        [(1, 1), (2, 2, 1), (2, 1, 2), (0, 1), (1, 0, 2), (1, 3), (3, 1, 2, 5), (-1, 1)],
+        ids=str,
+    )
+    def test_rejects_non_permutations(self, images):
+        # duplicate, zero and out-of-range images
+        with pytest.raises(ValueError, match="not a permutation"):
+            Permutation(images)
+
+    def test_cycles_found_at_construction(self):
+        g = Permutation((3, 1, 2, 4, 6, 5))
+        assert g.cycles() == ((1, 3, 2), (4,), (5, 6))
+        assert g.cycle_type() == (3, 2, 1) and g.cycle_count() == 3
+        assert g.fixed_points() == {4} and g.moved_points() == {1, 2, 3, 5, 6}
+        assert str(g) == "(1 3 2)(5 6)" and not g.is_identity()
+        assert identity(3).is_identity() and str(identity(3)) == "e"
+        for h in enumerate_sym(4):
+            walked = set()
+            for c in h.cycles():
+                assert c[0] == min(c)
+                for a, b in zip(c, c[1:] + c[:1]):
+                    assert h(a) == b
+                walked |= set(c)
+            assert walked == {1, 2, 3, 4}
 
 
 def compose_oracle(g, h):
