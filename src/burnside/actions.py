@@ -27,6 +27,8 @@ from functools import lru_cache
 from math import comb, factorial, prod
 from typing import Callable, Iterator, Sequence
 
+import numpy as np
+
 from .combinat import rising_factorial, stirling2, subfactorial
 from .permgroup import Permutation, _UnionFind, canonical_sort_key, enumerate_sym, identity
 
@@ -46,6 +48,7 @@ __all__ = [
     "fixed_coloring",
     "fixed_set_size",
     "enumerate_fixed_words",
+    "fixed_word_indices",
     "stabilizer_size",
     "stabilizer_elements",
     "sample_stabilizer_uniform",
@@ -174,7 +177,9 @@ def fixed_coloring(
     each slot (a block of positions) takes one color of the palette: every
     position is a slot and the palette is the fixed symbols of g (value
     model), or the slots are the cycles of g and the palette is 1..k
-    (coordinate model)."""
+    (coordinate model).  Slots are ordered by their first position and the
+    palette ascends, so colorings in product order are words in
+    lexicographic order."""
     _check_degree(spec, g)
     if spec.model == VALUE:
         return tuple((i,) for i in range(1, spec.n + 1)), tuple(sorted(g.fixed_points()))
@@ -206,6 +211,21 @@ def enumerate_fixed_words(spec: ActionSpec, g: Permutation) -> Iterator[Word]:
     _nonempty_palette(g, palette)
     for picks in itertools.product(range(len(palette)), repeat=len(slots)):
         yield _colored_word(spec, slots, palette, picks)
+
+
+def fixed_word_indices(spec: ActionSpec, g: Permutation) -> np.ndarray:
+    """The word indices of X_g, ascending, straight from the coloring: a
+    word's index is the sum over slots of (color - 1) * sum of k^(n - pos)
+    over the slot's positions.  Raises ValueError when k^n leaves int64."""
+    if word_count(spec, 2**63) >= 2**63:
+        raise ValueError(f"k^n = {spec.k}^{spec.n} word indices do not fit int64")
+    slots, palette = fixed_coloring(spec, g)
+    _nonempty_palette(g, palette)
+    digits = np.array(palette, dtype=np.int64) - 1
+    idx = np.zeros(1, dtype=np.int64)
+    for slot in slots:  # the first slot holds position 1, the leading digit
+        idx = (idx[:, None] + digits * sum(spec.k ** (spec.n - p) for p in slot)).ravel()
+    return idx
 
 
 def sample_fixed_word_uniform(spec: ActionSpec, g: Permutation, rng) -> Word:

@@ -125,8 +125,14 @@ def _closed_form_pairs(bundle):
             yield gi, hi
 
 
+def _check_tmax(tmax: int) -> None:
+    if tmax < 0:
+        raise ValueError(f"tmax must be >= 0, got {tmax}")
+
+
 def cmd_verify(args) -> int:
     spec = _spec_from_args(args)
+    _check_tmax(args.tmax)
     try:
         bundle = build_bundle(spec)
     except CapExceeded as exc:
@@ -264,6 +270,7 @@ def _parse_eps(values) -> list:
 def cmd_mix(args) -> int:
     spec = _spec_from_args(args)
     eps_list = _parse_eps(args.eps)
+    _check_tmax(args.tmax)
     bundle = build_bundle(spec)
     profiles = bundle_profiles(bundle, args.tmax)
     results = bound_suite(bundle, args.tmax, profiles, eps_list=eps_list)
@@ -436,10 +443,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # CapExceeded is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

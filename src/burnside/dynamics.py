@@ -289,16 +289,14 @@ class LumpedChain:
 
 
 def _aggregation_holds(
-    bar: RationalMatrix, leg: RationalMatrix, partition: StatePartition, support: list[list[int]]
+    bar: RationalMatrix, leg: RationalMatrix, partition: StatePartition, other: RationalMatrix
 ) -> bool:
     """The aggregation identity of a lumped kernel built as a leg product:
-    bar == (leg at the block representatives) @ R, where row h of R is the
-    share of support[h] in each block (K 1_O = B (A 1_O), Q 1_C = A (B 1_C)).
-    R is counted from the incidence lists and the product is checked row by
-    row, so neither the kernel nor its block sums are reused."""
-    block_of = np.asarray(partition.block_of, dtype=np.intp)
-    counts = [np.bincount(block_of[s], minlength=partition.num_blocks) for s in support]
-    right = RationalMatrix.from_scaled(np.array(counts), [len(s) for s in support])
+    bar == (leg at the block representatives) @ (other's block sums)
+    (K 1_O = B (A 1_O), Q 1_C = A (B 1_C)).  The block sums come from the
+    other leg and the product is checked row by row, so neither the kernel
+    nor its block sums are reused."""
+    right = other.block_sums(partition.block_of, partition.num_blocks)
     left = leg.select_rows([block[0] for block in partition.blocks])
     return rows_are_products(bar, left, right)
 
@@ -313,7 +311,7 @@ def orbit_lump_K(bundle: ChainBundle) -> LumpedChain:
     if bar_k != bar_k.transpose():
         raise AssertionError("orbit-lumped kernel is not symmetric")
     # K(x, O') = stabilizer average of |X_h & O'| / |X_h|
-    if not _aggregation_holds(bar_k, bundle.B, partition, bundle.fixed_idx):
+    if not _aggregation_holds(bar_k, bundle.B, partition, bundle.A):
         raise AssertionError("orbit aggregation formula mismatch")
     return LumpedChain(bar_k, bar_pi, partition)
 
@@ -331,7 +329,7 @@ def conjugacy_lump_Q(bundle: ChainBundle) -> LumpedChain:
     if not check_detailed_balance(bar_q, bar_pi):
         raise AssertionError("class-lumped kernel lost reversibility")
     # Q(g, C') = fixed-word average of |G_u & C'| / |G_u|
-    if not _aggregation_holds(bar_q, bundle.A, partition, bundle.stab_idx):
+    if not _aggregation_holds(bar_q, bundle.A, partition, bundle.B):
         raise AssertionError("class aggregation formula mismatch")
     return LumpedChain(bar_q, bar_pi, partition)
 
@@ -575,12 +573,18 @@ def bound_suite(
                 "source; the flat-alphabet mixing probe covers the qualitative claim",
             )
         )
-        if spec.k == 2:
-            results.extend(_dz_bounds(bundle, profiles, t_max))
-        else:
+        if spec.k != 2:
             results.append(
                 BoundResult("dz_two_sided", False, None, "binary alphabet only")
             )
+        elif spec.n < 2:
+            results.append(
+                BoundResult(
+                    "dz_two_sided", False, None, "needs n >= 2; at n = 1 K mixes in one step"
+                )
+            )
+        else:
+            results.extend(_dz_bounds(bundle, profiles, t_max))
     else:
         results.append(
             BoundResult("model_bounds", False, None, "tabled action: universal bounds only")

@@ -6,10 +6,10 @@ of the two legs: ``build_bundle`` forms both, ``build_k_matrix`` only
 K = BA.  Everything is exact: each matrix is integer numerators over one
 denominator per row (see ``ratmat``), and the checks here (detailed balance,
 the diagonal identity, the Doeblin floors) compare those integers.  The same
-assembly runs for the two concrete models and for tabled test actions.  The
-incidence is enumerated once, as the fixed words of each dual; the
-stabilizer lists are its transpose.  Only ``build_bundle`` forms the orbit
-and class keys and the labels.  Each public builder checks its spec once,
+assembly runs for the two concrete models and for tabled test actions.  One
+0/1 incidence 1[x in X_g] gives both legs: A is it over its row sums |X_g|,
+B its transpose over its column sums |G_x|.  Only ``build_bundle`` forms the
+orbit and class keys and the labels.  Each public builder checks its spec once,
 from closed forms, before any enumeration (``_check_size``).
 """
 
@@ -27,11 +27,10 @@ from .actions import (
     TabledAction,
     dual_state_count,
     dual_states,
-    enumerate_fixed_words,
+    fixed_word_indices,
     group_order,
     orbit_key,
     word_count,
-    word_index,
     word_to_str,
     words,
 )
@@ -81,8 +80,6 @@ class ChainBundle:
     piK: list
     group_order: int
     orbit_count: int
-    fixed_idx: list[list[int]]
-    stab_idx: list[list[int]]
     state_orbit_keys: list
     dual_class_keys: list
     e_index: int
@@ -109,11 +106,11 @@ class ChainBundle:
     def __post_init__(self) -> None:
         self._dual_pos = {g: i for i, g in enumerate(self.duals)}
 
-    def fixed_size(self, gi: int) -> int:
-        return len(self.fixed_idx[gi])
+    def fixed_size(self, gi: int) -> int:  # row gi of A is 0/1 over |X_g|
+        return int(self.A.den[gi])
 
-    def stab_size(self, xi: int) -> int:
-        return len(self.stab_idx[xi])
+    def stab_size(self, xi: int) -> int:  # row xi of B is 0/1 over |G_x|
+        return int(self.B.den[xi])
 
 
 def _check_size(source, matrices: str) -> None:
@@ -142,55 +139,42 @@ def _refuse_above(what: str, size: int, limit: int, limit_name: str) -> None:
         raise CapExceeded(f"{what} {shown} exceeds the {limit_name} {limit}")
 
 
-def _incidence(source) -> tuple[list, list, list[list[int]]]:
-    """Duals, states, and the fixed words of each dual as state indices,
-    for a spec or a tabled action."""
+def _incidence(source) -> tuple[list, list, np.ndarray]:
+    """Duals, states, and the 0/1 incidence 1[x in X_g] (a row per dual, a
+    column per state), for a spec or a tabled action."""
     if isinstance(source, ActionSpec):
-        duals = list(dual_states(source))
-        fixed_idx = [
-            sorted(word_index(source, x) for x in enumerate_fixed_words(source, g))
-            for g in duals
-        ]
-        return duals, list(words(source)), fixed_idx
-    if isinstance(source, TabledAction):
-        fixed_idx = [source.fixed_lists[gi] for gi in source.dual_indices]
-        return source.duals(), list(source.states), fixed_idx
-    raise TypeError(f"cannot build kernels from {type(source).__name__}")
+        duals, states = list(dual_states(source)), list(words(source))
+        fixed = [fixed_word_indices(source, g) for g in duals]
+    elif isinstance(source, TabledAction):
+        duals, states = source.duals(), list(source.states)
+        fixed = [source.fixed_lists[gi] for gi in source.dual_indices]
+    else:
+        raise TypeError(f"cannot build kernels from {type(source).__name__}")
+    incidence = np.zeros((len(duals), len(states)), dtype=np.int64)
+    incidence[np.repeat(np.arange(len(fixed)), [len(f) for f in fixed]), np.concatenate(fixed)] = 1
+    return duals, states, incidence
 
 
-def _uniform_rows(supports: list[list[int]], cols: int) -> RationalMatrix:
-    """The matrix whose row i is uniform on the columns supports[i]."""
-    num = np.zeros((len(supports), cols), dtype=np.int64)
-    for i, support in enumerate(supports):
-        num[i, support] = 1
-    return RationalMatrix.from_scaled(num, [len(support) for support in supports])
-
-
-def _legs(
-    fixed_idx: list[list[int]], num_states: int
-) -> tuple[RationalMatrix, RationalMatrix, list[list[int]]]:
-    """A, B and the stabilizer lists, which are the transpose of fixed_idx."""
-    stab_idx: list[list[int]] = [[] for _ in range(num_states)]
-    for gi, fixed in enumerate(fixed_idx):
-        for xi in fixed:
-            stab_idx[xi].append(gi)
-    return _uniform_rows(fixed_idx, num_states), _uniform_rows(stab_idx, len(fixed_idx)), stab_idx
+def _legs(incidence: np.ndarray) -> tuple[RationalMatrix, RationalMatrix]:
+    """A, the incidence over its row sums |X_g|, and B, its transpose over
+    its column sums |G_x|; 0/1 rows keep those counts as their denominators."""
+    a = RationalMatrix.from_scaled(incidence, incidence.sum(axis=1))
+    return a, RationalMatrix.from_scaled(incidence.T, incidence.sum(axis=0))
 
 
 def build_legs(source) -> tuple[RationalMatrix, RationalMatrix]:
     """The forward leg A(g,x) = 1[x in X_g]/|X_g| and backward leg
     B(x,h) = 1[h in G_x]/|G_x|; both are row-stochastic."""
     _check_size(source, "AB")
-    _, states, fixed_idx = _incidence(source)
-    return _legs(fixed_idx, len(states))[:2]
+    return _legs(_incidence(source)[2])
 
 
 def build_bundle(source) -> ChainBundle:
     """Assemble A, B, Q = AB, K = BA, both stationary laws, and the orbit
     and class keys and labels of the states."""
     _check_size(source, "ABKQ")
-    duals, states, fixed_idx = _incidence(source)
-    a, b, stab_idx = _legs(fixed_idx, len(states))
+    duals, states, incidence = _incidence(source)
+    a, b = _legs(incidence)
     q = a @ b
     k = b @ a
 
@@ -206,16 +190,17 @@ def build_bundle(source) -> ChainBundle:
         class_keys = [ckeys[gi] for gi in source.dual_indices]
         state_labels = [str(x) for x in states]
 
+    fixed_sizes, stab_sizes = a.den.tolist(), b.den.tolist()  # |X_g| and |G_x|
     orbit_size = Counter(orbit_keys)
-    if any(len(stab) * orbit_size[key] != order for stab, key in zip(stab_idx, orbit_keys)):
+    if any(stab * orbit_size[key] != order for stab, key in zip(stab_sizes, orbit_keys)):
         raise AssertionError("orbit-stabilizer identity |G_x| |orbit(x)| = |G| fails")
-    total_fixed = sum(len(f) for f in fixed_idx)
+    total_fixed = sum(fixed_sizes)
     z, rem = divmod(total_fixed, order)
     if rem:
         raise AssertionError("Burnside average is not an integer")
 
-    pi_q = [Rat(len(fixed), order * z) for fixed in fixed_idx]
-    pi_k = [Rat(len(stab), total_fixed) for stab in stab_idx]
+    pi_q = [Rat(fixed, order * z) for fixed in fixed_sizes]
+    pi_k = [Rat(stab, total_fixed) for stab in stab_sizes]
 
     e_index = next(i for i, g in enumerate(duals) if g.is_identity())
 
@@ -234,8 +219,6 @@ def build_bundle(source) -> ChainBundle:
         piK=pi_k,
         group_order=order,
         orbit_count=z,
-        fixed_idx=fixed_idx,
-        stab_idx=stab_idx,
         state_orbit_keys=orbit_keys,
         dual_class_keys=class_keys,
         e_index=e_index,
@@ -249,8 +232,7 @@ def build_k_matrix(spec: ActionSpec) -> RationalMatrix:
     small kernel of the pair (coord 2,8: 256 words against 40320 duals).
     """
     _check_size(spec, "ABK")
-    _, states, fixed_idx = _incidence(spec)
-    a, b, _ = _legs(fixed_idx, len(states))
+    a, b = _legs(_incidence(spec)[2])
     return b @ a
 
 

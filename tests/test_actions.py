@@ -15,6 +15,7 @@ from burnside.actions import (
     enumerate_fixed_words,
     fixed_coloring,
     fixed_set_size,
+    fixed_word_indices,
     group_order,
     orbit_key,
     random_tabled_action,
@@ -130,6 +131,31 @@ class TestModelForms:
         assert dual_state_count(coord_spec(1, 10**9), 2**64) == factorial(21)
         assert word_count(value_spec(3, 10**9), 2**64) == 3**65
         assert word_count(coord_spec(1, 10**9), 2**64) == 1
+
+
+class TestFixedWordIndices:
+    @pytest.mark.parametrize(
+        "spec",
+        [value_spec(3, 2), value_spec(4, 3), value_spec(5, 3),
+         coord_spec(2, 3), coord_spec(2, 6), coord_spec(3, 4)],
+        ids=lambda s: f"{s.model}{s.k},{s.n}",
+    )
+    def test_indices_match_enumeration(self, spec):
+        for g in dual_states(spec):
+            got = fixed_word_indices(spec, g).tolist()
+            assert got == sorted(word_index(spec, x) for x in enumerate_fixed_words(spec, g))
+            assert all(a < b for a, b in zip(got, got[1:]))
+
+    def test_indices_past_int64_refused(self):
+        # 2^63 words: the last index, 2^63 - 1, fits, but k^n itself does not
+        with pytest.raises(ValueError, match="int64"):
+            fixed_word_indices(coord_spec(2, 63), parse_perm("(1 2)", 63))
+        with pytest.raises(ValueError, match="int64"):
+            fixed_word_indices(value_spec(3, 40), parse_perm("(1 2)", 3))
+
+    def test_derangement_refused(self):
+        with pytest.raises(ValueError, match="derangement"):
+            fixed_word_indices(value_spec(3, 2), parse_perm("(1 2 3)", 3))
 
 
 class TestFixedSets:

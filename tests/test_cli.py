@@ -204,6 +204,25 @@ def test_mix_eps_out_of_range(capsys, eps):
     assert err == f"error: eps must lie in (0, 1), got {eps}\n"
 
 
+@pytest.mark.parametrize("command", ["verify", "mix"])
+def test_negative_tmax_is_a_usage_error(capsys, command):
+    code = main([command, "--model", "value", "--k", "3", "--n", "2", "--tmax", "-1"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: tmax must be >= 0, got -1\n"
+    assert captured.out == ""
+
+
+def test_single_position_binary_skips_dz_bounds(capsys):
+    # at n = 1 K mixes in one step and the binary-alphabet curves do not apply
+    assert main(["verify", "--model", "coord", "--k", "2", "--n", "1", "--tmax", "10"]) == 0
+    out = capsys.readouterr().out
+    assert "FAIL" not in out
+    assert "SKIP bound dz_two_sided: needs n >= 2; at n = 1 K mixes in one step\n" in out
+    assert main(["mix", "--model", "coord", "--k", "2", "--n", "1", "--tmax", "10"]) == 0
+    assert ",dz_" not in capsys.readouterr().out
+
+
 def test_mix_tmax_zero_emits_only_t0_rows(tmp_path):
     out = tmp_path / "mix0.csv"
     main(["mix", "--model", "value", "--k", "3", "--n", "2", "--tmax", "0",

@@ -2,6 +2,7 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from burnside._rat import Rat, parse_rat
@@ -103,7 +104,7 @@ class TestProfiles:
         for gi in range(b.num_duals):
             for t in range(1, 21):
                 bound = max(
-                    curves_k[xi][t - 1] for xi in b.fixed_idx[gi]
+                    curves_k[xi][t - 1] for xi in np.flatnonzero(b.A.num[gi])
                 )
                 assert curves_q[gi][t] <= bound
 
@@ -200,26 +201,30 @@ class TestLumping:
     def test_orbit_aggregation_catches_moved_word(self, bundles):
         b = bundles("value", 4, 3)
         orbit_lump_K(b)
-        # the identity fixes every word: trade one of them for a word of another orbit
-        fixed = [list(f) for f in b.fixed_idx]
+        # the identity fixes every word: in A's identity row, trade one of
+        # them for a word of another orbit (which then counts twice)
+        num = b.A.num.copy()
         keys = b.state_orbit_keys
-        x0 = fixed[b.e_index][0]
+        x0 = 0
         y = next(y for y in range(b.num_states) if keys[y] != keys[x0])
-        fixed[b.e_index] = [y if x == x0 else x for x in fixed[b.e_index]]
-        faulty = dataclasses.replace(b, fixed_idx=fixed)
+        num[b.e_index, x0] -= 1
+        num[b.e_index, y] += 1
+        faulty = dataclasses.replace(b, A=RationalMatrix.from_scaled(num, b.A.den))
         with pytest.raises(AssertionError, match="orbit aggregation formula mismatch"):
             orbit_lump_K(faulty)
 
     def test_class_aggregation_catches_moved_element(self, bundles):
         b = bundles("coord", 2, 4)
         conjugacy_lump_Q(b)
-        # every dual fixes the constant word 0000: trade one for a dual of another class
-        stab = [list(s) for s in b.stab_idx]
+        # every dual fixes the constant word 0000: in B's row of that word,
+        # trade one dual for a dual of another class (which then counts twice)
+        num = b.B.num.copy()
         keys = b.dual_class_keys
-        h0 = stab[0][-1]
+        h0 = b.num_duals - 1
         h1 = next(h for h in range(b.num_duals) if keys[h] != keys[h0])
-        stab[0] = [h1 if h == h0 else h for h in stab[0]]
-        faulty = dataclasses.replace(b, stab_idx=stab)
+        num[0, h0] -= 1
+        num[0, h1] += 1
+        faulty = dataclasses.replace(b, B=RationalMatrix.from_scaled(num, b.B.den))
         with pytest.raises(AssertionError, match="class aggregation formula mismatch"):
             conjugacy_lump_Q(faulty)
 

@@ -5,7 +5,16 @@ import time
 import pytest
 
 from burnside._rat import Rat, parse_rat
-from burnside.actions import coord_spec, random_tabled_action, value_spec
+from burnside.actions import (
+    TabledAction,
+    coord_spec,
+    enumerate_fixed_words,
+    fixed_set_size,
+    random_tabled_action,
+    stabilizer_size,
+    value_spec,
+    word_index,
+)
 import burnside.kernels
 from burnside.kernels import (
     CapExceeded,
@@ -28,30 +37,45 @@ def as_matrix(rows):
     return RationalMatrix([[parse_rat(s) for s in row] for row in rows])
 
 
-def brute_q(bundle):
+def action_incidence(bundle, source):
+    """The fixed words of each dual as state indices and |G_x| per state,
+    taken from the action itself, never from the bundle's legs."""
+    if isinstance(source, TabledAction):
+        fixed = [set(source.fixed_lists[gi]) for gi in source.dual_indices]
+        # every element fixing x is a dual state
+        stab = [sum(xi in f for f in fixed) for xi in range(bundle.num_states)]
+        return fixed, stab
+    fixed = [
+        {word_index(source, x) for x in enumerate_fixed_words(source, g)} for g in bundle.duals
+    ]
+    return fixed, [stabilizer_size(source, x) for x in bundle.states]
+
+
+def brute_q(bundle, source):
     """Definition oracle: Q(g,h) = sum over common fixed words of 1/(|X_g||G_x|)."""
+    fixed, stab = action_incidence(bundle, source)
     nd = bundle.num_duals
     rows = [[Rat(0)] * nd for _ in range(nd)]
-    fixed_sets = [set(f) for f in bundle.fixed_idx]
     for gi in range(nd):
         for hi in range(nd):
             total = Rat(0)
-            for xi in fixed_sets[gi] & fixed_sets[hi]:
-                total += Rat(1, len(bundle.stab_idx[xi]))
-            rows[gi][hi] = total / len(bundle.fixed_idx[gi])
+            for xi in fixed[gi] & fixed[hi]:
+                total += Rat(1, stab[xi])
+            rows[gi][hi] = total / len(fixed[gi])
     return RationalMatrix.from_rows(rows)
 
 
-def brute_k(bundle):
+def brute_k(bundle, source):
+    fixed, stab = action_incidence(bundle, source)
     ns = bundle.num_states
     rows = [[Rat(0)] * ns for _ in range(ns)]
-    stab_sets = [set(s) for s in bundle.stab_idx]
     for xi in range(ns):
         for yi in range(ns):
             total = Rat(0)
-            for gi in stab_sets[xi] & stab_sets[yi]:
-                total += Rat(1, len(bundle.fixed_idx[gi]))
-            rows[xi][yi] = total / len(bundle.stab_idx[xi])
+            for f in fixed:
+                if xi in f and yi in f:
+                    total += Rat(1, len(f))
+            rows[xi][yi] = total / stab[xi]
     return RationalMatrix.from_rows(rows)
 
 
@@ -99,6 +123,14 @@ BUNDLE_KEYS = [
 
 @pytest.mark.parametrize("key", BUNDLE_KEYS, ids=lambda k: f"{k[0]}{k[1]}_{k[2]}")
 class TestEveryBundle:
+    def test_legs_share_one_incidence(self, bundles, key):
+        # A and B are 0/1 over |X_g| and |G_x|: B's numerators are A's transposed
+        b = bundles(*key)
+        assert (b.A.num == b.B.num.T).all()
+        assert set(b.A.num.flat) <= {0, 1}
+        assert b.A.den.tolist() == [fixed_set_size(b.spec, g) for g in b.duals]
+        assert b.B.den.tolist() == [stabilizer_size(b.spec, x) for x in b.states]
+
     def test_row_stochastic(self, bundles, key):
         b = bundles(*key)
         assert b.A.is_row_stochastic()
@@ -108,8 +140,8 @@ class TestEveryBundle:
 
     def test_factorization_matches_definition(self, bundles, key):
         b = bundles(*key)
-        assert b.Q == brute_q(b)
-        assert b.K == brute_k(b)
+        assert b.Q == brute_q(b, b.spec)
+        assert b.K == brute_k(b, b.spec)
 
     def test_block_flip_square(self, bundles, key):
         b = bundles(*key)
@@ -330,7 +362,7 @@ class TestTabledBundles:
             ta = random_tabled_action(rng)
             b = build_bundle(ta)
             assert b.Q.is_row_stochastic() and b.K.is_row_stochastic()
-            assert b.Q == brute_q(b) and b.K == brute_k(b)
+            assert b.Q == brute_q(b, ta) and b.K == brute_k(b, ta)
             assert check_detailed_balance(b.Q, b.piQ)
             assert check_detailed_balance(b.K, b.piK)
             assert diagonal_equals_e_column(b)
