@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._rat import Rat
-from .kernels import ChainBundle, check_detailed_balance
+from .kernels import ChainBundle, check_detailed_balance, doeblin_floor
 from .ratmat import RationalMatrix, rat_vector, rows_are_products, scaled_vector
 
 __all__ = [
@@ -81,12 +81,6 @@ def evolve(p: RationalMatrix, mu: Sequence, t: int) -> list:
     return rat_vector(nums, den)
 
 
-def _point_mass_scaled(n: int, i: int) -> tuple[np.ndarray, int]:
-    nums = np.zeros(n, dtype=object)
-    nums[i] = 1
-    return nums, 1
-
-
 def _tv_scaled(nums: np.ndarray, den: int, pi_nums: np.ndarray, pi_den: int):
     """TV between nums/den and pi_nums/pi_den (object arrays of Python ints)."""
     return Rat(int(np.abs(nums * pi_den - pi_nums * den).sum()), 2 * den * pi_den)
@@ -98,7 +92,7 @@ def _tv_curve(
     """TV to pi of the point mass at start after 0..t_max steps, one step
     being an integer step through each matrix of steps in turn."""
     pi_nums, pi_den = pi_scaled
-    nums, den = _point_mass_scaled(steps[0].rows, start)
+    nums, den = scaled_vector(point_mass(steps[0].rows, start))
     curve = [_tv_scaled(nums, den, pi_nums, pi_den)]
     for _ in range(t_max):
         for m in steps:
@@ -141,9 +135,8 @@ def _profile_per_key(
             reps.append(start)
             curves[key] = _tv_curve(steps, start, pi_scaled, t_max)
     worst = [max(curve[t] for curve in curves.values()) for t in range(t_max + 1)]
-    for t in range(t_max):
-        if worst[t + 1] > worst[t]:
-            raise AssertionError(f"worst-case TV increased from t={t} to t={t + 1}")
+    if not _holds(worst[1:], worst):
+        raise AssertionError("worst-case TV increased from one step to the next")
     return ChainProfile(t_max, reps, key_of, curves, worst)
 
 
@@ -161,15 +154,12 @@ def mixing_time_from_curve(curve: Sequence, eps) -> Optional[int]:
 
 
 def mixing_time(p: RationalMatrix, pi: Sequence, eps) -> int:
-    """Least t with worst-case TV at most eps (linear scan, exact compare),
-    searched up to MIXING_HORIZON steps."""
-    pi_nums, pi_den = scaled_vector(pi)
-    mus = [_point_mass_scaled(p.rows, x) for x in range(p.rows)]
-    for t in range(MIXING_HORIZON + 1):
-        if max(_tv_scaled(nums, den, pi_nums, pi_den) for nums, den in mus) <= eps:
-            return t
-        mus = [p.step(nums, den) for nums, den in mus]
-    raise RuntimeError(f"chain did not mix to {eps} within {MIXING_HORIZON} steps")
+    """Least t with worst-case TV at most eps, searched up to MIXING_HORIZON
+    steps."""
+    t = d_profile(p, pi, MIXING_HORIZON).mixing_time(eps)
+    if t is None:
+        raise RuntimeError(f"chain did not mix to {eps} within {MIXING_HORIZON} steps")
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +358,7 @@ def tv_preservation_check(
     """Per-step comparison of fine TV against pushforward TV from one start."""
     partition.validate_cover(p.rows)
     pi_nums, pi_den = scaled_vector(pi)
-    nums, den = _point_mass_scaled(p.rows, start)
+    nums, den = scaled_vector(point_mass(p.rows, start))
     rows = []
     for t in range(t_max + 1):
         # diff[i] / (den pi_den) = mu(i) - pi(i)
@@ -376,13 +366,10 @@ def tv_preservation_check(
         scale = 2 * den * pi_den
         fine = Rat(sum(abs(d) for d in diff), scale)
         lumped = Rat(sum(abs(sum(diff[i] for i in block)) for block in partition.blocks), scale)
-        sign_ok = True
-        for block in partition.blocks:
-            signs = {(diff[i] > 0) - (diff[i] < 0) for i in block}
-            signs.discard(0)
-            if len(signs) > 1:
-                sign_ok = False
-                break
+        # mu - pi keeps one sign on each block, zeros aside
+        sign_ok = all(
+            len({diff[i] > 0 for i in block if diff[i]}) <= 1 for block in partition.blocks
+        )
         rows.append(TvPreservationRow(t, fine, lumped, fine == lumped, sign_ok))
         if fine < lumped:
             raise AssertionError("lumped TV exceeded fine TV")
@@ -407,16 +394,13 @@ class BoundResult:
 
 
 def _geometric(base, t_max: int) -> list:
-    out = []
-    acc = Rat(1)
-    for _ in range(t_max + 1):
-        out.append(acc)
-        acc *= base
-    return out
+    return [base**t for t in range(t_max + 1)]
 
 
-def _holds_above(bound: Sequence, d: Sequence, t_from: int = 0) -> bool:
-    return all(d[t] <= bound[t] for t in range(t_from, len(d)))
+def _holds(d: Sequence, bound: Sequence, lower: bool = False) -> bool:
+    """d[t] <= bound[t] (>= when lower) for every t both curves reach; a
+    one-step lag is a slice, d[1:] against bound."""
+    return all(b <= x if lower else x <= b for x, b in zip(d, bound))
 
 
 class MinorizationError(ValueError):
@@ -430,8 +414,7 @@ def minorization_transfer(
     build the two-step dual curve (1-delta)^floor(t/2); also verifies
     Q^2(g,.) >= delta (nu B) when there are at most Q_SQUARE_DUALS dual
     states to square exactly."""
-    m = max(bundle.stab_size(xi) for xi in range(bundle.num_states))
-    delta = Rat(1, m)
+    delta = bundle.doeblin_delta
     nu = [Rat(1, bundle.num_states)] * bundle.num_states
     below = bundle.K.first_below([delta * v for v in nu])
     if below is not None:
@@ -452,9 +435,7 @@ def minorization_transfer(
     else:
         note = f"dual space {bundle.num_duals} > {Q_SQUARE_DUALS}: Q^2 floor not squared"
     curve = [(1 - delta) ** (t // 2) for t in range(t_max + 1)]
-    verified = None
-    if d_q is not None:
-        verified = _holds_above(curve, d_q)
+    verified = None if d_q is None else _holds(d_q, curve)
     return BoundResult("two_step_transfer", True, verified, note, curve, "Q")
 
 
@@ -464,6 +445,40 @@ def stationarity_transfer_check(bundle: ChainBundle) -> bool:
         bundle.B.vec_mul(list(bundle.piK)) == list(bundle.piQ)
         and bundle.A.vec_mul(list(bundle.piQ)) == list(bundle.piK)
     )
+
+
+def _model_bounds(
+    name: str, k_reason: str, n: int, rate, rate_text: str, d_k: Sequence, d_q: Sequence
+) -> list[BoundResult]:
+    """The model bound d_K(t) <= n(1-rate)^t and its one-step transfer
+    d_Q(t) <= n(1-rate)^(t-1) (t >= 1) to the dual."""
+    curve = [n * v for v in _geometric(1 - rate, len(d_k) - 1)]
+    return [
+        BoundResult(f"{name}_K", True, _holds(d_k, curve), k_reason, curve, "K"),
+        BoundResult(
+            f"{name}_Q_transfer", True, _holds(d_q[1:], curve),
+            f"n(1-{rate_text})^(t-1)", [Rat(1)] + curve[:-1], "Q",
+        ),
+    ]
+
+
+def _mixing_equivalence(d_q: Sequence, d_k: Sequence, eps, t_max: int) -> BoundResult:
+    """|t_mix(Q) - t_mix(K)| <= 1.  A time past the horizon is only known to
+    exceed t_max, so the curves refute the claim only when both times are
+    known, or when one chain mixed by t_max - 1 and the other had not by
+    t_max; otherwise the horizon is too short to decide."""
+    name = f"mixing_equiv_eps={eps}"
+    tq, tk = mixing_time_from_curve(d_q, eps), mixing_time_from_curve(d_k, eps)
+    shown = ", ".join(
+        f"t_mix({chain})={t}" if t is not None else f"t_mix({chain}) > {t_max}"
+        for chain, t in (("Q", tq), ("K", tk))
+    )
+    if tq is not None and tk is not None:
+        return BoundResult(name, True, abs(tq - tk) <= 1, shown)
+    known = tk if tq is None else tq
+    if known is not None and known < t_max:
+        return BoundResult(name, True, False, shown)
+    return BoundResult(name, False, None, f"{shown}: horizon too short to compare")
 
 
 def bound_suite(
@@ -480,71 +495,41 @@ def bound_suite(
         raise ValueError("profiles were computed with a smaller horizon")
     d_k = profiles.k.worst[: t_max + 1]
     d_q = profiles.q.worst[: t_max + 1]
-    m = max(bundle.stab_size(xi) for xi in range(bundle.num_states))
-    results: list[BoundResult] = []
 
     # the uniform floors behind the geometric rates, verified exactly first
-    from .kernels import doeblin_floor
-
-    delta = Rat(1, m)
+    delta = bundle.doeblin_delta
     try:
         doeblin_floor(bundle)
-        floors_hold = True
-        floor_note = f"floor delta = {delta} verified exactly"
+        floors_hold, floor_note = True, f"floor delta = {delta} verified exactly"
     except AssertionError as exc:
-        floors_hold = False
-        floor_note = str(exc)
-    ros = _geometric(1 - delta, t_max)
-    results.append(
-        BoundResult(
-            "rosenthal_K", True, floors_hold and _holds_above(ros, d_k), floor_note, ros, "K"
-        )
-    )
-    results.append(
-        BoundResult(
-            "rosenthal_Q", True, floors_hold and _holds_above(ros, d_q), floor_note, ros, "Q"
-        )
-    )
-
+        floors_hold, floor_note = False, str(exc)
     order = bundle.group_order
-    floor_ok = bundle.K.first_below([pi_y / order for pi_y in bundle.piK]) is None
-    chen = _geometric(1 - Rat(1, order), t_max)
-    results.append(
-        BoundResult(
-            "chen_model_free_K", True, floor_ok and _holds_above(chen, d_k),
-            f"row floor pi/|G| with |G| = {order} verified exactly", chen, "K",
-        )
-    )
-
+    chen_floor = bundle.K.first_below([pi_y / order for pi_y in bundle.piK]) is None
     # Chen's coupling bound lives on the orbit-lumped chain.
     lumped = orbit_lump_K(bundle)
-    bar_profile = d_profile(lumped.kernel, lumped.pi, t_max)
+    d_bar = d_profile(lumped.kernel, lumped.pi, t_max).worst
+    ros = _geometric(1 - delta, t_max)
+    chen = _geometric(1 - Rat(1, order), t_max)
+    chen_note = f"row floor pi/|G| with |G| = {order} verified exactly"
     coupling = _geometric(1 - Rat(1, bundle.num_states), t_max)
-    results.append(
-        BoundResult(
-            "chen_orbit_coupling", True, _holds_above(coupling, bar_profile.worst),
-            f"|X| = {bundle.num_states}", coupling, "K",
+    results = [
+        BoundResult(name, True, premise and _holds(d, curve), reason, curve, chain)
+        for name, premise, d, curve, reason, chain in (
+            ("rosenthal_K", floors_hold, d_k, ros, floor_note, "K"),
+            ("rosenthal_Q", floors_hold, d_q, ros, floor_note, "Q"),
+            ("chen_model_free_K", chen_floor, d_k, chen, chen_note, "K"),
+            ("chen_orbit_coupling", True, d_bar, coupling, f"|X| = {bundle.num_states}", "K"),
         )
-    )
-
-    ok_qk = all(d_q[t] <= d_k[t - 1] for t in range(1, t_max + 1))
-    results.append(BoundResult("one_step_QK", True, ok_qk, "d_Q(t) <= d_K(t-1)"))
-    ok_kq = all(d_k[t] <= d_q[t - 1] for t in range(1, t_max + 1))
-    results.append(BoundResult("one_step_KQ", True, ok_kq, "d_K(t) <= d_Q(t-1)"))
-
+    ]
+    results.append(BoundResult("one_step_QK", True, _holds(d_q[1:], d_k), "d_Q(t) <= d_K(t-1)"))
+    results.append(BoundResult("one_step_KQ", True, _holds(d_k[1:], d_q), "d_K(t) <= d_Q(t-1)"))
     results.append(minorization_transfer(bundle, t_max=t_max, d_q=d_q))
 
     spec = bundle.spec
     if spec is not None and spec.model == "value":
         if spec.k >= spec.n:
-            pag = [spec.n * v for v in _geometric(1 - Rat(1, 2 * spec.k), t_max)]
-            results.append(
-                BoundResult("paguyo_K", True, _holds_above(pag, d_k), "k >= n", pag, "K")
-            )
-            pag_dual = [Rat(1)] + pag[:-1]
-            ok = all(d_q[t] <= pag_dual[t] for t in range(1, t_max + 1))
-            results.append(
-                BoundResult("paguyo_Q_transfer", True, ok, "n(1-1/2k)^(t-1)", pag_dual, "Q")
+            results.extend(
+                _model_bounds("paguyo", "k >= n", spec.n, Rat(1, 2 * spec.k), "1/2k", d_k, d_q)
             )
         else:
             results.append(
@@ -557,14 +542,8 @@ def bound_suite(
             )
         )
     elif spec is not None and spec.model == "coord":
-        ald = [spec.n * v for v in _geometric(1 - Rat(1, spec.k), t_max)]
-        results.append(
-            BoundResult("aldous_K", True, _holds_above(ald, d_k), "n(1-1/k)^t", ald, "K")
-        )
-        ald_dual = [Rat(1)] + ald[:-1]
-        ok = all(d_q[t] <= ald_dual[t] for t in range(1, t_max + 1))
-        results.append(
-            BoundResult("aldous_Q_transfer", True, ok, "n(1-1/k)^(t-1)", ald_dual, "Q")
+        results.extend(
+            _model_bounds("aldous", "n(1-1/k)^t", spec.n, Rat(1, spec.k), "1/k", d_k, d_q)
         )
         results.append(
             BoundResult(
@@ -590,64 +569,39 @@ def bound_suite(
             BoundResult("model_bounds", False, None, "tabled action: universal bounds only")
         )
 
-    for eps in eps_list:
-        tq = mixing_time_from_curve(d_q, eps)
-        tk = mixing_time_from_curve(d_k, eps)
-        if tq is None or tk is None:
-            results.append(
-                BoundResult(f"mixing_equiv_eps={eps}", True, False, "did not mix in horizon")
-            )
-        else:
-            results.append(
-                BoundResult(
-                    f"mixing_equiv_eps={eps}", True, abs(tq - tk) <= 1,
-                    f"t_mix(Q)={tq}, t_mix(K)={tk}",
-                )
-            )
+    results.extend(_mixing_equivalence(d_q, d_k, eps, t_max) for eps in eps_list)
     return results
 
 
 def _dz_bounds(bundle: ChainBundle, profiles: BundleProfiles, t_max: int) -> list[BoundResult]:
     """Two-sided binary-alphabet curves: all-equal starts for K, the
     worst-case dual lower bound, and single-n-cycle starts for Q."""
-    n = bundle.spec.n
-    out = []
-    quarter = Rat(1, 4)
-    upper = [4 * quarter**t for t in range(t_max + 1)]
-    lower = [quarter ** (t + 1) for t in range(t_max + 1)]
+    quarter = _geometric(Rat(1, 4), t_max)  # 4^-t
+    upper = [4 * v for v in quarter]
+    lower = [v / 4 for v in quarter]
+    dual_lower = [v / 16 for v in quarter]
     all_equal = [
-        xi for xi, x in enumerate(bundle.states) if len(set(x)) == 1
+        profiles.k.curve_for(xi) for xi, x in enumerate(bundle.states) if len(set(x)) == 1
     ]
-    ok_up = True
-    ok_low = True
-    for xi in all_equal:
-        curve = profiles.k.curve_for(xi)
-        ok_up = ok_up and all(curve[t] <= upper[t] for t in range(t_max + 1))
-        ok_low = ok_low and all(curve[t] >= lower[t] for t in range(t_max + 1))
-    out.append(
-        BoundResult("dz_upper_K_allequal", True, ok_up, "d_K(x0,t) <= 4 (1/4)^t", upper, "K")
-    )
-    out.append(
-        BoundResult("dz_lower_K_allequal", True, ok_low, "d_K(x0,t) >= (1/4)^(t+1)", lower, "K")
-    )
-
-    dual_lower = [quarter ** (t + 2) for t in range(t_max + 1)]
-    d_q = profiles.q.worst[: t_max + 1]
-    out.append(
+    out = [
         BoundResult(
-            "dz_dual_lower", True,
-            all(d_q[t] >= dual_lower[t] for t in range(t_max + 1)),
+            "dz_upper_K_allequal", True, all(_holds(c, upper) for c in all_equal),
+            "d_K(x0,t) <= 4 (1/4)^t", upper, "K",
+        ),
+        BoundResult(
+            "dz_lower_K_allequal", True, all(_holds(c, lower, lower=True) for c in all_equal),
+            "d_K(x0,t) >= (1/4)^(t+1)", lower, "K",
+        ),
+        BoundResult(
+            "dz_dual_lower", True, _holds(profiles.q.worst, dual_lower, lower=True),
             "d_Q(t) >= 4^-(t+2)", dual_lower, "Q",
-        )
-    )
+        ),
+    ]
 
-    ncycles = [gi for gi, g in enumerate(bundle.duals) if g.cycle_type()[0] == n]
+    ncycles = [gi for gi, g in enumerate(bundle.duals) if g.cycle_type()[0] == bundle.spec.n]
     if ncycles:
-        ncycle_upper = [Rat(16) * quarter**t for t in range(t_max + 1)]
-        ok = True
-        for gi in ncycles:
-            curve = profiles.q.curve_for(gi)
-            ok = ok and all(curve[t] <= ncycle_upper[t] for t in range(1, t_max + 1))
+        ncycle_upper = [16 * v for v in quarter]
+        ok = all(_holds(profiles.q.curve_for(gi)[1:], ncycle_upper[1:]) for gi in ncycles)
         out.append(
             BoundResult(
                 "dz_Q_ncycle_upper", True, ok, "TV(Q^t(g,.), pi) <= 4^(2-t) for t >= 1",

@@ -112,6 +112,11 @@ class ChainBundle:
     def stab_size(self, xi: int) -> int:  # row xi of B is 0/1 over |G_x|
         return int(self.B.den[xi])
 
+    @property
+    def doeblin_delta(self):
+        """delta = 1/max|G_x|, the uniform floor both chains share."""
+        return Rat(1, int(self.B.den.max()))
+
 
 def _check_size(source, matrices: str) -> None:
     """Refuse a spec before anything is enumerated: |X| = k^n (unless the
@@ -156,10 +161,10 @@ def _incidence(source) -> tuple[list, list, np.ndarray]:
 
 
 def _legs(incidence: np.ndarray) -> tuple[RationalMatrix, RationalMatrix]:
-    """A, the incidence over its row sums |X_g|, and B, its transpose over
-    its column sums |G_x|; 0/1 rows keep those counts as their denominators."""
-    a = RationalMatrix.from_scaled(incidence, incidence.sum(axis=1))
-    return a, RationalMatrix.from_scaled(incidence.T, incidence.sum(axis=0))
+    """A, the incidence over its row sums |X_g|, and B, its transpose (a view)
+    over its column sums |G_x|: a 0/1 row over its count is already canonical."""
+    a = RationalMatrix._canonical(incidence, incidence.sum(axis=1))
+    return a, RationalMatrix._canonical(incidence.T, incidence.sum(axis=0))
 
 
 def build_legs(source) -> tuple[RationalMatrix, RationalMatrix]:
@@ -280,12 +285,11 @@ def diagonal_equals_e_column(bundle: ChainBundle) -> bool:
 
 def doeblin_floor(bundle: ChainBundle):
     """delta = 1/max|G_u|; asserts Q(g,e) >= delta and K(x,y) >= delta/|X|."""
-    m = max(bundle.stab_size(xi) for xi in range(bundle.num_states))
-    delta = Rat(1, m)
+    delta = bundle.doeblin_delta
     q = bundle.Q
-    # Q(g, e) = num[g, e] / den[g] >= 1/m
+    # Q(g, e) = num[g, e] / den[g] >= 1/max|G_u|
     for gi, (x, d) in enumerate(zip(q.num[:, bundle.e_index].tolist(), q.den.tolist())):
-        if m * x < d:
+        if delta.denominator * x < d:
             raise AssertionError(f"dual floor violated at row {bundle.dual_labels[gi]}")
     if bundle.K.first_below([delta / bundle.num_states] * bundle.num_states) is not None:
         raise AssertionError("primal floor violated")

@@ -276,37 +276,12 @@ def intertwine_check(bundle: ChainBundle) -> dict:
         "eigenvalues": {},
     }
     small = q if q.rows <= k.rows else k
-    poly = char_poly(small)
-    hint = _lcm_denominators(small)
-    roots, _ = extract_rational_roots(poly, hint)
+    roots, _ = extract_rational_roots(char_poly(small), _lcm_denominators(small))
     for lam in sorted((r for r in roots if r != 0), reverse=True):
         vk = eigen_nullspace(k, lam)
         vq = eigen_nullspace(q, lam)
         entry = {"dim_K": len(vk), "dim_Q": len(vq), "dims_equal": len(vk) == len(vq)}
-        transported = True
-        for v in vk:
-            w = a.mul_vec(v)
-            if all(c == 0 for c in w):
-                transported = False
-                break
-            if q.mul_vec(w) != [lam * c for c in w]:
-                transported = False
-                break
-            if b.mul_vec(w) != [lam * c for c in v]:
-                transported = False
-                break
-        for w in vq:
-            v = b.mul_vec(w)
-            if all(c == 0 for c in v):
-                transported = False
-                break
-            if k.mul_vec(v) != [lam * c for c in v]:
-                transported = False
-                break
-            if a.mul_vec(v) != [lam * c for c in w]:
-                transported = False
-                break
-        entry["transported"] = transported
+        entry["transported"] = _transports(vk, a, b, q, lam) and _transports(vq, b, a, k, lam)
         report["eigenvalues"][lam] = entry
     report["ok"] = (
         report["QA_eq_AK"]
@@ -314,6 +289,22 @@ def intertwine_check(bundle: ChainBundle) -> dict:
         and all(e["dims_equal"] and e["transported"] for e in report["eigenvalues"].values())
     )
     return report
+
+
+def _transports(
+    vecs: list, there: RationalMatrix, back: RationalMatrix, target: RationalMatrix, lam
+) -> bool:
+    """Every v of vecs (eigenvectors for lam) goes to a nonzero w = there v
+    with target w = lam w, and back carries w to lam v."""
+    for v in vecs:
+        w = there.mul_vec(v)
+        if (
+            all(c == 0 for c in w)
+            or target.mul_vec(w) != [lam * c for c in w]
+            or back.mul_vec(w) != [lam * c for c in v]
+        ):
+            return False
+    return True
 
 
 def dz_eigenvalues(n: int) -> list:

@@ -225,11 +225,46 @@ def test_single_position_binary_skips_dz_bounds(capsys):
 
 def test_mix_tmax_zero_emits_only_t0_rows(tmp_path):
     out = tmp_path / "mix0.csv"
-    main(["mix", "--model", "value", "--k", "3", "--n", "2", "--tmax", "0",
-          "--out", str(out)])
+    code = main(["mix", "--model", "value", "--k", "3", "--n", "2", "--tmax", "0",
+                 "--out", str(out)])
+    assert code == 0
     rows = out.read_text().splitlines()
     assert rows[0].startswith("t,")
     assert all(line.split(",")[0] == "0" for line in rows[1:])
+
+
+def test_short_horizon_skips_mixing_equivalence(capsys):
+    # value 3,2 mixes to 1/10 at t = 3 on both chains: a horizon of 2 cannot
+    # compare the two times, so the bound is skipped, not failed
+    assert main(["verify", "--model", "value", "--k", "3", "--n", "2", "--tmax", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "FAIL" not in out
+    assert (
+        "SKIP bound mixing_equiv_eps=1/10: t_mix(Q) > 2, t_mix(K) > 2: "
+        "horizon too short to compare\n" in out
+    )
+    assert main(["mix", "--model", "value", "--k", "3", "--n", "2", "--tmax", "1"]) == 0
+
+
+# sha256 of `mix --format json --out ...` at the default --tmax 60
+MIX_JSON_DIGESTS = {
+    ("value", 3, 2): "0f5f24c0433c52b6c785bc8d14649a86d5bc37773e219b016ec60be8c261d257",
+    ("value", 2, 3): "2849c47c7df22ecb52ed29d52c6578bb0d18cbaee00f2c1db79b8f0a412dc03e",
+    ("value", 4, 3): "d876b1fb6ad298df920beaf915623b9718b14ff0c2c7f4a644d0728622fb32fc",
+    ("coord", 2, 1): "f8d65ef46c7271430c1191c2e45dfe0d92483e2081d2cce00a6317766ac4f181",
+    ("coord", 2, 4): "12f57fcc002e8e845a7203d2f1e7158e88b20f7ca87ccbdc7dd1f5241a4cd5e2",
+    ("coord", 3, 3): "9f4b967a70453f2b367723ce3d90b80f4448c18639bb8eedeb76d4dc23fa87a5",
+}
+
+
+@pytest.mark.parametrize("config", list(MIX_JSON_DIGESTS), ids=lambda c: "{}{},{}".format(*c))
+def test_mix_json_digest(tmp_path, config):
+    model, k, n = config
+    out = tmp_path / "mix.json"
+    code = main(["mix", "--model", model, "--k", str(k), "--n", str(n), "--format", "json",
+                 "--out", str(out)])
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == MIX_JSON_DIGESTS[config]
 
 
 def test_sample_zero_steps_point_mass(tmp_path):

@@ -1,11 +1,13 @@
 """Evolution, TV profiles, lumping machinery, and the bound suite."""
 
 import dataclasses
+import hashlib
+import json
 
 import numpy as np
 import pytest
 
-from burnside._rat import Rat, parse_rat
+from burnside._rat import Rat, parse_rat, rat_str
 from burnside.actions import random_tabled_action, value_spec
 from burnside.dynamics import (
     MinorizationError,
@@ -313,6 +315,40 @@ class TestBoundSuite:
         results = {r.name: r for r in bound_suite(b, 40)}
         for name in ("rosenthal_K", "rosenthal_Q", "one_step_QK", "one_step_KQ"):
             assert results[name].verified
+
+    # value 3,2 mixes to 1/4 at t = 2 and to 1/10 at t = 3 on Q; K's curve is planted
+    @pytest.mark.parametrize(
+        "t_max, eps, d_k, applicable, verified",
+        [
+            # Q mixed by t_max - 1, K not by t_max: t_mix(K) >= 4, two past t_mix(Q)
+            (3, Rat(1, 4), [Rat(1)] * 4, True, False),
+            # both known, t_mix(K) = 1 against t_mix(Q) = 3
+            (3, Rat(1, 10), [Rat(1)] + [Rat(1, 20)] * 3, True, False),
+            (3, Rat(1, 10), [Rat(1), Rat(1), Rat(1, 20), Rat(1, 20)], True, True),
+            # Q mixed only at t_max: K may mix at t_max + 1
+            (2, Rat(1, 4), [Rat(1)] * 3, False, None),
+        ],
+    )
+    def test_mixing_equivalence_on_planted_curves(
+        self, golden_value, t_max, eps, d_k, applicable, verified
+    ):
+        profs = bundle_profiles(golden_value, t_max)
+        planted = dataclasses.replace(profs, k=dataclasses.replace(profs.k, worst=d_k))
+        res = bound_suite(golden_value, t_max, planted, eps_list=[eps])[-1]
+        assert res.name == f"mixing_equiv_eps={eps}"
+        assert (res.applicable, res.verified) == (applicable, verified), res.reason
+
+    def test_tabled_bundle_results_pinned(self):
+        # name, applicability, verdict, reason, chain and curve of every result
+        b = build_bundle(random_tabled_action(make_rng(14)))
+        assert (b.num_duals, b.num_states) == (10, 32)
+        rows = [
+            [r.name, r.applicable, r.verified, r.reason, r.chain,
+             None if r.curve is None else [rat_str(v) for v in r.curve]]
+            for r in bound_suite(b, 30)
+        ]
+        digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+        assert digest == "3cbe0ec346bb9983ab097b1f5034c6cee9e51288e30305846bd19bc0923bada3"
 
     def test_stationarity_transfer_flag(self, golden_value, golden_coord):
         assert stationarity_transfer_check(golden_value)

@@ -2,6 +2,7 @@
 
 import time
 
+import numpy as np
 import pytest
 
 from burnside._rat import Rat, parse_rat
@@ -127,6 +128,7 @@ class TestEveryBundle:
         # A and B are 0/1 over |X_g| and |G_x|: B's numerators are A's transposed
         b = bundles(*key)
         assert (b.A.num == b.B.num.T).all()
+        assert np.shares_memory(b.A.num, b.B.num)  # one array: B is a view, not a copy
         assert set(b.A.num.flat) <= {0, 1}
         assert b.A.den.tolist() == [fixed_set_size(b.spec, g) for g in b.duals]
         assert b.B.den.tolist() == [stabilizer_size(b.spec, x) for x in b.states]

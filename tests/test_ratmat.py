@@ -1,6 +1,7 @@
 """Exact matrix arithmetic and serialization round trips."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -12,6 +13,12 @@ from burnside.ratmat import (
     matrix_to_csv,
     matrix_to_json,
 )
+
+
+def test_rat_is_fraction():
+    import burnside
+
+    assert burnside.Rat is Fraction and burnside.EXACT_BACKEND == "fractions"
 
 
 def test_rat_strings():
