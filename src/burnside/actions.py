@@ -138,12 +138,20 @@ def word_index(spec: ActionSpec, x: Word) -> int:
     return idx
 
 
+# bytes.translate tables taking letter a to the ASCII digit of a - offset
+_DIGITS = {
+    offset: bytes.maketrans(bytes(range(offset, offset + 10)), b"0123456789")
+    for offset in (0, 1)
+}
+
+
 def word_to_str(spec: ActionSpec, x: Word) -> str:
+    """One digit per symbol when every symbol is 0..9, else the symbols
+    separated by commas."""
     offset = 1 if spec.model == COORD else 0
-    symbols = [a - offset for a in x]
-    if max(symbols, default=0) <= 9:
-        return "".join(str(s) for s in symbols)
-    return ",".join(str(s) for s in symbols)
+    if x and offset <= min(x) and max(x) <= 9 + offset:
+        return bytes(x).translate(_DIGITS[offset]).decode()
+    return ",".join(str(a - offset) for a in x)
 
 
 def word_from_str(spec: ActionSpec, s: str) -> Word:
@@ -164,10 +172,10 @@ def stabilizer_blocks(spec: ActionSpec, x: Word) -> list[list[int]]:
     model), or the positions of each letter in letter order (coordinate model)."""
     if spec.model == VALUE:
         return [sorted(set(range(1, spec.k + 1)) - set(x))]
-    blocks: dict[int, list[int]] = {}
+    blocks: list[list[int]] = [[] for _ in range(spec.k + 1)]
     for pos, a in enumerate(x, start=1):
-        blocks.setdefault(a, []).append(pos)
-    return [blocks[a] for a in sorted(blocks)]
+        blocks[a].append(pos)
+    return [block for block in blocks if block]
 
 
 def fixed_coloring(
@@ -258,8 +266,11 @@ def sample_stabilizer_uniform(spec: ActionSpec, x: Word, rng) -> Permutation:
     images = list(range(1, group_degree(spec) + 1))
     for block in stabilizer_blocks(spec, x):
         if len(block) > 1:
-            for a, b in zip(block, rng.permutation(block)):
-                images[a - 1] = int(b)
+            # the same Fisher-Yates draws as rng.permutation(block), on a list
+            shuffled = block.copy()
+            rng.shuffle(shuffled)
+            for a, b in zip(block, shuffled):
+                images[a - 1] = b
     return Permutation(images)
 
 

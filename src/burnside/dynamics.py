@@ -408,15 +408,19 @@ class MinorizationError(ValueError):
 
 
 def minorization_transfer(
-    bundle: ChainBundle, t_max: int = 60, d_q: Optional[Sequence] = None
+    bundle: ChainBundle,
+    t_max: int = 60,
+    d_q: Optional[Sequence] = None,
+    floor_verified: bool = False,
 ) -> BoundResult:
     """From K >= delta nu (verified exactly; delta = 1/max|G_x|, nu uniform)
     build the two-step dual curve (1-delta)^floor(t/2); also verifies
     Q^2(g,.) >= delta (nu B) when there are at most Q_SQUARE_DUALS dual
-    states to square exactly."""
+    states to square exactly.  floor_verified says the caller has already
+    verified K >= delta nu exactly (bound_suite, through doeblin_floor)."""
     delta = bundle.doeblin_delta
     nu = [Rat(1, bundle.num_states)] * bundle.num_states
-    below = bundle.K.first_below([delta * v for v in nu])
+    below = None if floor_verified else bundle.K.first_below([delta * v for v in nu])
     if below is not None:
         xi, yi = below
         raise MinorizationError(
@@ -523,7 +527,7 @@ def bound_suite(
     ]
     results.append(BoundResult("one_step_QK", True, _holds(d_q[1:], d_k), "d_Q(t) <= d_K(t-1)"))
     results.append(BoundResult("one_step_KQ", True, _holds(d_k[1:], d_q), "d_K(t) <= d_Q(t-1)"))
-    results.append(minorization_transfer(bundle, t_max=t_max, d_q=d_q))
+    results.append(minorization_transfer(bundle, t_max=t_max, d_q=d_q, floor_verified=floors_hold))
 
     spec = bundle.spec
     if spec is not None and spec.model == "value":

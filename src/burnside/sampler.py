@@ -57,6 +57,8 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Counter-based Philox generator; streams of one seed never collide."""
     if not 0 <= seed < 2**64:
         raise ValueError("seed must fit in 64 bits")
+    if not 0 <= stream < 2**64:
+        raise ValueError("stream must fit in 64 bits")
     return np.random.Generator(np.random.Philox(key=seed + (stream << 64)))
 
 
@@ -200,11 +202,17 @@ def dump_trajectory(path: str, result: RunResult, gzip: bool = False) -> None:
 
 
 def summary_json(result: RunResult) -> str:
+    """The run's parameters and its counts, keyed by state label in the
+    order of str(state)."""
     spec = result.run.spec
     if result.run.chain == PRIMAL:
         label = lambda s: word_to_str(spec, s)
     else:
         label = str
+    labels = {s: label(s) for s in result.law.counts}
+    # the labels order the states as str(state) does when they are str(state)
+    # (dual) or one digit per letter of equal-length words (k <= 9)
+    key = labels.__getitem__ if result.run.chain == DUAL or spec.k <= 9 else str
     payload = {
         "model": spec.model,
         "n": spec.n,
@@ -218,7 +226,7 @@ def summary_json(result: RunResult) -> str:
         "final_state": label(result.final_state),
         "total_counted": result.law.total,
         "distinct_states_visited": len(result.law.counts),
-        "counts": {label(s): c for s, c in sorted(result.law.counts.items(), key=lambda kv: str(kv[0]))},
+        "counts": {labels[s]: result.law.counts[s] for s in sorted(labels, key=key)},
         "tv_to_stationary": result.tv_to_stationary,
     }
     return json.dumps(payload, indent=2)

@@ -73,6 +73,18 @@ class TestSpecBasics:
         spec = value_spec(3, 2)
         assert word_to_str(spec, (1, 3)) == "13"
 
+    def test_word_text_matches_reference(self):
+        # one digit per symbol up to 9, commas past it, in both models
+        def reference(spec, x):
+            symbols = [a - (spec.model == "coord") for a in x]
+            return ("" if max(symbols) <= 9 else ",").join(str(s) for s in symbols)
+
+        for spec in (value_spec(9, 2), value_spec(12, 2), coord_spec(10, 2), coord_spec(11, 2)):
+            for x in words(spec):
+                assert word_to_str(spec, x) == reference(spec, x)
+        assert word_to_str(value_spec(12, 3), (1, 12, 3)) == "1,12,3"
+        assert word_to_str(coord_spec(11, 2), (10, 1)) == "90"
+
 
 class TestAction:
     def test_value_action_relabels_symbols(self):

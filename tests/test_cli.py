@@ -132,24 +132,34 @@ def test_sample_deterministic_summary(tmp_path):
 
 
 # sha256 over the trajectory file, then the summary file, of
-# `sample --steps 2000 --seed 11 --out ... --summary ...` from the default start
+# `sample --steps 2000 --seed 11 --out ... --summary ...` plus any options
+# after the chain (the default start unless --start is given)
 SAMPLE_DIGESTS = {
     ("coord", 2, 6, "dual"): "45dd7be7a99c623f679d845462e4e963121a4e9a054e36fc16176d69118dc4c8",
     ("coord", 2, 64, "primal"): "5a4ad27d36c95d7d6704a3a79a10601da6be736e9cd24c5a027b5691df676eda",
     ("value", 4, 3, "primal"): "e4e61c260ebb54dd635da26b28016e008fea5846377f76b9ca502e7dd1892bc2",
     ("value", 4, 3, "dual"): "73dde2d7941c25d73d40070dbe36e6b8ab27b470eb819392beb849e13cd63f9c",
     ("coord", 3, 5, "primal"): "77b20da00e6b2736fa98022f4c1ede26f2f67583e23bcbbdb48d236e5ff40f1b",
+    ("coord", 3, 5, "dual"): "ed8e0fc6519d062ee29ea0efd8d57a76d02f0e0da2c029876bbc2ded386cacdf",
+    # k = 12: comma-separated labels, and blocks of up to 9 unused symbols
+    ("value", 12, 3, "dual"): "0bc794b60e05dda892b033cda5d92bb0734867aeed2f00b4189bec37d67cb820",
+    ("value", 12, 3, "primal"): "2fd2480706aa397c77cb686c5e51399710981bf3c021616d16ba95764b3d2e76",
+    ("coord", 3, 5, "dual", "--thin", "3"):
+        "51599b8939153541f9e323d7b20f0b21b96eb7cab8aaea72ad7690bacab25045",
+    ("coord", 3, 6, "primal", "--start", "201120"):
+        "d16437550f22b7fb87d03ea29e74b2836a829495e198fad0ab3e1bf38eb4c37c",
 }
 
 
 @pytest.mark.parametrize(
-    "config", list(SAMPLE_DIGESTS), ids=lambda c: "{}{},{}-{}".format(*c)
+    "config", list(SAMPLE_DIGESTS), ids=lambda c: "{}{},{}-{}".format(*c) + "".join(c[4:])
 )
 def test_sample_trajectory_digest(tmp_path, config):
-    model, k, n, chain = config
+    model, k, n, chain, *options = config
     traj, summary = tmp_path / "traj.txt", tmp_path / "summary.json"
     code = main(["sample", "--model", model, "--k", str(k), "--n", str(n), "--chain", chain,
-                 "--steps", "2000", "--seed", "11", "--out", str(traj), "--summary", str(summary)])
+                 "--steps", "2000", "--seed", "11", "--out", str(traj), "--summary", str(summary),
+                 *options])
     assert code == 0
     digest = hashlib.sha256(traj.read_bytes() + summary.read_bytes()).hexdigest()
     assert digest == SAMPLE_DIGESTS[config]

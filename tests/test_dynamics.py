@@ -298,6 +298,20 @@ class TestBoundSuite:
                 if res.applicable:
                     assert res.verified, res.name
 
+    def test_primal_floor_checked_once(self, golden_value, monkeypatch):
+        b = golden_value
+        bounds = []
+        first_below = RationalMatrix.first_below
+
+        def spy(self, bound):
+            if self is b.K:
+                bounds.append(list(bound))
+            return first_below(self, bound)
+
+        monkeypatch.setattr(RationalMatrix, "first_below", spy)
+        bound_suite(b, 10)
+        assert bounds.count([b.doeblin_delta / b.num_states] * b.num_states) == 1
+
     def test_inapplicable_reasons(self, golden_value, bundles):
         names = {r.name: r for r in bound_suite(bundles("value", 2, 3), 30)}
         assert not names["paguyo_K"].applicable  # k = 2 < n = 3

@@ -1,14 +1,19 @@
 """Simulation: determinism, one-step fidelity, uniform subroutines."""
 
+import hashlib
+
 import pytest
 from scipy.stats import chi2
 
 from burnside.actions import (
+    ActionSpec,
     coord_spec,
     dual_states,
     enumerate_fixed_words,
+    group_degree,
     stabilizer_elements,
     value_spec,
+    word_from_str,
     word_index,
     words,
 )
@@ -46,6 +51,33 @@ class TestDeterminism:
         a = run_chain(ChainRun(spec, "dual", identity(4), 500, seed=11, stream=0), True)
         b = run_chain(ChainRun(spec, "dual", identity(4), 500, seed=11, stream=1), True)
         assert a.trajectory != b.trajectory
+
+    def test_trajectory_is_prefix_of_longer_run(self):
+        for spec, chain, start in (
+            (coord_spec(3, 5), "dual", identity(5)),
+            (value_spec(4, 3), "primal", (1, 1, 2)),
+        ):
+            short = run_chain(ChainRun(spec, chain, start, 300, seed=21), True)
+            longer = run_chain(ChainRun(spec, chain, start, 500, seed=21), True)
+            assert longer.trajectory[:301] == short.trajectory
+
+    def test_shuffled_list_matches_permutation_draws(self):
+        # the stabilizer draw shuffles a list copy of each block in place; it
+        # relies on that consuming the stream exactly as rng.permutation does
+        for length in (2, 3, 8, 32):
+            block = list(range(5, 5 + length))
+            a, b = make_rng(31, length), make_rng(31, length)
+            for _ in range(50):
+                shuffled = list(block)
+                a.shuffle(shuffled)
+                assert shuffled == b.permutation(block).tolist()
+            assert a.integers(0, 2**62) == b.integers(0, 2**62)
+
+    def test_stream_range_checked(self):
+        make_rng(0, 2**64 - 1)
+        for stream in (-1, 2**64):
+            with pytest.raises(ValueError, match="stream must fit in 64 bits"):
+                make_rng(0, stream)
 
     def test_zero_length_run(self):
         spec = value_spec(3, 2)
@@ -98,6 +130,38 @@ class TestOneStepRows:
         law = empirical_one_step_row(spec, "primal", (1, 2, 3), 100_000, seed=106)
         for x in words(spec):
             assert abs(law.counts.get(x, 0) / 100_000 - 1 / 27) <= 0.01
+
+
+# sha256 of the sorted (state, count) pairs of empirical_one_step_row over
+# 20,000 draws from each start of criterion 9: a change to either sampling
+# primitive that alters how it consumes the stream changes the counts
+ONE_STEP_COUNT_DIGESTS = {
+    ("value", 3, 2, "primal", "11", 9001):
+        "e17dcf1272fa8a98cca39fb30832a49b119dcfb3eb213adb8a8c3ffb4a49e85d",
+    ("value", 3, 2, "dual", "(1 2)", 9002):
+        "af7797b53e4f525e7a28199ba4d9c6f7df5a39aec04c65d0a9022a372dcf51de",
+    ("coord", 2, 3, "primal", "000", 9003):
+        "f78df613f6a538abbaba47430ae4d1e28ffb61d79dd3117fcf743ce8ea94d84f",
+    ("coord", 2, 3, "dual", "e", 9004):
+        "2eb03bb415da6c0f4d0859f9c6698c65ab622387e0e34b59e5d5812b90f3cca1",
+    ("coord", 2, 3, "dual", "(1 2 3)", 9005):
+        "c16959745c541f10df48dbeb2f92dd947e410ba8bc71237b7a5228dff186ea80",
+}
+
+
+@pytest.mark.parametrize(
+    "case", list(ONE_STEP_COUNT_DIGESTS), ids=lambda c: "{}{},{}-{}-{}".format(*c)
+)
+def test_one_step_row_counts_digest(case):
+    model, k, n, chain, start_text, seed = case
+    spec = ActionSpec(model, n, k)
+    if chain == "primal":
+        start = word_from_str(spec, start_text)
+    else:
+        start = parse_perm(start_text, group_degree(spec))
+    law = empirical_one_step_row(spec, chain, start, 20_000, seed=seed)
+    pairs = sorted((str(state), c) for state, c in law.counts.items())
+    assert hashlib.sha256(repr(pairs).encode()).hexdigest() == ONE_STEP_COUNT_DIGESTS[case]
 
 
 class TestChiSquareUniformity:
