@@ -2,9 +2,11 @@
 
 Every kernel entry, stationary mass and TV distance in this package is an
 exact rational.  Matrices and evolving distributions hold them as integer
-numerators over one denominator per row (``ratmat``); single entries,
-closed-form cross checks and exact elimination use ``Rat``, which is
-Python's ``fractions.Fraction``.  ``BACKEND`` names it for reports.
+numerators over one denominator per row (``ratmat``), and exact
+elimination (``spectra``) runs on those integer rows; single entries,
+closed-form cross checks and the results handed back (polynomial
+coefficients, eigenvectors) use ``Rat``, which is Python's
+``fractions.Fraction``.  ``BACKEND`` names it for reports.
 """
 
 from __future__ import annotations

@@ -9,6 +9,7 @@ all of them against the brute-force definition sum over X_g intersect X_h.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from math import comb, factorial
 from typing import Callable
 
@@ -122,9 +123,11 @@ def q_value_expectation(k: int, n: int, g: Permutation, h: Permutation):
     return Rat(j**n, a**n) * mean
 
 
+@lru_cache(maxsize=None)
 def _coeff_un_zs(j: int, n: int, s: int):
     """Exact [u^n][z^s] of exp(z) (1 + z(e^u - 1))^j via truncated bivariate
-    polynomial arithmetic (degrees n in u, s in z)."""
+    polynomial arithmetic (degrees n in u, s in z); memoized, as a pure
+    function of three ints that every dual pair of one spec shares."""
     # polynomials stored as grids p[du][dz]
     def mul(p, q):
         out = [[Rat(0)] * (s + 1) for _ in range(n + 1)]

@@ -17,7 +17,8 @@ is fixed: there is no option to choose.
 
 Matrices are immutable.  ``.data`` is a read-only view of the entries as
 rows of exact rationals, built on first access, for the code that needs
-single entries (serialization, exact elimination) and for the tests.
+single entries and for the tests; serialization and exact elimination read
+``num`` and ``den`` directly.
 
 ``P @ R`` scales ``R`` to the lcm ``L`` of its row denominators and forms
 ``num_P (L R)`` row by row over the nonzero entries of each row of

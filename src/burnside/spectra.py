@@ -1,9 +1,15 @@
 """Exact characteristic polynomials, spectra, and eigen-structure checks.
 
 char_poly runs an exact similarity reduction to Hessenberg form followed by
-the standard determinant recurrence, all over rationals.  Rational roots are
-peeled off with candidate denominators taken from the matrix entries; the
-remaining factor is handed to a float companion-matrix solver.
+the standard determinant recurrence.  Both run on Python ints: the
+reduction on integer rows over one positive denominator per row, read
+straight from ``RationalMatrix.num``/``den`` and kept integral by
+fraction-free row updates and diagonal similarities; the recurrence on
+integer coefficients over one denominator per polynomial.  Fractions appear
+only once per row or entry, never in the cubic loops.  eigen_nullspace is
+fraction-free Gauss-Jordan elimination on the same integer rows.  Rational
+roots are peeled off with candidate denominators taken from the matrix
+entries; the remaining factor is handed to a float companion-matrix solver.
 
 For kernel pairs too large for exact elimination, spectrum_equal_report
 falls back to a factorization certificate: it verifies Q == A B and
@@ -39,9 +45,11 @@ __all__ = [
     "EXACT_DIM_CAP",
 ]
 
-# Above this dimension exact elimination is too slow: char_poly refuses, the
-# shared-spectrum check switches to the factorization certificate and gap
-# reports use floats.
+# Above this dimension char_poly refuses, the shared-spectrum check switches
+# to the factorization certificate and gap reports use floats.  The limit is
+# set by the exact gap report, not by elimination: on the 512-dim K of
+# coord 8,3, char_poly takes 0.2 s and gap_report 13 s, nearly all of it in
+# extract_rational_roots (2-vCPU VM, Python 3.11).
 EXACT_DIM_CAP = 512
 # Float eigenvalues agree with a closed form, or with each other, within this.
 FLOAT_TOL = 1e-9
@@ -82,30 +90,57 @@ class CharPoly:
         return CharPoly(out)
 
 
-def _hessenberg(h: list[list]) -> list[list]:
-    """Reduce the rows h to upper Hessenberg form in place."""
-    n = len(h)
+def _divide_out(row: list, d: int = 0) -> tuple[list, int]:
+    """row and d divided by the gcd of d and row's entries (d = 0 leaves the
+    row primitive)."""
+    g = gcd(d, *row)
+    if g > 1:
+        return [x // g for x in row], d // g
+    return row, d
+
+
+def _hessenberg(num: list[list[int]], den: list[int]) -> None:
+    """Reduce the matrix with rows num[i] / den[i] (den[i] > 0) to upper
+    Hessenberg form in place, by similarities that keep every row integral.
+
+    Step j clears column j below the pivot p = num[j+1][j] with
+    num_i <- |p| num_i - sign(p) q num_{j+1} over |p| den_i, and adds
+    mu_i col_i to col_{j+1}, mu_i = q den_{j+1} / (den_i p).  That column
+    update is made integral by scaling col_{j+1} by the lcm v of the mu_i's
+    denominators and row j+1's denominator by v: a diagonal similarity."""
+    n = len(num)
     for j in range(n - 2):
-        piv = next((i for i in range(j + 1, n) if h[i][j]), None)
+        k = j + 1
+        piv = next((i for i in range(k, n) if num[i][j]), None)
         if piv is None:
             continue
-        if piv != j + 1:
-            h[j + 1], h[piv] = h[piv], h[j + 1]
-            for row in h:
-                row[j + 1], row[piv] = row[piv], row[j + 1]
-        pivot = h[j + 1][j]
-        for i in range(j + 2, n):
-            if not h[i][j]:
-                continue
-            m = h[i][j] / pivot
-            hi, hj = h[i], h[j + 1]
-            for c in range(j, n):
-                if hj[c]:
-                    hi[c] -= m * hj[c]
-            for row in h:
-                if row[i]:
-                    row[j + 1] += m * row[i]
-    return h
+        if piv != k:
+            num[k], num[piv] = num[piv], num[k]
+            den[k], den[piv] = den[piv], den[k]
+            for row in num:
+                row[k], row[piv] = row[piv], row[k]
+        top = num[k]
+        p = top[j]
+        a = abs(p)
+        mults = []  # (i, mu_i)
+        for i in range(k + 1, n):
+            row = num[i]
+            q = row[j]
+            if q:
+                mults.append((i, Rat(q * den[k], den[i] * p)))
+                b = q if p > 0 else -q
+                new = row[:j] + [a * x - b * y for x, y in zip(row[j:], top[j:])]
+                num[i], den[i] = _divide_out(new, a * den[i])
+        if mults:
+            v = lcm(*(mu.denominator for _, mu in mults))
+            us = [(i, mu.numerator * (v // mu.denominator)) for i, mu in mults]
+            for row in num:
+                acc = v * row[k]
+                for i, u in us:
+                    if row[i]:
+                        acc += u * row[i]
+                row[k] = acc
+            num[k], den[k] = _divide_out(num[k], v * den[k])
 
 
 def char_poly(p: RationalMatrix) -> CharPoly:
@@ -116,32 +151,38 @@ def char_poly(p: RationalMatrix) -> CharPoly:
     n = p.rows
     if n > EXACT_DIM_CAP:
         raise ValueError(f"dimension {n} exceeds the exact char-poly cap {EXACT_DIM_CAP}")
-    if n == 0:
-        return CharPoly([Rat(1)])
-    h = _hessenberg([p.row(i) for i in range(n)])
-    zero, one = Rat(0), Rat(1)
-    polys = [[one]]  # p_0 = 1
+    num, den = p.num.tolist(), p.den.tolist()
+    _hessenberg(num, den)
+
+    def h(i: int, c: int):
+        return Rat(num[i][c], den[i])
+
+    # p_m = det(xI - H_m) of the leading m x m block, as integer coefficients
+    # over one denominator:
+    # p_m = (x - h_mm) p_{m-1} - sum_i h_im h_{i+1,i} ... h_{m,m-1} p_{i-1}
+    polys = [([1], 1)]
     for m in range(1, n + 1):
-        prev = polys[m - 1]
-        cur = [zero] * (m + 1)
-        hm = h[m - 1][m - 1]
-        for i, c in enumerate(prev):  # (x - h_mm) * p_{m-1}
-            cur[i + 1] += c
-            if hm:
-                cur[i] -= hm * c
-        prod = one
+        diag = h(m - 1, m - 1)
+        terms = [(m, -diag)] if diag else []
+        prod = Rat(1)
         for i in range(m - 1, 0, -1):
-            prod *= h[i][i - 1]
+            prod *= h(i, i - 1)
             if not prod:
                 break
-            coeff = h[i - 1][m - 1]
-            if coeff:
-                scale = coeff * prod
-                for d, c in enumerate(polys[i - 1]):
-                    if c:
-                        cur[d] -= scale * c
-        polys.append(cur)
-    return CharPoly(polys[n])
+            if num[i - 1][m - 1]:
+                terms.append((i, -h(i - 1, m - 1) * prod))
+        prev, prev_den = polys[m - 1]
+        common = lcm(prev_den, *(s.denominator * polys[i - 1][1] for i, s in terms))
+        cur = [0] + [common // prev_den * c for c in prev]
+        for i, s in terms:
+            coeffs, d = polys[i - 1]
+            f = s.numerator * (common // (s.denominator * d))
+            for e, c in enumerate(coeffs):
+                if c:
+                    cur[e] += f * c
+        polys.append(_divide_out(cur, common))
+    coeffs, d = polys[n]
+    return CharPoly([Rat(c, d) for c in coeffs])
 
 
 def _divisors(d: int) -> list[int]:
@@ -227,28 +268,37 @@ def spectrum_equal_report(
 
 
 def eigen_nullspace(p: RationalMatrix, lam) -> list[list]:
-    """Exact basis of ker(P - lam I) via rational Gauss-Jordan elimination."""
+    """Exact basis of ker(P - lam I) by fraction-free Gauss-Jordan elimination.
+
+    Row i of P - lam I is scaled to integers by den_i and lam's denominator;
+    each update row <- a row - f pivot_row (a the pivot, f the row's entry
+    in its column) is divided by its gcd.  Row r ends as a multiple of row r
+    of the reduced row echelon form, so basis vector fc has
+    v[pc] = -row_r[fc] / row_r[pc]."""
     if p.rows != p.cols:
         raise ValueError("matrix is not square")
     n = p.rows
     lam = Rat(lam)
-    m = [[p.data[i][j] - (lam if i == j else Rat(0)) for j in range(n)] for i in range(n)]
+    m = []
+    for i, (row, d) in enumerate(zip(p.num.tolist(), p.den.tolist())):
+        row = [lam.denominator * x for x in row]
+        row[i] -= lam.numerator * d
+        m.append(_divide_out(row)[0])
     pivots: list[int] = []
-    row = 0
     for col in range(n):
-        piv = next((r for r in range(row, n) if m[r][col]), None)
+        top = len(pivots)
+        piv = next((r for r in range(top, n) if m[r][col]), None)
         if piv is None:
             continue
-        m[row], m[piv] = m[piv], m[row]
-        inv = 1 / m[row][col]
-        m[row] = [v * inv for v in m[row]]
+        m[top], m[piv] = m[piv], m[top]
+        pivot_row = m[top]
+        a = pivot_row[col]
         for r in range(n):
-            if r != row and m[r][col]:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[row])]
+            f = m[r][col]
+            if f and r != top:
+                m[r] = _divide_out([a * x - f * y for x, y in zip(m[r], pivot_row)])[0]
         pivots.append(col)
-        row += 1
-        if row == n:
+        if len(pivots) == n:
             break
     free = [c for c in range(n) if c not in pivots]
     basis = []
@@ -256,7 +306,7 @@ def eigen_nullspace(p: RationalMatrix, lam) -> list[list]:
         v = [Rat(0)] * n
         v[fc] = Rat(1)
         for r, pc in enumerate(pivots):
-            v[pc] = -m[r][fc]
+            v[pc] = Rat(-m[r][fc], m[r][pc])
         basis.append(v)
     return basis
 

@@ -277,6 +277,23 @@ def test_mix_json_digest(tmp_path, config):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == MIX_JSON_DIGESTS[config]
 
 
+# sha256 of the stdout of `verify` at the defaults; coord 3,4 (105 rows of M)
+# runs eigenvector intertwining and the gap reports past the tiny goldens
+VERIFY_STDOUT_DIGESTS = {
+    ("coord", 3, 4): "a0cb50f7ec1379da939d8e51f154ea5d168d4dcd4343e3adc5ab5fe740fef3d8",
+}
+
+
+@pytest.mark.parametrize("config", list(VERIFY_STDOUT_DIGESTS), ids=lambda c: "{}{},{}".format(*c))
+def test_verify_stdout_digest(capsys, config):
+    model, k, n = config
+    code = main(["verify", "--model", model, "--k", str(k), "--n", str(n)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "PASS eigenvector_intertwining" in out
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_STDOUT_DIGESTS[config]
+
+
 def test_sample_zero_steps_point_mass(tmp_path):
     out = tmp_path / "s.json"
     code = main(["sample", "--model", "value", "--k", "3", "--n", "2",

@@ -1,8 +1,10 @@
 """Characteristic polynomials, shared spectra, intertwining, gap reports."""
 
+import hashlib
+
 import pytest
 
-from burnside._rat import Rat
+from burnside._rat import Rat, rat_str
 from burnside.actions import random_tabled_action, value_spec
 from burnside.kernels import build_bundle
 from burnside.ratmat import RationalMatrix
@@ -63,6 +65,64 @@ def charpoly_oracle(m: RationalMatrix):
     return coeffs + [Rat(0)] * (n + 1 - len(coeffs))
 
 
+def nullspace_oracle(m: RationalMatrix, lam) -> tuple[list, list]:
+    """Rational Gauss-Jordan on M - lam I: its pivot columns and the basis of
+    ker(M - lam I) read off the reduced row echelon form."""
+    n = m.rows
+    rows = [[m.data[i][j] - (lam if i == j else 0) for j in range(n)] for i in range(n)]
+    pivots = []
+    for col in range(n):
+        top = len(pivots)
+        piv = next((r for r in range(top, n) if rows[r][col]), None)
+        if piv is None:
+            continue
+        rows[top], rows[piv] = rows[piv], rows[top]
+        rows[top] = [v / rows[top][col] for v in rows[top]]
+        for r in range(n):
+            if r != top and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[top])]
+        pivots.append(col)
+    basis = []
+    for fc in (c for c in range(n) if c not in pivots):
+        v = [Rat(0)] * n
+        v[fc] = Rat(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -rows[r][fc]
+        basis.append(v)
+    return pivots, basis
+
+
+# Matrices whose Hessenberg reduction takes the rarer branches.
+ELIMINATION_CASES = {
+    # column 0 has a zero subdiagonal entry and a nonzero below it: a swap
+    "pivot_swap": [[1, 2, 3, 0], [0, 1, 1, 2], [0, 0, 2, 1], [5, 0, 2, 1]],
+    # nothing below the subdiagonal in any column: every step is skipped
+    "zero_subdiagonal": [[1, 2, 3, 4], [0, 4, 5, 6], [0, 0, 6, 7], [0, 0, 0, 8]],
+    # column 0 already cleared, so step 0 finds no pivot and step 1 runs
+    "zero_column": [[1, 2, 3, 4], [0, 4, 5, 6], [0, 1, 6, 7], [0, 3, 0, 8]],
+    "negative_pivot": [[1, 2, 3, 1], [-2, 1, 1, 0], [3, 1, 0, 2], [-1, 0, 2, 1]],
+    # row 2 is twice row 1, so clearing column 0 leaves it zero
+    "row_becomes_zero": [[1, 0, 0, 0], [1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 0, 1]],
+    "fractions_and_signs": [
+        [Rat(1, 2), Rat(-1, 3), 0, Rat(5, 6), 0],
+        [Rat(-3, 4), 0, Rat(2, 5), 0, 1],
+        [Rat(3, 8), Rat(1, 7), 0, 0, Rat(-2, 3)],
+        [0, Rat(-1, 6), Rat(4, 9), Rat(1, 2), 0],
+        [Rat(9, 10), 0, 0, Rat(-1, 5), Rat(1, 4)],
+    ],
+}
+
+
+def _random_matrix(rng, n: int, zero_share: float) -> RationalMatrix:
+    def entry():
+        if rng.random() < zero_share:
+            return Rat(0)
+        return Rat(int(rng.integers(-4, 5)), int(rng.integers(1, 7)))
+
+    return RationalMatrix([[entry() for _ in range(n)] for _ in range(n)])
+
+
 class TestCharPoly:
     def test_identity(self):
         cp = char_poly(RationalMatrix.identity(2))
@@ -70,14 +130,33 @@ class TestCharPoly:
 
     def test_cofactor_oracle(self):
         rng = make_rng(31)
-        for _ in range(6):
-            n = int(rng.integers(2, 6))
-            data = [
-                [Rat(int(rng.integers(-3, 4)), int(rng.integers(1, 4))) for _ in range(n)]
-                for _ in range(n)
-            ]
-            m = RationalMatrix(data)
+        for trial in range(40):
+            n = int(rng.integers(1, 8))
+            m = _random_matrix(rng, n, (0.0, 0.4, 0.7, 0.9)[trial % 4])
             assert char_poly(m).coeffs == charpoly_oracle(m)
+
+    @pytest.mark.parametrize("case", list(ELIMINATION_CASES))
+    def test_elimination_cases(self, case):
+        m = RationalMatrix(ELIMINATION_CASES[case])
+        assert char_poly(m).coeffs == charpoly_oracle(m)
+
+    def test_empty_matrix(self):
+        assert char_poly(RationalMatrix.zeros(0, 0)).coeffs == [Rat(1)]
+
+    # sha256 of the coefficients as "p/q" strings joined by newlines
+    @pytest.mark.parametrize(
+        "key, which, digest",
+        [
+            (("value", 5, 3), "Q", "b36ac581a58be849c9e88d837d7116635905ec5870ff22285d636e7075e7db32"),
+            (("value", 5, 3), "K", "6901c5dc7307496438ac0b9df8dfb92e2183db989271525aa8c5f1d322c3cef0"),
+            (("value", 4, 4), "K", "d583551d63df791ae12febf78b61a74da256294c213995e88455ae20e554d40f"),
+        ],
+        ids=["value5,3-Q", "value5,3-K", "value4,4-K"],
+    )
+    def test_kernel_digest(self, bundles, key, which, digest):
+        coeffs = char_poly(getattr(bundles(*key), which)).coeffs
+        text = "\n".join(rat_str(c) for c in coeffs)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_vanishes_at_one_for_stochastic(self, bundles):
         for key in [("value", 3, 2), ("value", 4, 3), ("coord", 2, 4), ("coord", 3, 3)]:
@@ -199,6 +278,36 @@ class TestIntertwine:
         vq = eigen_nullspace(golden_coord.Q, Rat(1, 4))
         vk = eigen_nullspace(golden_coord.K, Rat(1, 4))
         assert len(vq) == len(vk) == 3
+
+
+class TestEigenNullspace:
+    def test_planted_eigenvalue(self):
+        # M = U W + lam I with U n x r and W r x n: lam is an eigenvalue of
+        # geometric multiplicity at least n - r
+        rng = make_rng(47)
+        for trial in range(40):
+            n = int(rng.integers(1, 8))
+            r = int(rng.integers(0, n))
+            lam = Rat(int(rng.integers(-3, 4)), int(rng.integers(1, 4)))
+            zero_share = (0.0, 0.5, 0.8)[trial % 3]
+            u = _random_matrix(rng, max(n, r), zero_share).data
+            w = _random_matrix(rng, max(n, r), zero_share).data
+            data = [
+                [sum((u[i][t] * w[t][j] for t in range(r)), Rat(0)) + (lam if i == j else 0)
+                 for j in range(n)]
+                for i in range(n)
+            ]
+            m = RationalMatrix(data)
+            pivots, expected = nullspace_oracle(m, lam)
+            basis = eigen_nullspace(m, lam)
+            assert len(basis) == n - len(pivots) >= n - r
+            for v in basis:
+                assert m.mul_vec(v) == [lam * x for x in v]
+            assert basis == expected
+
+    def test_not_an_eigenvalue(self):
+        m = RationalMatrix(ELIMINATION_CASES["negative_pivot"])
+        assert eigen_nullspace(m, Rat(1, 7)) == nullspace_oracle(m, Rat(1, 7))[1] == []
 
 
 class TestDZ:
