@@ -46,14 +46,16 @@ M_EXPORT_ROWS = 1024
 # verify squares M (block_flip_square) up to this many rows.
 BLOCK_FLIP_ROWS = 300
 # verify runs intertwining and the gap reports up to this many rows of M.
-# Past it they take tens of seconds: intertwining 18 s and the gap reports
-# 3 s on value 4,4 (271 rows), 50 s and 35 s on coord 3,5 (363 rows), against
-# 1.8 s and 1.5 s on coord 2,5 (152 rows; 2-vCPU VM, Python 3.11).
+# Past it intertwining takes tens of seconds: 16 s on value 4,4 (271 rows)
+# and 41 s on coord 3,5 (363 rows), against 1.5 s on coord 2,5 (152 rows),
+# while the gap reports take 0.7 s, 1.2 s and 0.1 s (2-vCPU VM, Python 3.11).
 EIGEN_ROWS = 200
 # verify rebuilds Q from the closed forms (|G*|^2 entries) up to this many duals.
 DIRECT_Q_DUALS = 200
-# verify compares the closed forms on every dual pair up to this many duals,
-# else on a grid of about this many rows and columns.
+# verify compares the closed forms on a grid of every (nd // this)-th dual
+# plus the identity, nd the number of duals.  Below 80 duals the step is 1, so
+# every pair is compared (all 5776 on value 5,3); from 80 duals on the grid
+# has 40 to 61 rows and columns.
 CLOSED_FORM_DUALS = 40
 
 def _spec_from_args(args) -> ActionSpec:
@@ -113,14 +115,9 @@ class _Checker:
 
 
 def _closed_form_pairs(bundle):
-    """All dual pairs when the dual space is small, else a deterministic
-    sample that always includes the identity row and column."""
+    """Dual pairs on a deterministic grid that always includes the identity
+    row and column: every pair below 2 * CLOSED_FORM_DUALS duals."""
     nd = bundle.num_duals
-    if nd <= CLOSED_FORM_DUALS:
-        for gi in range(nd):
-            for hi in range(nd):
-                yield gi, hi
-        return
     idx = sorted(set(range(0, nd, max(1, nd // CLOSED_FORM_DUALS))) | {bundle.e_index})
     for gi in idx:
         for hi in idx:

@@ -8,8 +8,9 @@ fraction-free row updates and diagonal similarities; the recurrence on
 integer coefficients over one denominator per polynomial.  Fractions appear
 only once per row or entry, never in the cubic loops.  eigen_nullspace is
 fraction-free Gauss-Jordan elimination on the same integer rows.  Rational
-roots are peeled off with candidate denominators taken from the matrix
-entries; the remaining factor is handed to a float companion-matrix solver.
+roots are peeled off at candidates read from the float spectrum of the
+symmetrized kernel and accepted only by exact evaluation; the remaining
+factor is handed to a float companion-matrix solver.
 
 For kernel pairs too large for exact elimination, spectrum_equal_report
 falls back to a factorization certificate: it verifies Q == A B and
@@ -47,9 +48,12 @@ __all__ = [
 
 # Above this dimension char_poly refuses, the shared-spectrum check switches
 # to the factorization certificate and gap reports use floats.  The limit is
-# set by the exact gap report, not by elimination: on the 512-dim K of
-# coord 8,3, char_poly takes 0.2 s and gap_report 13 s, nearly all of it in
-# extract_rational_roots (2-vCPU VM, Python 3.11).
+# set by the exact gap report: on the 512-dim K of coord 8,3, char_poly takes
+# 0.16 s and gap_report 2.3 s, most of it in the Rat evaluations and
+# deflations of extract_rational_roots, which grow with the square of the
+# degree (2-vCPU VM, Python 3.11).  Its float candidates also stay complete
+# only while the eigenvalue error, which grows with the dimension, times the
+# denominator lcm stays under 1/2.
 EXACT_DIM_CAP = 512
 # Float eigenvalues agree with a closed form, or with each other, within this.
 FLOAT_TOL = 1e-9
@@ -185,33 +189,20 @@ def char_poly(p: RationalMatrix) -> CharPoly:
     return CharPoly([Rat(c, d) for c in coeffs])
 
 
-def _divisors(d: int) -> list[int]:
-    """Divisors of d by trial division; empty above 10**7, where that is slow."""
-    if not 0 < d <= 10_000_000:
-        return []
-    out = set()
-    i = 1
-    while i * i <= d:
-        if d % i == 0:
-            out.add(i)
-            out.add(d // i)
-        i += 1
-    return sorted(out)
+def extract_rational_roots(poly: CharPoly, p: RationalMatrix, pi):
+    """Peel the rational roots off poly, the char poly of p, a kernel
+    reversible with respect to pi; returns ({root: multiplicity}, remaining
+    CharPoly).
 
-
-def _lcm_denominators(p: RationalMatrix) -> int:
-    return lcm(*p.den.tolist())
-
-
-def extract_rational_roots(poly: CharPoly, denominator_hint: int = 1):
-    """Peel off rational roots in [-1, 1] using candidate denominators from
-    the matrix entries; returns ({root: multiplicity}, remaining CharPoly)."""
-    qs = set(range(1, 13)) | set(_divisors(denominator_hint))
-    candidates = {Rat(0)}
-    for q in qs:
-        for p in range(-q, q + 1):
-            if gcd(abs(p), q) == 1 or p == 0:
-                candidates.add(Rat(p, q))
+    L P is an integer matrix for L the lcm of p's row denominators, so every
+    rational root is m / L with m an integer.  Each float eigenvalue mu of
+    the symmetrized kernel gives one candidate m = round(L mu), computed
+    exactly; a candidate counts only if poly vanishes there exactly.  The
+    set is complete whenever L times the float error stays under 1/2, which
+    holds for any L below about 10**11 at 512 dimensions."""
+    big_l = lcm(*p.den.tolist())
+    eigs = np.linalg.eigvalsh(_symmetrized(p, pi))
+    candidates = {Rat(round(Rat(float(mu)) * big_l), big_l) for mu in eigs}
     roots: dict = {}
     rem = poly
     # largest first so the report reads top-down
@@ -325,8 +316,8 @@ def intertwine_check(bundle: ChainBundle) -> dict:
         "KB_eq_BQ": (k @ b) == (b @ q),
         "eigenvalues": {},
     }
-    small = q if q.rows <= k.rows else k
-    roots, _ = extract_rational_roots(char_poly(small), _lcm_denominators(small))
+    small, pi = (q, bundle.piQ) if q.rows <= k.rows else (k, bundle.piK)
+    roots, _ = extract_rational_roots(char_poly(small), small, pi)
     for lam in sorted((r for r in roots if r != 0), reverse=True):
         vk = eigen_nullspace(k, lam)
         vq = eigen_nullspace(q, lam)
@@ -450,7 +441,7 @@ def gap_report(p: RationalMatrix, pi, name: str = "") -> SpectrumReport:
         poly = char_poly(p)
         if poly(Rat(1)) != 0:
             raise AssertionError("characteristic polynomial does not vanish at 1")
-        roots, rem = extract_rational_roots(poly, _lcm_denominators(p))
+        roots, rem = extract_rational_roots(poly, p, pi)
         exact_roots = sorted(roots.items(), reverse=True)
         remaining_degree = rem.degree
         floats = []

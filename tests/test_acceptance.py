@@ -113,7 +113,7 @@ def test_criterion_1_golden_matrices():
         and as_strings(bc.K) == goldens.COORD_23_K
     )
     for bundle, expect in ((bv, goldens.VALUE_32_SPEC_Q), (bc, goldens.COORD_23_SPEC_Q)):
-        roots, rem = extract_rational_roots(char_poly(bundle.Q), 24)
+        roots, rem = extract_rational_roots(char_poly(bundle.Q), bundle.Q, bundle.piQ)
         ok = ok and rem.degree == 0 and {str(r): m for r, m in roots.items()} == expect
     ok = ok and elapsed["value"] < 1.0 and elapsed["coord"] < 1.0
     report(

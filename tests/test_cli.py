@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -278,9 +282,12 @@ def test_mix_json_digest(tmp_path, config):
 
 
 # sha256 of the stdout of `verify` at the defaults; coord 3,4 (105 rows of M)
-# runs eigenvector intertwining and the gap reports past the tiny goldens
+# runs eigenvector intertwining and the gap reports past the tiny goldens, and
+# value 5,2 (101 rows) keeps a degree-8 irrational factor in both spectra, so
+# its gap reports also take the float-root path
 VERIFY_STDOUT_DIGESTS = {
     ("coord", 3, 4): "a0cb50f7ec1379da939d8e51f154ea5d168d4dcd4343e3adc5ab5fe740fef3d8",
+    ("value", 5, 2): "7ae9ce810192e6d132c9da49a0589eafb09c632c972888636c1fc599d33bdfb2",
 }
 
 
@@ -292,6 +299,24 @@ def test_verify_stdout_digest(capsys, config):
     assert code == 0
     assert "PASS eigenvector_intertwining" in out
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_STDOUT_DIGESTS[config]
+
+
+def test_runs_without_scipy():
+    """scipy is a test-only dependency: verify and sample run with it blocked."""
+    script = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from burnside.cli import main\n"
+        "assert main(['verify', '--model', 'value', '--k', '3', '--n', '2']) == 0\n"
+        "sys.exit(main(['sample', '--model', 'coord', '--k', '2', '--n', '6', '--steps', '100']))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "FAIL" not in proc.stdout
 
 
 def test_sample_zero_steps_point_mass(tmp_path):

@@ -172,23 +172,23 @@ class TestCharPoly:
 
 class TestRationalRoots:
     def test_golden_value_spectrum(self, golden_value):
-        roots, rem = extract_rational_roots(char_poly(golden_value.Q), 18)
+        roots, rem = extract_rational_roots(char_poly(golden_value.Q), golden_value.Q, golden_value.piQ)
         assert rem.degree == 0
         assert {str(r): m for r, m in roots.items()} == goldens.VALUE_32_SPEC_Q
-        roots_k, rem_k = extract_rational_roots(char_poly(golden_value.K), 18)
+        roots_k, rem_k = extract_rational_roots(char_poly(golden_value.K), golden_value.K, golden_value.piK)
         assert rem_k.degree == 0
         assert {str(r): m for r, m in roots_k.items()} == goldens.VALUE_32_SPEC_K
 
     def test_golden_coord_spectrum(self, golden_coord):
-        roots, rem = extract_rational_roots(char_poly(golden_coord.Q), 24)
+        roots, rem = extract_rational_roots(char_poly(golden_coord.Q), golden_coord.Q, golden_coord.piQ)
         assert rem.degree == 0
         assert {str(r): m for r, m in roots.items()} == goldens.COORD_23_SPEC_Q
-        roots_k, rem_k = extract_rational_roots(char_poly(golden_coord.K), 24)
+        roots_k, rem_k = extract_rational_roots(char_poly(golden_coord.K), golden_coord.K, golden_coord.piK)
         assert {str(r): m for r, m in roots_k.items()} == goldens.COORD_23_SPEC_K
 
     def test_deflation_reconstructs(self, golden_value):
         poly = char_poly(golden_value.Q)
-        roots, rem = extract_rational_roots(poly, 18)
+        roots, rem = extract_rational_roots(poly, golden_value.Q, golden_value.piQ)
         rebuilt = rem.coeffs
         for r, m in roots.items():
             for _ in range(m):
@@ -196,6 +196,35 @@ class TestRationalRoots:
                 for i in range(len(rebuilt) - 1):
                     rebuilt[i] -= r * rebuilt[i + 1]
         assert rebuilt == poly.coeffs
+
+    @staticmethod
+    def _assert_roots_match_eigenspaces(p, pi):
+        """A reversible kernel is diagonalizable, so each root's multiplicity
+        is the dimension of its eigenspace, found without the char poly."""
+        roots, rem = extract_rational_roots(char_poly(p), p, pi)
+        for r, m in roots.items():
+            assert len(eigen_nullspace(p, r)) == m, r
+        assert sum(roots.values()) + rem.degree == p.rows
+        return roots, rem
+
+    def test_value_52_pinned(self, bundles):
+        # the remainder keeps an irrational factor of degree 8 on both sides
+        b = bundles("value", 5, 2)
+        roots, rem = self._assert_roots_match_eigenspaces(b.Q, b.piQ)
+        assert {rat_str(r): m for r, m in roots.items()} == {"1": 1, "4/15": 1, "11/54": 5, "0": 61}
+        assert rem.degree == 8
+        roots, rem = self._assert_roots_match_eigenspaces(b.K, b.piK)
+        assert {rat_str(r): m for r, m in roots.items()} == {"1": 1, "4/15": 1, "11/54": 5, "0": 10}
+        assert rem.degree == 8
+
+    def test_multiplicities_are_eigenspace_dims(self, bundles):
+        b = bundles("coord", 3, 4)
+        self._assert_roots_match_eigenspaces(b.K, b.piK)
+        rng = make_rng(808)
+        for _ in range(5):
+            b = build_bundle(random_tabled_action(rng))
+            self._assert_roots_match_eigenspaces(b.Q, b.piQ)
+            self._assert_roots_match_eigenspaces(b.K, b.piK)
 
 
 class TestSpectrumEqual:
@@ -322,7 +351,7 @@ class TestDZ:
 
     def test_exact_roots_contain_dz_values(self, bundles):
         b = bundles("coord", 2, 4)
-        roots, rem = extract_rational_roots(char_poly(b.K), 2 * 16 * 24)
+        roots, rem = extract_rational_roots(char_poly(b.K), b.K, b.piK)
         assert rem.degree == 0
         nontrivial = {r for r in roots if r not in (Rat(0), Rat(1))}
         assert nontrivial == set(dz_eigenvalues(4))
