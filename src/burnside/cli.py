@@ -48,7 +48,7 @@ BLOCK_FLIP_ROWS = 300
 # verify runs intertwining and the gap reports up to this many rows of M.
 # Past it intertwining takes tens of seconds: 16 s on value 4,4 (271 rows)
 # and 41 s on coord 3,5 (363 rows), against 1.5 s on coord 2,5 (152 rows),
-# while the gap reports take 0.7 s, 1.2 s and 0.1 s (2-vCPU VM, Python 3.11).
+# while the gap reports take 0.07 s, 0.25 s and 0.12 s (2-vCPU VM, Python 3.11).
 EIGEN_ROWS = 200
 # verify rebuilds Q from the closed forms (|G*|^2 entries) up to this many duals.
 DIRECT_Q_DUALS = 200

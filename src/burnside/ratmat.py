@@ -263,8 +263,10 @@ class RationalMatrix:
         row_sums = _wide(self.num, self.cols).sum(axis=1)
         return bool((self.num >= 0).all()) and np.array_equal(row_sums, self.den)
 
-    def to_float_array(self):
-        return np.array([[float(v) for v in row] for row in self.data], dtype=float)
+    def to_float_array(self) -> np.ndarray:
+        """Entries as num / den in Python ints: rounded once, as float(Fraction)."""
+        rows = [[x / d for x in row] for row, d in zip(self.num.tolist(), self.den.tolist())]
+        return np.array(rows, dtype=float).reshape(self.rows, self.cols)
 
     @classmethod
     def block_flip(cls, a: "RationalMatrix", b: "RationalMatrix") -> "RationalMatrix":

@@ -7,10 +7,10 @@ straight from ``RationalMatrix.num``/``den`` and kept integral by
 fraction-free row updates and diagonal similarities; the recurrence on
 integer coefficients over one denominator per polynomial.  Fractions appear
 only once per row or entry, never in the cubic loops.  eigen_nullspace is
-fraction-free Gauss-Jordan elimination on the same integer rows.  Rational
-roots are peeled off at candidates read from the float spectrum of the
-symmetrized kernel and accepted only by exact evaluation; the remaining
-factor is handed to a float companion-matrix solver.
+fraction-free Gauss-Jordan elimination on the same integer rows.  Gaps
+always come from the float spectrum of the symmetrized kernel; up to
+EXACT_DIM_CAP it also proposes the rational roots of the char poly, each
+certified by one exact integer division by q x - p (no companion matrix).
 
 For kernel pairs too large for exact elimination, spectrum_equal_report
 falls back to a factorization certificate: it verifies Q == A B and
@@ -28,6 +28,7 @@ from math import comb, gcd, lcm
 import numpy as np
 
 from ._rat import Rat, rat_str
+from .actions import coord_spec, stabilizer_size, words
 from .kernels import ChainBundle, check_detailed_balance
 from .ratmat import RationalMatrix, rows_are_products
 
@@ -47,13 +48,12 @@ __all__ = [
 ]
 
 # Above this dimension char_poly refuses, the shared-spectrum check switches
-# to the factorization certificate and gap reports use floats.  The limit is
-# set by the exact gap report: on the 512-dim K of coord 8,3, char_poly takes
-# 0.16 s and gap_report 2.3 s, most of it in the Rat evaluations and
-# deflations of extract_rational_roots, which grow with the square of the
-# degree (2-vCPU VM, Python 3.11).  Its float candidates also stay complete
-# only while the eigenvalue error, which grows with the dimension, times the
-# denominator lcm stays under 1/2.
+# to the factorization certificate and gap reports certify no exact roots.
+# The limit is set by char_poly, run on Q and K: 0.14 s on the 512-dim K of
+# coord 8,3, 0.85 s at 625 dims (value 5,4), 6.1 s at 1024 (coord 4,5; 2-vCPU
+# VM, Python 3.11).  The float root candidates stay complete while the lcm L
+# of the row denominators times the eigenvalue error stays under 1/2; on
+# those kernels it is at most 8e-9 (value 5,4, L = 9720000).
 EXACT_DIM_CAP = 512
 # Float eigenvalues agree with a closed form, or with each other, within this.
 FLOAT_TOL = 1e-9
@@ -61,37 +61,49 @@ FLOAT_TOL = 1e-9
 
 @dataclass
 class CharPoly:
-    """det(xI - P) with exact coefficients, ascending powers, leading 1."""
+    """det(xI - P) as integer coefficients (ascending powers) over one positive
+    denominator, gcd-reduced so equal polynomials have equal fields."""
 
-    coeffs: list
+    num: list
+    den: int = 1
+
+    def __post_init__(self) -> None:
+        self.num, self.den = _divide_out(list(self.num), self.den)
+
+    @property
+    def coeffs(self) -> list:
+        return [Rat(c, self.den) for c in self.num]
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
 
-    def __call__(self, x):
-        acc = Rat(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, CharPoly) and self.coeffs == other.coeffs
+    def __call__(self, x) -> Rat:
+        """The value at x = a/b: sum num_i a^i b^(d-i) over den b^d."""
+        a, b = Rat(x).as_integer_ratio()
+        acc, scale = 0, 1
+        for c in reversed(self.num):
+            acc, scale = acc * a + c * scale, scale * b
+        return Rat(acc, self.den * b**self.degree)
 
     def shifted(self, extra_zeros: int) -> "CharPoly":
         """Multiply by x^extra_zeros."""
-        return CharPoly([Rat(0)] * extra_zeros + list(self.coeffs))
+        return CharPoly([0] * extra_zeros + self.num, self.den)
 
-    def deflate(self, root) -> "CharPoly":
-        """Exact synthetic division by (x - root); the root must be exact."""
-        out = [Rat(0)] * self.degree
-        acc = Rat(0)
-        for i in range(self.degree, 0, -1):
-            acc = self.coeffs[i] + acc * root
-            out[i - 1] = acc
-        if self.coeffs[0] + acc * root != 0:
-            raise ValueError(f"{root} is not a root")
-        return CharPoly(out)
+    def deflate(self, root) -> "CharPoly | None":
+        """The quotient by (x - root) if root is a root, else None.
+
+        With root = p/q in lowest terms, num is divided by the primitive
+        integer polynomial q x - p; by Gauss's lemma the division is exact,
+        every quotient coefficient an integer, iff root is a root."""
+        p, q = Rat(root).as_integer_ratio()
+        out, acc = [], 0  # num = (q x - p) out: num[i + 1] = q out[i] - p out[i + 1]
+        for c in reversed(self.num[1:]):
+            acc, r = divmod(c + p * acc, q)
+            if r:
+                return None
+            out.append(q * acc)  # rescaled by q: the quotient by x - p/q
+        return None if self.num[0] + p * acc else CharPoly(out[::-1], self.den)
 
 
 def _divide_out(row: list, d: int = 0) -> tuple[list, int]:
@@ -185,8 +197,7 @@ def char_poly(p: RationalMatrix) -> CharPoly:
                 if c:
                     cur[e] += f * c
         polys.append(_divide_out(cur, common))
-    coeffs, d = polys[n]
-    return CharPoly([Rat(c, d) for c in coeffs])
+    return CharPoly(*polys[n])
 
 
 def extract_rational_roots(poly: CharPoly, p: RationalMatrix, pi):
@@ -197,19 +208,21 @@ def extract_rational_roots(poly: CharPoly, p: RationalMatrix, pi):
     L P is an integer matrix for L the lcm of p's row denominators, so every
     rational root is m / L with m an integer.  Each float eigenvalue mu of
     the symmetrized kernel gives one candidate m = round(L mu), computed
-    exactly; a candidate counts only if poly vanishes there exactly.  The
+    exactly; a candidate counts only if it divides out of poly exactly.  The
     set is complete whenever L times the float error stays under 1/2, which
     holds for any L below about 10**11 at 512 dimensions."""
+    return _peel_roots(poly, p, np.linalg.eigvalsh(_symmetrized(p, pi)))
+
+
+def _peel_roots(poly: CharPoly, p: RationalMatrix, eigs):
     big_l = lcm(*p.den.tolist())
-    eigs = np.linalg.eigvalsh(_symmetrized(p, pi))
     candidates = {Rat(round(Rat(float(mu)) * big_l), big_l) for mu in eigs}
-    roots: dict = {}
-    rem = poly
+    roots, rem = {}, poly
     # largest first so the report reads top-down
     for cand in sorted(candidates, reverse=True):
-        while rem.degree > 0 and rem(cand) == 0:
+        while rem.degree > 0 and (quotient := rem.deflate(cand)) is not None:
             roots[cand] = roots.get(cand, 0) + 1
-            rem = rem.deflate(cand)
+            rem = quotient
     return roots, rem
 
 
@@ -358,24 +371,16 @@ def dz_eigenvalues(n: int) -> list:
 
 def dz_check(n: int, k_matrix: RationalMatrix) -> bool:
     """Distinct nontrivial nonzero eigenvalues of K match the closed list,
-    each within FLOAT_TOL."""
-    eigs = np.linalg.eigvalsh(_symmetrized(k_matrix, _uniformish_pi(k_matrix)))
+    each within FLOAT_TOL; K is symmetrized by pi_K(x), proportional to |G_x|."""
+    spec = coord_spec(2, n)
+    pi = [stabilizer_size(spec, x) for x in words(spec)]
+    eigs = np.linalg.eigvalsh(_symmetrized(k_matrix, pi))
     nontrivial = [x for x in eigs if abs(x - 1.0) > 1e-6 and abs(x) > 1e-6]
     found = sorted(set(round(float(x), 12) for x in nontrivial), reverse=True)
     expected = sorted((float(v) for v in dz_eigenvalues(n)), reverse=True)
     if len(found) != len(expected):
         return False
     return all(abs(f - e) <= FLOAT_TOL for f, e in zip(found, expected))
-
-
-def _uniformish_pi(p: RationalMatrix):
-    """A positive stationary vector for symmetrization, solved in floats."""
-    a = p.to_float_array()
-    w, v = np.linalg.eig(a.T)
-    idx = int(np.argmin(np.abs(w - 1.0)))
-    pi = np.real(v[:, idx])
-    pi = np.abs(pi)
-    return pi / pi.sum()
 
 
 def _symmetrized(p: RationalMatrix, pi) -> np.ndarray:
@@ -428,37 +433,28 @@ def bundle_gap_report(bundle: ChainBundle) -> tuple[SpectrumReport, SpectrumRepo
 
 
 def gap_report(p: RationalMatrix, pi, name: str = "") -> SpectrumReport:
-    """Spectral gap, absolute gap and relaxation time of a reversible kernel:
-    from the exact char poly up to EXACT_DIM_CAP states, from floats above."""
+    """Spectral gap, absolute gap and relaxation time of a reversible kernel
+    from the float spectrum of its symmetrization; up to EXACT_DIM_CAP states
+    the rational roots of the exact char poly are certified beside it."""
     if not check_detailed_balance(p, pi):
         raise ValueError("kernel is not reversible with respect to pi")
     if p.rows == 1:
         # single-state chain: gaps are 1 by convention
         return SpectrumReport(name, 1, [(Rat(1), 1)], 0, [1.0], 1.0, 1.0, 1.0)
-    exact_roots: list = []
-    remaining_degree = 0
+    eigs = np.linalg.eigvalsh(_symmetrized(p, pi))
+    exact_roots, remaining_degree, mode = [], 0, "float"
     if p.rows <= EXACT_DIM_CAP:
         poly = char_poly(p)
         if poly(Rat(1)) != 0:
             raise AssertionError("characteristic polynomial does not vanish at 1")
-        roots, rem = extract_rational_roots(poly, p, pi)
+        roots, rem = _peel_roots(poly, p, eigs)
         exact_roots = sorted(roots.items(), reverse=True)
         remaining_degree = rem.degree
-        floats = []
-        for r, m in exact_roots:
-            floats.extend([float(r)] * m)
-        if rem.degree > 0:
-            floats.extend(float(np.real(z)) for z in np.roots([float(c) for c in reversed(rem.coeffs)]))
         mode = "exact" if remaining_degree == 0 else "exact+float"
-    else:
-        floats = [float(x) for x in np.linalg.eigvalsh(_symmetrized(p, pi))]
-        mode = "float"
-    floats.sort(reverse=True)
-    below_one = [x for x in floats if x < 1.0 - FLOAT_TOL]
-    lam1 = max(below_one) if below_one else 1.0
+    floats = sorted((float(x) for x in eigs), reverse=True)
+    lam1 = max((x for x in floats if x < 1.0 - FLOAT_TOL), default=1.0)
     lam_star = max((abs(x) for x in floats[1:]), default=0.0)
-    gamma = 1.0 - lam1
-    gamma_star = 1.0 - lam_star
+    gamma, gamma_star = 1.0 - lam1, 1.0 - lam_star
     t_rel = float("inf") if gamma_star <= 0 else 1.0 / gamma_star
     return SpectrumReport(
         name, p.rows, exact_roots, remaining_degree, floats, gamma, gamma_star, t_rel, mode

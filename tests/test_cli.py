@@ -283,11 +283,12 @@ def test_mix_json_digest(tmp_path, config):
 
 # sha256 of the stdout of `verify` at the defaults; coord 3,4 (105 rows of M)
 # runs eigenvector intertwining and the gap reports past the tiny goldens, and
-# value 5,2 (101 rows) keeps a degree-8 irrational factor in both spectra, so
-# its gap reports also take the float-root path
+# value 5,2 (101 rows) keeps the irrational factor (432x^2 - 331x + 52)^4 in
+# both spectra, so its gaps (gamma* = 0.454428) rest on the float spectrum
+# alone
 VERIFY_STDOUT_DIGESTS = {
     ("coord", 3, 4): "a0cb50f7ec1379da939d8e51f154ea5d168d4dcd4343e3adc5ab5fe740fef3d8",
-    ("value", 5, 2): "7ae9ce810192e6d132c9da49a0589eafb09c632c972888636c1fc599d33bdfb2",
+    ("value", 5, 2): "68866fb02f9113c967899a22210ce1b98e20ee386258ff1769dac8296baf9735",
 }
 
 

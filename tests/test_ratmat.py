@@ -1,8 +1,10 @@
 """Exact matrix arithmetic and serialization round trips."""
 
 import json
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from burnside._rat import Rat, parse_rat, rat_str
@@ -143,6 +145,33 @@ def test_matmul_beyond_int64():
     _assert_exact_product(c, c)
     _assert_exact_product(c, a)
     _assert_exact_product(a, c)
+
+
+def test_to_float_array_matches_fraction_route():
+    """num / den in Python ints rounds once, as float(Fraction) does, also
+    for int64 numerators past 2**53 and for object rows past 2**63."""
+    rng = random.Random(4242)
+    for trial in range(36):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        regime = trial % 3
+        data = []
+        for _ in range(rows):
+            if regime == 0:
+                data.append([Rat(rng.randint(-1000, 1000), rng.randint(1, 12)) for _ in range(cols)])
+            elif regime == 1:  # one small denominator per row, numerators past 2**53
+                d = rng.choice([1, 3, 7, 11])
+                data.append([Rat(rng.randint(-(2**61), 2**61), d) for _ in range(cols)])
+            else:
+                data.append(
+                    [Rat(rng.randint(-(2**90), 2**90), rng.randint(1, 2**70)) for _ in range(cols)]
+                )
+        m = RationalMatrix(data)
+        assert (m.num.dtype == object) == (regime == 2)
+        floats = m.to_float_array()
+        assert floats.dtype == np.float64 and floats.shape == (rows, cols)
+        assert np.array_equal(floats, np.array([[float(v) for v in row] for row in m.data]))
+    assert RationalMatrix.zeros(0, 3).to_float_array().shape == (0, 3)
+    assert RationalMatrix.zeros(2, 0).to_float_array().shape == (2, 0)
 
 
 def test_entries_are_read_only():

@@ -1,6 +1,7 @@
 """Characteristic polynomials, shared spectra, intertwining, gap reports."""
 
 import hashlib
+import math
 
 import pytest
 
@@ -11,6 +12,7 @@ from burnside.ratmat import RationalMatrix
 from burnside.sampler import make_rng
 import burnside.spectra
 from burnside.spectra import (
+    CharPoly,
     char_poly,
     dz_check,
     dz_eigenvalues,
@@ -93,6 +95,41 @@ def nullspace_oracle(m: RationalMatrix, lam) -> tuple[list, list]:
     return pivots, basis
 
 
+def deflate_oracle(coeffs: list, root) -> list:
+    """Rational synthetic division of coeffs (ascending) by x - root; the
+    remainder must vanish."""
+    out = [Rat(0)] * (len(coeffs) - 1)
+    acc = Rat(0)
+    for i in range(len(coeffs) - 1, 0, -1):
+        acc = coeffs[i] + acc * root
+        out[i - 1] = acc
+    assert coeffs[0] + acc * root == 0
+    return out
+
+
+def horner_oracle(coeffs: list, x):
+    acc = Rat(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def poly_from_rats(coeffs: list) -> CharPoly:
+    d = math.lcm(*(c.denominator for c in coeffs))
+    return CharPoly([int(c * d) for c in coeffs], d)
+
+
+def int_poly_power(coeffs: list, e: int) -> list:
+    out = [1]
+    for _ in range(e):
+        prod = [0] * (len(out) + len(coeffs) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(coeffs):
+                prod[i + j] += a * b
+        out = prod
+    return out
+
+
 # Matrices whose Hessenberg reduction takes the rarer branches.
 ELIMINATION_CASES = {
     # column 0 has a zero subdiagonal entry and a nonzero below it: a swap
@@ -170,6 +207,59 @@ class TestCharPoly:
             char_poly(RationalMatrix.identity(4))
 
 
+class TestCharPolyDeflation:
+    @staticmethod
+    def _planted(rng):
+        """A monic polynomial with planted rational roots (some repeated)
+        times an irreducible quadratic x^2 + c x + e, c^2 < 4e."""
+        roots = {}
+        for _ in range(int(rng.integers(1, 5))):
+            r = Rat(int(rng.integers(-6, 7)), int(rng.integers(1, 9)))
+            roots[r] = roots.get(r, 0) + int(rng.integers(1, 4))
+        c = Rat(int(rng.integers(-3, 4)), int(rng.integers(1, 5)))
+        coeffs = [c * c + Rat(1, int(rng.integers(1, 7))), c, Rat(1)]
+        for r, m in roots.items():
+            for _ in range(m):
+                coeffs = [Rat(0)] + coeffs
+                for i in range(len(coeffs) - 1):
+                    coeffs[i] -= r * coeffs[i + 1]
+        return roots, coeffs
+
+    def test_planted_roots_match_oracle(self):
+        rng = make_rng(1913)
+        for _ in range(30):
+            roots, coeffs = self._planted(rng)
+            poly = poly_from_rats(coeffs)
+            assert poly.coeffs == coeffs
+            for r, m in roots.items():
+                for _ in range(m):
+                    assert poly(r) == 0
+                    coeffs = deflate_oracle(coeffs, r)
+                    poly = poly.deflate(r)
+                    assert poly.coeffs == coeffs
+                    assert poly == poly_from_rats(coeffs)
+                assert poly.deflate(r) is None
+            assert poly.degree == 2
+
+    def test_refuses_non_roots(self):
+        rng = make_rng(1914)
+        for _ in range(30):
+            roots, coeffs = self._planted(rng)
+            poly = poly_from_rats(coeffs)
+            for r in roots:
+                for other in (r + Rat(1, 9), r * 2 + 1, -r - Rat(1, 2)):
+                    if other not in roots:
+                        assert poly.deflate(other) is None
+                        assert poly(other) == horner_oracle(coeffs, other) != 0
+
+    def test_equal_polynomials_compare_equal(self):
+        assert CharPoly([2, 4, 2], 2) == CharPoly([1, 2, 1]) == CharPoly([3, 6, 3], 3)
+        assert CharPoly([6, -10, 4], 4) == poly_from_rats([Rat(3, 2), Rat(-5, 2), Rat(1)])
+        assert CharPoly([1, 2, 1]) != CharPoly([1, 2, 1], 2)
+        assert CharPoly([1, 1]).shifted(2) == CharPoly([0, 0, 3, 3], 3)
+        assert char_poly(RationalMatrix.identity(2)) == CharPoly([1, -2, 1])
+
+
 class TestRationalRoots:
     def test_golden_value_spectrum(self, golden_value):
         roots, rem = extract_rational_roots(char_poly(golden_value.Q), golden_value.Q, golden_value.piQ)
@@ -216,6 +306,21 @@ class TestRationalRoots:
         roots, rem = self._assert_roots_match_eigenspaces(b.K, b.piK)
         assert {rat_str(r): m for r, m in roots.items()} == {"1": 1, "4/15": 1, "11/54": 5, "0": 10}
         assert rem.degree == 8
+
+    # the irrational remainders are perfect powers of one quadratic factor
+    IRRATIONAL_REMAINDERS = {
+        ("value", 5, 2, "Q"): ([52, -331, 432], 4),
+        ("value", 5, 2, "K"): ([52, -331, 432], 4),
+        ("value", 6, 2, "K"): ([751, -4610, 5760], 5),
+    }
+
+    @pytest.mark.parametrize("key", list(IRRATIONAL_REMAINDERS), ids=lambda k: "{}{},{}-{}".format(*k))
+    def test_irrational_remainder_exact(self, bundles, key):
+        b = bundles(*key[:3])
+        p, pi = getattr(b, key[3]), getattr(b, "pi" + key[3])
+        factor, e = self.IRRATIONAL_REMAINDERS[key]
+        _, rem = extract_rational_roots(char_poly(p), p, pi)
+        assert rem == CharPoly(int_poly_power(factor, e), factor[-1] ** e)
 
     def test_multiplicities_are_eigenspace_dims(self, bundles):
         b = bundles("coord", 3, 4)
@@ -393,6 +498,22 @@ class TestGapReport:
                 assert all(abs(x) <= 1 + 1e-9 for x in rep.float_roots)
                 lam_star = max(abs(x) for x in rep.float_roots[1:])
                 assert lam_star < 1 - 1e-9
+
+    # gamma* = 1 - the larger root of the quadratic factor of the remainder
+    @pytest.mark.parametrize(
+        "key, gamma_star",
+        [
+            (("value", 5, 2, "Q"), 1 - (331 + math.sqrt(19705)) / 864),
+            (("value", 5, 2, "K"), 1 - (331 + math.sqrt(19705)) / 864),
+            (("value", 6, 2, "K"), 1 - (4610 + math.sqrt(3949060)) / 11520),
+        ],
+        ids=["value5,2-Q", "value5,2-K", "value6,2-K"],
+    )
+    def test_gamma_star_of_irrational_spectrum(self, bundles, key, gamma_star):
+        b = bundles(*key[:3])
+        rep = gap_report(getattr(b, key[3]), getattr(b, "pi" + key[3]))
+        assert rep.mode == "exact+float"
+        assert abs(rep.gamma_star - gamma_star) <= 1e-12
 
     def test_json_round_trip(self, golden_value):
         import json
