@@ -25,6 +25,8 @@ def parse_rat(s: str):
     """Parse "p/q" or "p" back into an exact rational."""
     s = s.strip()
     if "/" in s:
-        p, q = s.split("/")
-        return Rat(int(p), int(q))
+        p, q = (int(t) for t in s.split("/"))
+        if q == 0:
+            raise ValueError(f"zero denominator in {s!r}")
+        return Rat(p, q)
     return Rat(int(s))

@@ -54,6 +54,7 @@ __all__ = [
     "sample_stabilizer_uniform",
     "sample_fixed_word_uniform",
     "orbit_key",
+    "orbit_count",
     "count_orbits",
     "dual_states",
     "word_count",
@@ -284,6 +285,17 @@ def orbit_key(spec: ActionSpec, x: Word):
     return tuple(x.count(a) for a in range(1, spec.k + 1))
 
 
+def orbit_count(spec: ActionSpec) -> int:
+    """z = |X/G| in closed form: set partitions of [n] into at most k blocks
+    (value) or multisets of size n over k letters (coord).  By Burnside's
+    lemma |G| z = sum_g |X_g| = sum_x |G_x|, the normaliser of both
+    stationary laws."""
+    n, k = spec.n, spec.k
+    if spec.model == VALUE:
+        return sum(stirling2(n, r) for r in range(min(n, k) + 1))
+    return comb(n + k - 1, k - 1)
+
+
 def count_orbits(spec: ActionSpec) -> int:
     """Number of orbits, by closed form and by the Burnside average.
 
@@ -292,11 +304,7 @@ def count_orbits(spec: ActionSpec) -> int:
     fixed-size counts aggregated over cycle data.
     """
     n, k = spec.n, spec.k
-    if spec.model == VALUE:
-        closed = sum(stirling2(n, r) for r in range(min(n, k) + 1))
-    else:
-        closed = comb(n + k - 1, k - 1)
-
+    closed = orbit_count(spec)
     m = group_degree(spec)
     if m <= COUNT_ENUMERATION_DEGREE:
         total = sum(fixed_set_size(spec, g) for g in enumerate_sym(m))

@@ -14,9 +14,8 @@ from math import comb, factorial
 from typing import Callable
 
 from ._rat import Rat
-from .actions import ActionSpec, apply_perm, enumerate_fixed_words, stabilizer_size
+from .actions import ActionSpec, apply_perm, enumerate_fixed_words, orbit_count, stabilizer_size
 from .combinat import (
-    bell,
     inv_factorial_or_zero,
     kappa,
     multinomial,
@@ -170,10 +169,8 @@ def q_value_coefficient(k: int, n: int, g: Permutation, h: Permutation):
 
 
 def value_normalizer(k: int, n: int) -> int:
-    """Z_{k,n}: Bell(n) when k >= n, otherwise the partial Stirling sum."""
-    if k >= n:
-        return bell(n)
-    return sum(stirling2(n, d) for d in range(k + 1))
+    """Z_{k,n}: the value model's orbit count, Bell(n) when k >= n."""
+    return orbit_count(ActionSpec("value", n, k))
 
 
 def pi_value(k: int, n: int, g: Permutation):

@@ -31,11 +31,12 @@ def stirling2(n: int, r: int) -> int:
     """Number of partitions of an n-element set into exactly r blocks."""
     if n < 0 or r < 0:
         raise ValueError("stirling2 needs nonnegative arguments")
-    if n == 0:
-        return 1 if r == 0 else 0
-    if r == 0 or r > n:
+    if r > n:
         return 0
-    return r * stirling2(n - 1, r) + stirling2(n - 1, r - 1)
+    row = [1] + [0] * r  # S(0, j) for j <= r
+    for _ in range(n):  # S(m, j) = j S(m-1, j) + S(m-1, j-1)
+        row = [0] + [j * row[j] + row[j - 1] for j in range(1, r + 1)]
+    return row[r]
 
 
 def bell(n: int) -> int:

@@ -19,22 +19,19 @@ from typing import Optional
 
 import numpy as np
 
-from ._rat import Rat
 from .actions import (
     ActionSpec,
     count_orbits,
-    dual_states,
     fixed_set_size,
     group_degree,
+    group_order,
+    orbit_count,
     sample_fixed_word_uniform,
     sample_stabilizer_uniform,
     stabilizer_size,
     word_to_str,
-    words,
 )
-from .closedforms import pi_coord, pi_value
-from .kernels import STATE_CAP
-from .permgroup import ENUMERATION_CAP, Permutation
+from .permgroup import Permutation
 
 __all__ = [
     "make_rng",
@@ -110,26 +107,22 @@ class RunResult:
     run: ChainRun
     law: EmpiricalLaw
     final_state: object
-    tv_to_stationary: Optional[float] = None
+    tv_to_stationary: float
     trajectory: Optional[list] = field(default=None, repr=False)
 
 
-def _stationary_law(spec: ActionSpec, chain: str) -> Optional[dict]:
-    if chain == DUAL:
-        if group_degree(spec) > ENUMERATION_CAP:
-            return None
-        if spec.model == "value":
-            return {g: pi_value(spec.k, spec.n, g) for g in dual_states(spec)}
-        return {g: pi_coord(spec.n, spec.k, g) for g in dual_states(spec)}
-    if spec.num_states > STATE_CAP:
-        return None
-    total = 0
-    sizes = {}
-    for x in words(spec):
-        s = stabilizer_size(spec, x)
-        sizes[x] = s
-        total += s
-    return {x: Rat(s, total) for x, s in sizes.items()}
+def _tv_to_stationary(spec: ActionSpec, chain: str, law: EmpiricalLaw) -> float:
+    """Exact TV between the occupation law and pi(s) = w(s) / W, where
+    w(g) = |X_g| (dual) or w(x) = |G_x| (primal) and W = |G| z sums w over
+    all states; the states never visited carry W minus the visited weight."""
+    weight = fixed_set_size if chain == DUAL else stabilizer_size
+    big_w, total = group_order(spec) * orbit_count(spec), law.total
+    acc, unvisited = 0, big_w
+    for state, c in law.counts.items():
+        w = weight(spec, state)
+        acc += abs(c * big_w - w * total)
+        unvisited -= w
+    return (acc + unvisited * total) / (2 * total * big_w)
 
 
 def run_chain(run: ChainRun, keep_trajectory: bool = False) -> RunResult:
@@ -145,11 +138,8 @@ def run_chain(run: ChainRun, keep_trajectory: bool = False) -> RunResult:
             counts[state] = counts.get(state, 0) + 1
             if keep_trajectory:
                 trajectory.append(state)
-    total = sum(counts.values())
-    law = EmpiricalLaw(counts, total)
-    stationary = _stationary_law(run.spec, run.chain)
-    tv_stat = law.tv_to(stationary) if stationary is not None else None
-    return RunResult(run, law, state, tv_stat, trajectory)
+    law = EmpiricalLaw(counts, sum(counts.values()))
+    return RunResult(run, law, state, _tv_to_stationary(run.spec, run.chain, law), trajectory)
 
 
 def empirical_one_step_row(

@@ -139,19 +139,19 @@ def test_sample_deterministic_summary(tmp_path):
 # `sample --steps 2000 --seed 11 --out ... --summary ...` plus any options
 # after the chain (the default start unless --start is given)
 SAMPLE_DIGESTS = {
-    ("coord", 2, 6, "dual"): "45dd7be7a99c623f679d845462e4e963121a4e9a054e36fc16176d69118dc4c8",
-    ("coord", 2, 64, "primal"): "5a4ad27d36c95d7d6704a3a79a10601da6be736e9cd24c5a027b5691df676eda",
-    ("value", 4, 3, "primal"): "e4e61c260ebb54dd635da26b28016e008fea5846377f76b9ca502e7dd1892bc2",
-    ("value", 4, 3, "dual"): "73dde2d7941c25d73d40070dbe36e6b8ab27b470eb819392beb849e13cd63f9c",
-    ("coord", 3, 5, "primal"): "77b20da00e6b2736fa98022f4c1ede26f2f67583e23bcbbdb48d236e5ff40f1b",
-    ("coord", 3, 5, "dual"): "ed8e0fc6519d062ee29ea0efd8d57a76d02f0e0da2c029876bbc2ded386cacdf",
+    ("coord", 2, 6, "dual"): "57536c687288300196f6d0cd0fdf6b26a347cab209a31f289632705a3b764855",
+    ("coord", 2, 64, "primal"): "313312e229f5438daafbf1982583d1db0935174171ed763982f8753a12492d0c",
+    ("value", 4, 3, "primal"): "d85f02db1252f480ece6053883409cc10510c662bc2bf8356fdbb271d8d543ab",
+    ("value", 4, 3, "dual"): "45a27d0189e6b03f36600811f0b21eced975edb41985c086894044d053a42866",
+    ("coord", 3, 5, "primal"): "9d3ea3386073d03ccb1a81fce7ec97247167f97a4e7025bbdc35aecf8fd305f3",
+    ("coord", 3, 5, "dual"): "0c1981f75a563b3805bf033413dd56a39bce54850a98609b66c7670470b6d97a",
     # k = 12: comma-separated labels, and blocks of up to 9 unused symbols
-    ("value", 12, 3, "dual"): "0bc794b60e05dda892b033cda5d92bb0734867aeed2f00b4189bec37d67cb820",
-    ("value", 12, 3, "primal"): "2fd2480706aa397c77cb686c5e51399710981bf3c021616d16ba95764b3d2e76",
+    ("value", 12, 3, "dual"): "2ad903534d83ed10bda5492beaa39726697a9e07a55769ecc35099b8ccf29e29",
+    ("value", 12, 3, "primal"): "bb1710776e6f3d709e8d4ed0f2e78da4d65fd13090564e04afa5edef0b5d39bf",
     ("coord", 3, 5, "dual", "--thin", "3"):
-        "51599b8939153541f9e323d7b20f0b21b96eb7cab8aaea72ad7690bacab25045",
+        "a2a8f12af6f33d14042b3fb1547f433d14b45e56fbc5c7789e93e6393415d2c3",
     ("coord", 3, 6, "primal", "--start", "201120"):
-        "d16437550f22b7fb87d03ea29e74b2836a829495e198fad0ab3e1bf38eb4c37c",
+        "87dfb13e071e49997ea912143ab5439a4c3cb02e3256d13dab7b9df7877d6aee",
 }
 
 
@@ -179,6 +179,14 @@ def test_sample_primal_no_matrices(tmp_path):
     )
     assert code == 0
     assert len(out.read_text().splitlines()) == 501
+
+
+def test_sample_long_words_dual(capsys):
+    # the value normaliser sums Stirling numbers of n = 1500
+    code = main(["sample", "--model", "value", "--k", "3", "--n", "1500", "--chain", "dual",
+                 "--steps", "5"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["tv_to_stationary"] < 1e-300
 
 
 def test_sample_rejects_derangement_start():
@@ -216,6 +224,12 @@ def test_mix_eps_out_of_range(capsys, eps):
     assert code == 2
     err = capsys.readouterr().err
     assert err == f"error: eps must lie in (0, 1), got {eps}\n"
+
+
+def test_mix_eps_zero_denominator(capsys):
+    code = main(["mix", "--model", "value", "--k", "3", "--n", "2", "--eps", "1/0"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: zero denominator in '1/0'\n"
 
 
 @pytest.mark.parametrize("command", ["verify", "mix"])

@@ -64,6 +64,13 @@ class TestStirling:
             for r in range(n + 2):
                 assert stirling2(n, r) == count_partitions_into(n, r)
 
+    def test_explicit_sum_past_recursion_depth(self):
+        n = 3000
+        for r in range(5):
+            alternating = sum((-1) ** (r - j) * comb(r, j) * j**n for j in range(r + 1))
+            assert stirling2(n, r) == alternating // factorial(r)
+            assert alternating % factorial(r) == 0
+
     def test_out_of_range(self):
         assert stirling2(3, 5) == 0
         assert stirling2(0, 0) == 1

@@ -1,10 +1,12 @@
 """Simulation: determinism, one-step fidelity, uniform subroutines."""
 
 import hashlib
+from fractions import Fraction
 
 import pytest
 from scipy.stats import chi2
 
+from burnside import actions, closedforms, kernels, permgroup, sampler
 from burnside.actions import (
     ActionSpec,
     coord_spec,
@@ -17,6 +19,7 @@ from burnside.actions import (
     word_index,
     words,
 )
+from burnside.kernels import build_bundle
 from burnside.permgroup import identity, parse_perm
 from burnside.sampler import (
     ChainRun,
@@ -235,10 +238,53 @@ class TestOrbitEstimate:
         assert est == 15.0 and se == 0.0
 
 
+def _exact_tv(res, bundle) -> Fraction:
+    """Oracle: the Fraction TV against the bundle's stationary law, over every state."""
+    if res.run.chain == "dual":
+        law = dict(zip(bundle.duals, bundle.piQ))
+    else:
+        law = dict(zip(bundle.states, bundle.piK))
+    assert set(res.law.counts) <= set(law)
+    emp = {s: Fraction(c, res.law.total) for s, c in res.law.counts.items()}
+    return sum(abs(emp.get(s, 0) - p) for s, p in law.items()) / 2
+
+
+class TestTvToStationary:
+    @pytest.mark.parametrize(
+        "spec", [value_spec(3, 2), value_spec(4, 3), coord_spec(2, 4), coord_spec(3, 3)],
+        ids=lambda s: f"{s.model}{s.k},{s.n}",
+    )
+    def test_matches_exact_tv_oracle(self, spec):
+        bundle = build_bundle(spec)
+        unvisited = False
+        for chain, start, size in (
+            ("dual", identity(group_degree(spec)), bundle.num_duals),
+            ("primal", (1,) * spec.n, bundle.num_states),
+        ):
+            for steps in (0, 7, 2000):
+                res = run_chain(ChainRun(spec, chain, start, steps, seed=5))
+                assert res.tv_to_stationary == float(_exact_tv(res, bundle))
+                unvisited |= steps == 7 and len(res.law.counts) < size
+        assert unvisited
+
+    def test_no_state_enumeration(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the sampler's TV enumerated a state space")
+
+        for module in (actions, closedforms, kernels, permgroup, sampler):
+            for name in ("words", "dual_states", "enumerate_sym"):
+                monkeypatch.setattr(module, name, refuse, raising=False)
+        for spec, chain, start in (
+            (coord_spec(2, 6), "dual", identity(6)),
+            (value_spec(4, 3), "primal", (1, 1, 2)),
+        ):
+            res = run_chain(ChainRun(spec, chain, start, 200, seed=9))
+            assert 0 < res.tv_to_stationary < 1
+
+
 class TestLongRun:
     def test_occupation_converges_quickly(self, golden_coord):
         res = run_chain(ChainRun(golden_coord.spec, "dual", identity(3), 100_000, seed=77))
-        assert res.tv_to_stationary is not None
         assert res.tv_to_stationary <= 0.02
 
     def test_trajectory_dump_round_trip(self, tmp_path):
