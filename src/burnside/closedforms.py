@@ -14,7 +14,14 @@ from math import comb, factorial
 from typing import Callable
 
 from ._rat import Rat
-from .actions import ActionSpec, apply_perm, enumerate_fixed_words, orbit_count, stabilizer_size
+from .actions import (
+    ActionSpec,
+    apply_perm,
+    enumerate_fixed_words,
+    fixed_set_size,
+    orbit_count,
+    stabilizer_size,
+)
 from .combinat import (
     inv_factorial_or_zero,
     kappa,
@@ -24,6 +31,7 @@ from .combinat import (
     stirling2,
     subfactorial,
 )
+from .kernels import STATE_CAP, _refuse_above
 from .permgroup import Permutation, enumerate_sym, joint_orbits
 
 __all__ = [
@@ -62,8 +70,10 @@ def q_brute(spec: ActionSpec, g: Permutation, h: Permutation):
     """Direct evaluation of Q(g,h): sum 1/(|X_g| |G_x|) over x fixed by both.
 
     Deliberately enumerates words; this is the oracle every closed form is
-    checked against.
+    checked against.  Refuses, before enumerating, an X_g larger than the
+    builders' state cap.
     """
+    _refuse_above("|X_g|", fixed_set_size(spec, g), STATE_CAP, "state cap")
     total = Rat(0)
     count = 0
     for x in enumerate_fixed_words(spec, g):
@@ -86,33 +96,17 @@ def intersection_size(spec: ActionSpec, g: Permutation, h: Permutation) -> int:
 # ---------------------------------------------------------------------------
 
 def q_value_from_overlap(k: int, n: int, a: int, j: int):
-    """Stirling-sum form: a^-n * sum_r C(j,r) S(n,r) r!/(k-r)!."""
+    """Stirling-sum form: a^-n * sum_r C(j,r) S(n,r) r!/(k-r)!, r <= min(j, n, k)."""
     if a <= 0:
         raise ValueError("source permutation is a derangement (no fixed symbols)")
-    if j == 0:
-        return Rat(0)
     total = Rat(0)
-    for r in range(1, min(j, n) + 1):
+    for r in range(1, min(j, n, k) + 1):
         total += Rat(comb(j, r) * stirling2(n, r) * factorial(r), factorial(k - r))
     return total / a**n
 
 
-def _overlap(g: Permutation, h: Permutation) -> tuple[int, int]:
-    a = len(g.fixed_points())
-    j = len(g.fixed_points() & h.fixed_points())
-    return a, j
-
-
-def q_value_stirling(k: int, n: int, g: Permutation, h: Permutation):
-    a, j = _overlap(g, h)
-    return q_value_from_overlap(k, n, a, j)
-
-
-def q_value_expectation(k: int, n: int, g: Permutation, h: Permutation):
+def _q_value_expectation(k: int, n: int, a: int, j: int):
     """Expectation form (j/a)^n E[1/(k-R)!] over the distinct-count law on [j]^n."""
-    a, j = _overlap(g, h)
-    if a <= 0:
-        raise ValueError("source permutation is a derangement (no fixed symbols)")
     if j == 0:
         return Rat(0)
     mean = sum(
@@ -124,48 +118,43 @@ def q_value_expectation(k: int, n: int, g: Permutation, h: Permutation):
 
 @lru_cache(maxsize=None)
 def _coeff_un_zs(j: int, n: int, s: int):
-    """Exact [u^n][z^s] of exp(z) (1 + z(e^u - 1))^j via truncated bivariate
-    polynomial arithmetic (degrees n in u, s in z); memoized, as a pure
-    function of three ints that every dual pair of one spec shares."""
-    # polynomials stored as grids p[du][dz]
-    def mul(p, q):
-        out = [[Rat(0)] * (s + 1) for _ in range(n + 1)]
-        for du1, row in enumerate(p):
-            for dz1, c1 in enumerate(row):
-                if not c1:
-                    continue
-                for du2 in range(n + 1 - du1):
-                    qrow = q[du2]
-                    for dz2 in range(s + 1 - dz1):
-                        c2 = qrow[dz2]
-                        if c2:
-                            out[du1 + du2][dz1 + dz2] += c1 * c2
-        return out
+    """Exact [u^n][z^s] of exp(z) (1 + z(e^u - 1))^j, by the binomial theorem
+    in z: sum_i C(j,i)/(s-i)! [u^n](e^u - 1)^i.  Memoized, as a pure function
+    of three ints that every dual pair of one spec shares."""
+    power = [1] + [0] * n  # d! [u^d](e^u - 1)^i for d <= n, from i = 0
+    total = Rat(0)
+    for i in range(min(j, s) + 1):
+        total += Rat(comb(j, i) * power[n], factorial(s - i))
+        # the next power P solves P' = (i+1)(P + (e^u - 1)^i), P(0) = 0
+        nxt = [0]
+        for d in range(n):
+            nxt.append((i + 1) * (nxt[d] + power[d]))
+        power = nxt
+    return total / factorial(n)
 
-    expm1 = [Rat(0)] + [Rat(1, factorial(i)) for i in range(1, n + 1)]
-    base = [[Rat(0)] * (s + 1) for _ in range(n + 1)]
-    base[0][0] = Rat(1)
-    if s >= 1:
-        for du in range(n + 1):
-            base[du][1] = expm1[du]
-    power = [[Rat(0)] * (s + 1) for _ in range(n + 1)]
-    power[0][0] = Rat(1)
-    for _ in range(j):
-        power = mul(power, base)
-    expz = [[Rat(0)] * (s + 1) for _ in range(n + 1)]
-    for dz in range(s + 1):
-        expz[0][dz] = Rat(1, factorial(dz))
-    return mul(power, expz)[n][s]
+
+def _q_value_coefficient(k: int, n: int, a: int, j: int):
+    """Coefficient form n! a^-n [u^n][z^k] exp(z)(1 + z(e^u - 1))^j."""
+    return Rat(factorial(n), a**n) * _coeff_un_zs(j, n, k)
+
+
+def _overlap(g: Permutation, h: Permutation) -> tuple[int, int]:
+    fixed = g.fixed_points()
+    if not fixed:
+        raise ValueError("source permutation is a derangement (no fixed symbols)")
+    return len(fixed), len(fixed & h.fixed_points())
+
+
+def q_value_stirling(k: int, n: int, g: Permutation, h: Permutation):
+    return q_value_from_overlap(k, n, *_overlap(g, h))
+
+
+def q_value_expectation(k: int, n: int, g: Permutation, h: Permutation):
+    return _q_value_expectation(k, n, *_overlap(g, h))
 
 
 def q_value_coefficient(k: int, n: int, g: Permutation, h: Permutation):
-    """Coefficient form n! a^-n [u^n][z^k] exp(z)(1 + z(e^u - 1))^j."""
-    a, j = _overlap(g, h)
-    if a <= 0:
-        raise ValueError("source permutation is a derangement (no fixed symbols)")
-    if j == 0:
-        return Rat(0)
-    return Rat(factorial(n), a**n) * _coeff_un_zs(j, n, k)
+    return _q_value_coefficient(k, n, *_overlap(g, h))
 
 
 def value_normalizer(k: int, n: int) -> int:
@@ -214,8 +203,10 @@ def fixed_count_classes(k: int) -> list[int]:
 def qbar_value(k: int, n: int, r: int, s: int):
     """Fixed-point-lumped kernel entry, by four equivalent routes.
 
-    All four (Stirling sum, occupancy expectation, two-stage product,
-    coefficient extraction) are evaluated and must agree.
+    The Stirling, expectation and coefficient routes are theta_{k,s} times the
+    value-model forms at (s, n, r, r); the two-stage product (distinct
+    symbols, then a derangement of the rest) is derived independently.  All
+    four are evaluated and must agree.
     """
     classes = fixed_count_classes(k)
     if r not in classes or s not in classes:
@@ -223,27 +214,17 @@ def qbar_value(k: int, n: int, r: int, s: int):
             raise ValueError(f"class with {k - 1} fixed symbols is empty")
         raise ValueError(f"classes must lie in {classes}")
     th = theta(k, s)
-
-    single = Rat(0)
-    for m in range(1, min(r, s, n) + 1):
-        single += Rat(comb(r, m) * stirling2(n, m) * factorial(m), factorial(s - m))
-    single = th * single / r**n
-
-    pmf = occupancy_pmf(r, n)
-    expectation = th * sum(
-        (p * inv_factorial_or_zero(s - m) for m, p in pmf.items()), Rat(0)
-    )
-
+    single = th * q_value_from_overlap(s, n, r, r)
+    expectation = th * _q_value_expectation(s, n, r, r)
     two_stage = sum(
         (
             p * Rat(comb(k - m, s - m) * subfactorial(k - s), factorial(k - m))
-            for m, p in pmf.items()
+            for m, p in occupancy_pmf(r, n).items()
             if s >= m
         ),
         Rat(0),
     )
-
-    coefficient = th * Rat(factorial(n), r**n) * _coeff_un_zs(r, n, s)
+    coefficient = th * _q_value_coefficient(s, n, r, r)
 
     if not single == expectation == two_stage == coefficient:
         raise AssertionError(
@@ -273,10 +254,6 @@ def q_coord_colorings(n: int, k: int, g: Permutation, h: Permutation):
     """Colorings sum k^-c(g) * sum_phi prod_a 1/M_a(phi)! over orbit colorings;
     refuses more than COLORING_CAP colorings."""
     sizes = _orbit_sizes(g, h)
-    return _coord_from_sizes_enumerate(n, k, g.cycle_count(), sizes)
-
-
-def _coord_from_sizes_enumerate(n: int, k: int, c: int, sizes: tuple[int, ...]):
     s = len(sizes)
     if k**s > COLORING_CAP:
         raise ValueError(
@@ -290,7 +267,7 @@ def _coord_from_sizes_enumerate(n: int, k: int, c: int, sizes: tuple[int, ...]):
         for b, color in zip(sizes, phi):
             masses[color] += b
         total += multinomial(n, masses)
-    return Rat(total, factorial(n) * k**c)
+    return Rat(total, factorial(n) * k ** g.cycle_count())
 
 
 def q_coord_expectation(n: int, k: int, g: Permutation, h: Permutation):

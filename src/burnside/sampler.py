@@ -11,7 +11,7 @@ any (seed, config) pair reproduces its trajectory bit-for-bit.
 
 from __future__ import annotations
 
-import gzip as gzip_mod
+import gzip
 import json
 import math
 from dataclasses import dataclass, field
@@ -173,8 +173,8 @@ def estimate_orbit_count(spec: ActionSpec, samples: int, seed: int = 0):
     return est, se
 
 
-def dump_trajectory(path: str, result: RunResult, gzip: bool = False) -> None:
-    """One state per line in the text formats; optional gzip."""
+def dump_trajectory(path: str, result: RunResult) -> None:
+    """One state per line in the text formats; gzip when path ends in .gz."""
     if result.trajectory is None:
         raise ValueError("run_chain was called without keep_trajectory")
     spec = result.run.spec
@@ -183,8 +183,8 @@ def dump_trajectory(path: str, result: RunResult, gzip: bool = False) -> None:
     else:
         lines = (str(g) for g in result.trajectory)
     text = "\n".join(lines) + "\n"
-    if gzip:
-        with gzip_mod.open(path, "wt") as fh:
+    if path.endswith(".gz"):
+        with gzip.open(path, "wt") as fh:
             fh.write(text)
     else:
         with open(path, "w") as fh:

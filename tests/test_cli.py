@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import burnside.closedforms
 import burnside.kernels
 from burnside._rat import Rat
 from burnside.cli import main
@@ -204,6 +205,35 @@ def test_closedform_all_equal(capsys):
     assert code == 0
     assert payload["all_equal"]
     assert payload["Q(g,h)"]["brute_force"] == "1/24"
+
+
+def test_closedform_refuses_past_state_cap(monkeypatch, capsys):
+    # |X_e| = 6^8 words: refused before q_brute enumerates any of them
+    def refuse(*args):
+        raise AssertionError("enumerated past the state cap")
+
+    monkeypatch.setattr(burnside.closedforms, "enumerate_fixed_words", refuse)
+    code = main(["closedform", "--model", "value", "--k", "6", "--n", "8"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: |X_g| = 1679616 exceeds the state cap 65536\n"
+    assert captured.out == ""
+
+
+def test_verify_past_state_cap_fails_build(capsys):
+    # a refused spec runs no check: verify reports a failure, not a usage error
+    code = main(["verify", "--model", "value", "--k", "2", "--n", "17"])
+    assert code == 1
+    assert capsys.readouterr().out == (
+        "FAIL build: |X| = k^n = 131072 exceeds the state cap 65536\n"
+    )
+
+
+def test_verify_skips_direct_q_past_duals(capsys):
+    assert main(["verify", "--model", "value", "--k", "6", "--n", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "SKIP direct_q_construction: 455 dual states (> 200)\n" in out
+    assert "FAIL" not in out
 
 
 def test_usage_error_exit_code():

@@ -298,7 +298,7 @@ class TestLongRun:
         assert len(lines) == 51
         assert lines[0] == "000"
         gz = tmp_path / "traj.txt.gz"
-        dump_trajectory(str(gz), res, gzip=True)
+        dump_trajectory(str(gz), res)
         import gzip as gzmod
 
         assert gzmod.open(gz, "rt").read().splitlines() == lines
