@@ -8,12 +8,13 @@ displayed with the 0-based alphabet {0..k-1} (so binary words print as
 bitstrings), the value model with its 1-based symbols; this relabelling is
 presentation-only.
 
-Both models are stated once, in two functions, and every stabilizer and
-fixed-set primitive reads them without asking which model it serves:
+Both models are stated once, in two functions, and the stabilizer and
+fixed-set primitives read them without asking which model they serve
+(``stabilizer_size`` alone reads |G_x| off the letter counts, with no block):
 
 - ``stabilizer_blocks(spec, x)``: G_x is the Young subgroup prod Sym(block),
-  S_{k-r} on the r symbols x leaves unused (value model) or prod_a S_{m_a}
-  on the positions of each letter a (coordinate model);
+  S_{k-r} on the symbols x leaves unused, r the number x uses (value model),
+  or prod_a S_{m_a} on the positions of each letter a (coordinate model);
 - ``fixed_coloring(spec, g)``: X_g is the set of colorings of slots by a
   palette, each position by a fixed symbol of g (value model) or each cycle
   of g by one of the k letters (coordinate model).
@@ -246,7 +247,10 @@ def sample_fixed_word_uniform(spec: ActionSpec, g: Permutation, rng) -> Word:
 
 
 def stabilizer_size(spec: ActionSpec, x: Word) -> int:
-    return prod(factorial(len(block)) for block in stabilizer_blocks(spec, x))
+    """|G_x| = (k - r)! (value model) or prod_a m_a! (coordinate model)."""
+    if spec.model == VALUE:
+        return factorial(spec.k - len(set(x)))
+    return prod(factorial(x.count(a)) for a in range(1, spec.k + 1))
 
 
 def stabilizer_elements(spec: ActionSpec, x: Word) -> Iterator[Permutation]:

@@ -171,15 +171,17 @@ class BundleProfiles:
     t_max: int
     k: ChainProfile
     q: ChainProfile
+    k_lumped: ChainProfile  # K lumped by orbits (orbit_lump_K)
 
 
 def bundle_profiles(bundle: ChainBundle, t_max: int = 60) -> BundleProfiles:
-    """Exact d_K and d_Q curves for every start, up to equivariance: one
-    curve per orbit (K) and per conjugacy class (Q)."""
+    """Exact d_K and d_Q curves for every start, up to equivariance (one per
+    orbit of K, one per conjugacy class of Q), and the profile of K lumped by orbits."""
     legs_k = (bundle.B, bundle.A)  # K = BA
     k_profile = _profile_per_key(bundle.state_orbit_keys, legs_k, bundle.piK, t_max)
     q_profile = _profile_per_key(bundle.dual_class_keys, legs_k[::-1], bundle.piQ, t_max)
-    return BundleProfiles(t_max, k_profile, q_profile)
+    lumped = orbit_lump_K(bundle)
+    return BundleProfiles(t_max, k_profile, q_profile, d_profile(lumped.kernel, lumped.pi, t_max))
 
 
 # ---------------------------------------------------------------------------
@@ -499,6 +501,7 @@ def bound_suite(
         raise ValueError("profiles were computed with a smaller horizon")
     d_k = profiles.k.worst[: t_max + 1]
     d_q = profiles.q.worst[: t_max + 1]
+    d_bar = profiles.k_lumped.worst[: t_max + 1]  # Chen's coupling bound lives here
 
     # the uniform floors behind the geometric rates, verified exactly first
     delta = bundle.doeblin_delta
@@ -509,9 +512,6 @@ def bound_suite(
         floors_hold, floor_note = False, str(exc)
     order = bundle.group_order
     chen_floor = bundle.K.first_below([pi_y / order for pi_y in bundle.piK]) is None
-    # Chen's coupling bound lives on the orbit-lumped chain.
-    lumped = orbit_lump_K(bundle)
-    d_bar = d_profile(lumped.kernel, lumped.pi, t_max).worst
     ros = _geometric(1 - delta, t_max)
     chen = _geometric(1 - Rat(1, order), t_max)
     chen_note = f"row floor pi/|G| with |G| = {order} verified exactly"

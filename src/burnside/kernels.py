@@ -16,7 +16,8 @@ from closed forms, before any enumeration (``_check_size``).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -64,7 +65,8 @@ class ChainBundle:
     """The assembled chain pair for one action.
 
     Q (on the dual states) and K (on the words) are exact row-stochastic
-    matrices with Q = A B and K = B A; piQ and piK are their stationary laws.
+    matrices with Q = A B and K = B A; piQ and piK are their stationary laws,
+    and spectra["Q"] and spectra["K"] their lazy ``spectra.SpectrumReport``s.
     """
 
     spec: Optional[ActionSpec]
@@ -83,14 +85,10 @@ class ChainBundle:
     state_orbit_keys: list
     dual_class_keys: list
     e_index: int
-    _m_cache: Optional[RationalMatrix] = field(default=None, repr=False)
-
-    @property
+    @cached_property
     def M(self) -> RationalMatrix:
         """Block-flip matrix [[0, A], [B, 0]]; built on first use."""
-        if self._m_cache is None:
-            self._m_cache = RationalMatrix.block_flip(self.A, self.B)
-        return self._m_cache
+        return RationalMatrix.block_flip(self.A, self.B)
 
     @property
     def num_duals(self) -> int:
@@ -104,7 +102,13 @@ class ChainBundle:
         return self._dual_pos[g]
 
     def __post_init__(self) -> None:
+        from .spectra import SpectrumReport  # spectra imports this module
+
         self._dual_pos = {g: i for i, g in enumerate(self.duals)}
+        self.spectra = {
+            "Q": SpectrumReport("Q", self.Q, self.piQ),
+            "K": SpectrumReport("K", self.K, self.piK),
+        }
 
     def fixed_size(self, gi: int) -> int:  # row gi of A is 0/1 over |X_g|
         return int(self.A.den[gi])

@@ -1,29 +1,26 @@
 """Exact characteristic polynomials, spectra, and eigen-structure checks.
 
-char_poly runs an exact similarity reduction to Hessenberg form followed by
-the standard determinant recurrence.  Both run on Python ints: the
-reduction on integer rows over one positive denominator per row, read
-straight from ``RationalMatrix.num``/``den`` and kept integral by
-fraction-free row updates and diagonal similarities; the recurrence on
-integer coefficients over one denominator per polynomial.  Fractions appear
-only once per row or entry, never in the cubic loops.  eigen_nullspace is
-fraction-free Gauss-Jordan elimination on the same integer rows.  Gaps
-always come from the float spectrum of the symmetrized kernel; up to
-EXACT_DIM_CAP it also proposes the rational roots of the char poly, each
-certified by one exact integer division by q x - p (no companion matrix).
+Each kernel has one spectral record, a ``SpectrumReport`` (on a bundle,
+``ChainBundle.spectra``), built part by part on first read: the float
+eigenvalues of the symmetrized kernel, which every gap reads, and up to
+EXACT_DIM_CAP the exact char poly and its rational roots, each proposed by a
+float eigenvalue and certified by one exact integer division by q x - p.
+The shared-spectrum check, intertwining and the gap reports read the same
+records, so verify computes each part at most once per kernel.
 
-For kernel pairs too large for exact elimination, spectrum_equal_report
-falls back to a factorization certificate: it verifies Q == A B and
-K == B A exactly, which pins the two nonzero spectra to the same product
-pair (the report records which mode ran).  The certificate recomputes every
-row of A B as the scatter of A's row over the rows of B, with integer
-numerators, and never calls the matrix product that built Q and K.
+char_poly (Hessenberg reduction, then the determinant recurrence) and
+eigen_nullspace (Gauss-Jordan elimination) run fraction-free on the integer
+rows of ``RationalMatrix``.  Past EXACT_DIM_CAP spectrum_equal_report
+verifies Q == A B and K == B A instead, each row of A B recomputed from the
+legs with integer numerators, never through the product that built Q and K
+(the report records which mode ran).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import comb, gcd, lcm
 import numpy as np
 
@@ -48,7 +45,7 @@ __all__ = [
 ]
 
 # Above this dimension char_poly refuses, the shared-spectrum check switches
-# to the factorization certificate and gap reports certify no exact roots.
+# to the factorization certificate and a spectral record has no exact part.
 # The limit is set by char_poly, run on Q and K: 0.14 s on the 512-dim K of
 # coord 8,3, 0.85 s at 625 dims (value 5,4), 6.1 s at 1024 (coord 4,5; 2-vCPU
 # VM, Python 3.11).  The float root candidates stay complete while the lcm L
@@ -202,16 +199,15 @@ def char_poly(p: RationalMatrix) -> CharPoly:
 
 def extract_rational_roots(poly: CharPoly, p: RationalMatrix, pi):
     """Peel the rational roots off poly, the char poly of p, a kernel
-    reversible with respect to pi; returns ({root: multiplicity}, remaining
-    CharPoly).
+    reversible with respect to pi: ({root: multiplicity}, remaining CharPoly).
 
     L P is an integer matrix for L the lcm of p's row denominators, so every
     rational root is m / L with m an integer.  Each float eigenvalue mu of
-    the symmetrized kernel gives one candidate m = round(L mu), computed
-    exactly; a candidate counts only if it divides out of poly exactly.  The
-    set is complete whenever L times the float error stays under 1/2, which
-    holds for any L below about 10**11 at 512 dimensions."""
-    return _peel_roots(poly, p, np.linalg.eigvalsh(_symmetrized(p, pi)))
+    the symmetrized kernel proposes m = round(L mu), computed exactly, which
+    counts only if it divides out of poly exactly.  The set is complete
+    while L times the float error stays under 1/2: any L below about 10**11
+    at 512 dimensions."""
+    return _peel_roots(poly, p, SpectrumReport("", p, pi).float_roots)
 
 
 def _peel_roots(poly: CharPoly, p: RationalMatrix, eigs):
@@ -230,45 +226,33 @@ def _peel_roots(poly: CharPoly, p: RationalMatrix, eigs):
 class SpectrumEqualReport:
     equal: bool
     mode: str
-    dim_q: int
-    dim_k: int
     detail: str = ""
 
 
 def spectrum_equal_report(
-    q: RationalMatrix,
-    k: RationalMatrix,
-    legs: tuple[RationalMatrix, RationalMatrix],
+    q: SpectrumReport, k: SpectrumReport, legs: tuple[RationalMatrix, RationalMatrix]
 ) -> SpectrumEqualReport:
-    """Decide whether Q and K share their nonzero spectra exactly.
+    """Decide whether the kernels of records q and k share their nonzero spectra.
 
     Direct mode, when both dimensions are at most EXACT_DIM_CAP, compares
-    full exact characteristic polynomials (the larger must be x^delta times
-    the smaller).  Certificate mode, above it, verifies the exact
-    factorizations through the legs (A, B).
+    the records' exact characteristic polynomials (the larger must be
+    x^delta times the smaller).  Certificate mode, above it, verifies the
+    exact factorizations through the legs (A, B).
     """
-    if q.rows != q.cols or k.rows != k.cols:
-        raise ValueError("kernels must be square")
-    if max(q.rows, k.rows) <= EXACT_DIM_CAP:
-        cq = char_poly(q)
-        ck = char_poly(k)
-        if q.rows <= k.rows:
-            equal = ck == cq.shifted(k.rows - q.rows)
-        else:
-            equal = cq == ck.shifted(q.rows - k.rows)
-        return SpectrumEqualReport(equal, "direct", q.rows, k.rows)
+    small, large = (q, k) if q.dim <= k.dim else (k, q)
+    if large.dim <= EXACT_DIM_CAP:
+        equal = large.poly == small.poly.shifted(large.dim - small.dim)
+        return SpectrumEqualReport(equal, "direct")
     a, b = legs
-    ok = rows_are_products(q, a, b) and rows_are_products(k, b, a)
+    ok = rows_are_products(q.p, a, b) and rows_are_products(k.p, b, a)
     detail = "verified Q == A@B and K == B@A entrywise"
-    small = min(q.rows, k.rows)
-    if ok and small <= EXACT_DIM_CAP:
-        # Exact char poly of the small side for the record; evaluating it at 1
-        # must give 0 (stochasticity), a cheap independent sanity anchor.
-        cs = char_poly(q if q.rows <= k.rows else k)
-        if cs(Rat(1)) != 0:
-            return SpectrumEqualReport(False, "certificate", q.rows, k.rows, "char(1) != 0")
-        detail += f"; char poly of the {small}-dim side computed exactly"
-    return SpectrumEqualReport(ok, "certificate", q.rows, k.rows, detail)
+    if ok and small.dim <= EXACT_DIM_CAP:
+        # the small side's exact char poly must vanish at 1 (stochasticity), a
+        # cheap independent sanity anchor
+        if small.poly(Rat(1)) != 0:
+            return SpectrumEqualReport(False, "certificate", "char(1) != 0")
+        detail += f"; char poly of the {small.dim}-dim side computed exactly"
+    return SpectrumEqualReport(ok, "certificate", detail)
 
 
 def eigen_nullspace(p: RationalMatrix, lam) -> list[list]:
@@ -329,9 +313,8 @@ def intertwine_check(bundle: ChainBundle) -> dict:
         "KB_eq_BQ": (k @ b) == (b @ q),
         "eigenvalues": {},
     }
-    small, pi = (q, bundle.piQ) if q.rows <= k.rows else (k, bundle.piK)
-    roots, _ = extract_rational_roots(char_poly(small), small, pi)
-    for lam in sorted((r for r in roots if r != 0), reverse=True):
+    roots, _ = bundle.spectra["Q" if q.rows <= k.rows else "K"].roots
+    for lam in (r for r in roots if r != 0):  # descending
         vk = eigen_nullspace(k, lam)
         vq = eigen_nullspace(q, lam)
         entry = {"dim_K": len(vk), "dim_Q": len(vq), "dims_equal": len(vk) == len(vq)}
@@ -374,7 +357,7 @@ def dz_check(n: int, k_matrix: RationalMatrix) -> bool:
     each within FLOAT_TOL; K is symmetrized by pi_K(x), proportional to |G_x|."""
     spec = coord_spec(2, n)
     pi = [stabilizer_size(spec, x) for x in words(spec)]
-    eigs = np.linalg.eigvalsh(_symmetrized(k_matrix, pi))
+    eigs = SpectrumReport("K", k_matrix, pi).float_roots
     nontrivial = [x for x in eigs if abs(x - 1.0) > 1e-6 and abs(x) > 1e-6]
     found = sorted(set(round(float(x), 12) for x in nontrivial), reverse=True)
     expected = sorted((float(v) for v in dz_eigenvalues(n)), reverse=True)
@@ -383,33 +366,71 @@ def dz_check(n: int, k_matrix: RationalMatrix) -> bool:
     return all(abs(f - e) <= FLOAT_TOL for f, e in zip(found, expected))
 
 
-def _symmetrized(p: RationalMatrix, pi) -> np.ndarray:
-    a = p.to_float_array()
-    d = np.sqrt(np.asarray([float(x) for x in pi], dtype=float))
-    return (a * d[:, None]) / d[None, :]
-
-
 @dataclass
 class SpectrumReport:
+    """The spectral record of one kernel p, reversible with respect to pi.
+    Its parts ``float_roots``, ``poly`` and ``roots`` are built on first
+    read; past EXACT_DIM_CAP only the float part exists."""
+
     name: str
-    dim: int
-    exact_roots: list = field(default_factory=list)  # (Rat, multiplicity)
-    remaining_degree: int = 0
-    float_roots: list = field(default_factory=list)  # descending
-    gamma: float = 0.0
-    gamma_star: float = 0.0
-    relaxation_time: float = 0.0
-    mode: str = "exact"
+    p: RationalMatrix = field(repr=False)
+    pi: list = field(repr=False)
+
+    @property
+    def dim(self) -> int:
+        return self.p.rows
+
+    @cached_property
+    def poly(self) -> CharPoly:
+        return char_poly(self.p)
+
+    @cached_property
+    def float_roots(self) -> list:
+        """Eigenvalues of D^(1/2) P D^(-1/2), D = diag(pi), descending; P must be reversible."""
+        if not check_detailed_balance(self.p, self.pi):
+            raise ValueError("kernel is not reversible with respect to pi")
+        d = np.sqrt(np.asarray([float(x) for x in self.pi], dtype=float))
+        sym = (self.p.to_float_array() * d[:, None]) / d[None, :]
+        return sorted((float(x) for x in np.linalg.eigvalsh(sym)), reverse=True)
+
+    @cached_property
+    def roots(self) -> tuple[dict, CharPoly]:
+        """The rational roots of poly, largest first, and the remainder; poly
+        must vanish at 1 first (P is stochastic), an independent anchor."""
+        if self.poly(Rat(1)) != 0:
+            raise AssertionError("characteristic polynomial does not vanish at 1")
+        return _peel_roots(self.poly, self.p, self.float_roots)
+
+    @property
+    def mode(self) -> str:
+        if self.dim > EXACT_DIM_CAP:
+            return "float"
+        return "exact+float" if self.roots[1].degree else "exact"
+
+    @property
+    def gamma(self) -> float:
+        """1 - the largest eigenvalue below 1 (a single state: 1 by convention)."""
+        below = (x for x in self.float_roots if x < 1.0 - FLOAT_TOL)
+        return 1.0 - next(below, 1.0 if self.dim > 1 else 0.0)
+
+    @property
+    def gamma_star(self) -> float:
+        return 1.0 - max((abs(x) for x in self.float_roots[1:]), default=0.0)
+
+    @property
+    def relaxation_time(self) -> float:
+        return float("inf") if self.gamma_star <= 0 else 1.0 / self.gamma_star
 
     def to_json(self) -> str:
+        roots, rem = self.roots if self.mode != "float" else ({}, CharPoly([1]))
         return json.dumps(
             {
                 "name": self.name,
                 "dim": self.dim,
                 "exact_roots": [
-                    {"value": rat_str(r), "multiplicity": m} for r, m in self.exact_roots
+                    {"value": rat_str(r), "multiplicity": m} for r, m in roots.items()
                 ],
-                "remaining_degree": self.remaining_degree,
+                "remaining_degree": rem.degree,
                 "float_roots": [f"{x:.12g}" for x in self.float_roots],
                 "gamma": f"{self.gamma:.12g}",
                 "gamma_star": f"{self.gamma_star:.12g}",
@@ -421,10 +442,9 @@ class SpectrumReport:
 
 
 def bundle_gap_report(bundle: ChainBundle) -> tuple[SpectrumReport, SpectrumReport]:
-    """Gap reports for Q and K together; their absolute gaps must agree
-    within FLOAT_TOL."""
-    rep_q = gap_report(bundle.Q, bundle.piQ, "Q")
-    rep_k = gap_report(bundle.K, bundle.piK, "K")
+    """The bundle's spectral records of Q and K as gap reports; their
+    absolute gaps must agree within FLOAT_TOL."""
+    rep_q, rep_k = bundle.spectra["Q"], bundle.spectra["K"]
     if abs(rep_q.gamma_star - rep_k.gamma_star) > FLOAT_TOL:
         raise AssertionError(
             f"absolute gaps differ: Q gives {rep_q.gamma_star}, K gives {rep_k.gamma_star}"
@@ -436,26 +456,6 @@ def gap_report(p: RationalMatrix, pi, name: str = "") -> SpectrumReport:
     """Spectral gap, absolute gap and relaxation time of a reversible kernel
     from the float spectrum of its symmetrization; up to EXACT_DIM_CAP states
     the rational roots of the exact char poly are certified beside it."""
-    if not check_detailed_balance(p, pi):
-        raise ValueError("kernel is not reversible with respect to pi")
-    if p.rows == 1:
-        # single-state chain: gaps are 1 by convention
-        return SpectrumReport(name, 1, [(Rat(1), 1)], 0, [1.0], 1.0, 1.0, 1.0)
-    eigs = np.linalg.eigvalsh(_symmetrized(p, pi))
-    exact_roots, remaining_degree, mode = [], 0, "float"
-    if p.rows <= EXACT_DIM_CAP:
-        poly = char_poly(p)
-        if poly(Rat(1)) != 0:
-            raise AssertionError("characteristic polynomial does not vanish at 1")
-        roots, rem = _peel_roots(poly, p, eigs)
-        exact_roots = sorted(roots.items(), reverse=True)
-        remaining_degree = rem.degree
-        mode = "exact" if remaining_degree == 0 else "exact+float"
-    floats = sorted((float(x) for x in eigs), reverse=True)
-    lam1 = max((x for x in floats if x < 1.0 - FLOAT_TOL), default=1.0)
-    lam_star = max((abs(x) for x in floats[1:]), default=0.0)
-    gamma, gamma_star = 1.0 - lam1, 1.0 - lam_star
-    t_rel = float("inf") if gamma_star <= 0 else 1.0 / gamma_star
-    return SpectrumReport(
-        name, p.rows, exact_roots, remaining_degree, floats, gamma, gamma_star, t_rel, mode
-    )
+    rep = SpectrumReport(name, p, pi)
+    rep.float_roots  # raises unless p is reversible with respect to pi
+    return rep

@@ -128,12 +128,12 @@ def test_criterion_2_spectral_correspondence(bundles):
     modes = {"direct": 0, "certificate": 0}
     for k, n in VALUE_GRID:
         b = bundles("value", k, n)
-        rep = spectrum_equal_report(b.Q, b.K, legs=(b.A, b.B))
+        rep = spectrum_equal_report(b.spectra["Q"], b.spectra["K"], legs=(b.A, b.B))
         assert rep.equal, f"value k={k} n={n}"
         modes[rep.mode] += 1
     for k, n in COORD_GRID:
         b = bundles("coord", k, n)
-        rep = spectrum_equal_report(b.Q, b.K, legs=(b.A, b.B))
+        rep = spectrum_equal_report(b.spectra["Q"], b.spectra["K"], legs=(b.A, b.B))
         assert rep.equal, f"coord k={k} n={n}"
         modes[rep.mode] += 1
     rng = make_rng(20260809)
@@ -141,7 +141,7 @@ def test_criterion_2_spectral_correspondence(bundles):
     while tabled < 20:
         action = random_tabled_action(rng)
         b = build_bundle(action)
-        rep = spectrum_equal_report(b.Q, b.K, legs=(b.A, b.B))
+        rep = spectrum_equal_report(b.spectra["Q"], b.spectra["K"], legs=(b.A, b.B))
         assert rep.equal and rep.mode == "direct", "tabled action"
         tabled += 1
     dt = time.monotonic() - t0

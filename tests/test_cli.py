@@ -7,10 +7,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import burnside.cli
 import burnside.closedforms
+import burnside.dynamics
 import burnside.kernels
+import burnside.spectra
 from burnside._rat import Rat
 from burnside.cli import main
 from burnside.ratmat import RationalMatrix, matrix_from_csv, matrix_from_json
@@ -344,6 +348,70 @@ def test_verify_stdout_digest(capsys, config):
     assert code == 0
     assert "PASS eigenvector_intertwining" in out
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_STDOUT_DIGESTS[config]
+
+
+def _count_calls(monkeypatch, owner, name, calls):
+    """Rebind owner.name to a wrapper that bumps calls[0] on every call."""
+    orig = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+# (config, cli.EIGEN_ROWS or None for the default, eigvalsh calls): the
+# equality check, intertwining and the gap reports read one spectral record
+# per kernel, so verify computes each char poly once and each float spectrum
+# at most once; past EIGEN_ROWS only the equality check's two char polys run
+ONE_RECORD_PER_KERNEL = [
+    (("coord", 3, 4), None, 2),
+    (("value", 5, 2), None, 2),
+    (("value", 4, 3), 0, 0),
+]
+
+
+@pytest.mark.parametrize(
+    "config, eigen_rows, eigvalsh_calls", ONE_RECORD_PER_KERNEL,
+    ids=["coord3,4", "value5,2", "value4,3-no-eigen-rows"],
+)
+def test_verify_one_spectral_record_per_kernel(
+    monkeypatch, capsys, config, eigen_rows, eigvalsh_calls
+):
+    char_polys, eigvalsh = [0], [0]
+    _count_calls(monkeypatch, burnside.spectra, "char_poly", char_polys)
+    _count_calls(monkeypatch, np.linalg, "eigvalsh", eigvalsh)
+    if eigen_rows is not None:
+        monkeypatch.setattr(burnside.cli, "EIGEN_ROWS", eigen_rows)
+    model, k, n = config
+    assert main(["verify", "--model", model, "--k", str(k), "--n", str(n)]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    assert (char_polys[0], eigvalsh[0]) == (2, eigvalsh_calls)
+
+
+def test_mix_lumps_each_profile_once(monkeypatch, tmp_path):
+    # the orbit-lumped K profile comes with bundle_profiles, for the bound
+    # suite and the d_lumped column alike; the class-lumped Q adds the second
+    calls = [0]
+    _count_calls(monkeypatch, burnside.dynamics, "d_profile", calls)
+    _count_calls(monkeypatch, burnside.cli, "d_profile", calls)
+    assert main(["mix", "--model", "value", "--k", "4", "--n", "3", "--tmax", "10",
+                 "--out", str(tmp_path / "mix.csv")]) == 0
+    assert calls[0] == 2
+
+
+def test_verify_lump_failure_fails_bound_suite(monkeypatch, capsys):
+    # the profiles carry the orbit-lumped K, so a lumping that fails under
+    # them must still print FAIL bound_suite and exit 1, not raise
+    def broken(bundle):
+        raise AssertionError("orbit aggregation formula mismatch")
+
+    monkeypatch.setattr(burnside.dynamics, "orbit_lump_K", broken)
+    monkeypatch.setattr(burnside.cli, "orbit_lump_K", broken)
+    code = main(["verify", "--model", "value", "--k", "3", "--n", "2", "--tmax", "10"])
+    assert "FAIL bound_suite: orbit aggregation formula mismatch" in capsys.readouterr().out
+    assert code == 1
 
 
 def test_runs_without_scipy():

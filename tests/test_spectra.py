@@ -13,6 +13,7 @@ from burnside.sampler import make_rng
 import burnside.spectra
 from burnside.spectra import (
     CharPoly,
+    SpectrumReport,
     char_poly,
     dz_check,
     dz_eigenvalues,
@@ -335,18 +336,18 @@ class TestRationalRoots:
 class TestSpectrumEqual:
     def test_goldens(self, golden_value, golden_coord):
         for b in (golden_value, golden_coord):
-            assert spectrum_equal_report(b.Q, b.K, legs=(b.A, b.B)).equal
+            assert spectrum_equal_report(b.spectra["Q"], b.spectra["K"], legs=(b.A, b.B)).equal
 
     def test_certificate_agrees_with_direct(self, bundles, monkeypatch):
         keys = [("value", 4, 3), ("coord", 2, 4), ("coord", 3, 3)]
         for key in keys:
             b = bundles(*key)
-            direct = spectrum_equal_report(b.Q, b.K, legs=(b.A, b.B))
+            direct = spectrum_equal_report(b.spectra["Q"], b.spectra["K"], legs=(b.A, b.B))
             assert direct.mode == "direct" and direct.equal
         monkeypatch.setattr(burnside.spectra, "EXACT_DIM_CAP", 2)
         for key in keys:
             b = bundles(*key)
-            cert = spectrum_equal_report(b.Q, b.K, legs=(b.A, b.B))
+            cert = spectrum_equal_report(b.spectra["Q"], b.spectra["K"], legs=(b.A, b.B))
             assert cert.mode == "certificate" and cert.equal
 
     def test_certificate_rejects_wrong_product(self, golden_value, monkeypatch):
@@ -356,7 +357,7 @@ class TestSpectrumEqual:
         data[0][1] -= Rat(1, 18)
         wrong = RationalMatrix.from_rows(data)
         monkeypatch.setattr(burnside.spectra, "EXACT_DIM_CAP", 2)
-        rep = spectrum_equal_report(wrong, b.K, legs=(b.A, b.B))
+        rep = spectrum_equal_report(SpectrumReport("Q", wrong, b.piQ), b.spectra["K"], legs=(b.A, b.B))
         assert not rep.equal
 
     def test_certificate_catches_faulty_product(self, monkeypatch):
@@ -379,7 +380,7 @@ class TestSpectrumEqual:
         assert b.Q.is_row_stochastic() and b.K.is_row_stochastic()
         monkeypatch.setattr(RationalMatrix, "__matmul__", no_matmul)
         monkeypatch.setattr(burnside.spectra, "EXACT_DIM_CAP", 2)
-        rep = spectrum_equal_report(b.Q, b.K, legs=(b.A, b.B))
+        rep = spectrum_equal_report(b.spectra["Q"], b.spectra["K"], legs=(b.A, b.B))
         assert rep.mode == "certificate"
         assert not rep.equal
 
@@ -387,7 +388,7 @@ class TestSpectrumEqual:
         rng = make_rng(555)
         for _ in range(6):
             b = build_bundle(random_tabled_action(rng))
-            assert spectrum_equal_report(b.Q, b.K, legs=(b.A, b.B)).equal
+            assert spectrum_equal_report(b.spectra["Q"], b.spectra["K"], legs=(b.A, b.B)).equal
 
 
 class TestIntertwine:
