@@ -6,6 +6,13 @@ Exit codes: 0 all checks passed / output written, 1 a verification failed,
 A spec past a size cap is a usage error (exit 2), except under verify: it
 prints `FAIL build: <reason>` and exits 1, since a refused spec runs no check,
 so verify reports a failure, not a usage error.
+
+verify runs the table VERIFY_CHECKS in one loop.  A check that raises
+AssertionError, ValueError or StrongLumpabilityFailure prints
+`FAIL <name>: <message>` and the run goes on to the next check and the total
+line.  The row-size gates (block_flip_square, intertwining, the gap reports)
+are silent; the direct Q past DIRECT_Q_DUALS and an inapplicable bound print
+SKIP lines.
 """
 
 from __future__ import annotations
@@ -19,7 +26,6 @@ from ._rat import parse_rat, rat_str
 from .actions import ActionSpec, fixed_set_size, group_degree, word_from_str
 from .closedforms import kernel_forms, pi_coord, pi_value, q_brute, qbar_value
 from .dynamics import (
-    MinorizationError,
     StrongLumpabilityFailure,
     bound_suite,
     bundle_profiles,
@@ -106,26 +112,105 @@ def cmd_build(args) -> int:
     return 0
 
 
-class _Checker:
-    def __init__(self) -> None:
-        self.failures = 0
-
-    def check(self, name: str, ok: bool, detail: str = "") -> None:
-        tag = "PASS" if ok else "FAIL"
-        if not ok:
-            self.failures += 1
-        suffix = f": {detail}" if detail else ""
-        print(f"{tag} {name}{suffix}")
+def _rows(bundle) -> int:
+    return bundle.num_duals + bundle.num_states
 
 
-def _closed_form_pairs(bundle):
-    """Dual pairs on a deterministic grid that always includes the identity
-    row and column: every pair below 2 * CLOSED_FORM_DUALS duals."""
-    nd = bundle.num_duals
+def _spectrum_equal(bundle, args):
+    rep = spectrum_equal_report(bundle.spectra["Q"], bundle.spectra["K"], (bundle.A, bundle.B))
+    return rep.equal, f"mode = {rep.mode}"
+
+
+def _gaps_agree(bundle, args):
+    rep_q, _ = bundle_gap_report(bundle)  # raises when the gaps differ
+    return True, f"gamma* = {rep_q.gamma_star:.6g}, t_rel = {rep_q.relaxation_time:.6g}"
+
+
+def _closed_forms_match(bundle, args):
+    """Q against every closed form and q_brute on a grid of every
+    (nd // CLOSED_FORM_DUALS)-th dual plus the identity row and column."""
+    spec, nd = bundle.spec, bundle.num_duals
+    forms = kernel_forms(spec)
     idx = sorted(set(range(0, nd, max(1, nd // CLOSED_FORM_DUALS))) | {bundle.e_index})
     for gi in idx:
         for hi in idx:
-            yield gi, hi
+            g, h = bundle.duals[gi], bundle.duals[hi]
+            values = [form(g, h) for _, form in forms] + [q_brute(spec, g, h)]
+            if any(v != bundle.Q[gi, hi] for v in values):
+                return False, f"mismatch at ({g}, {h})"
+    return True
+
+
+def _direct_q(bundle, args):
+    if bundle.num_duals > DIRECT_Q_DUALS:
+        return None, f"{bundle.num_duals} dual states (> {DIRECT_Q_DUALS})"
+    return build_q_direct(bundle.spec) == bundle.Q
+
+
+def _fixedpoint_lump(bundle, args):
+    lumped, spec = fixedpoint_lump_value(bundle), bundle.spec
+    closed = RationalMatrix.from_rows(
+        [[qbar_value(spec.k, spec.n, r, s) for s in lumped.labels] for r in lumped.labels]
+    )
+    return lumped.kernel == closed
+
+
+def _expected_lump_failure(bundle, args):
+    if bundle.spec.model != "coord":
+        return False, "cycle-count partition needs the coordinate model"
+    try:
+        lump(bundle.Q, bundle.piQ, cycle_count_partition(bundle))
+    except StrongLumpabilityFailure as exc:
+        gi, gj = bundle.dual_labels[exc.state_i], bundle.dual_labels[exc.state_j]
+        pieces = "; ".join(f"sums over c={label}: {si} vs {sj}" for label, si, sj in exc.mismatches)
+        return True, f"witnesses {gi} vs {gj}; {pieces}"
+    return False, "cycle-count lumping unexpectedly succeeded"
+
+
+def _bound_lines(bundle, args):
+    return [
+        (f"bound_{r.name}", bool(r.verified), r.reason) if r.applicable
+        else (f"bound {r.name}", None, r.reason)
+        for r in bound_suite(bundle, args.tmax)  # builds the profiles too
+    ]
+
+
+# The checks of `verify`, in print order: (name, runs here, check).  A row
+# whose predicate is false prints nothing; a check returns ok, (ok, detail),
+# (None, reason) for a SKIP line, or a list of (name, ok, detail) lines.
+# Rows call library functions by name, so a rebound module global is the one
+# that runs.
+VERIFY_CHECKS = [
+    ("legs_row_stochastic", None,
+     lambda b, a: b.A.is_row_stochastic() and b.B.is_row_stochastic()),
+    ("kernels_row_stochastic", None,
+     lambda b, a: b.Q.is_row_stochastic() and b.K.is_row_stochastic()),
+    # row by row from the legs, never through the product that built Q and K
+    ("factorization_Q_eq_AB", None, lambda b, a: rows_are_products(b.Q, b.A, b.B)),
+    ("factorization_K_eq_BA", None, lambda b, a: rows_are_products(b.K, b.B, b.A)),
+    ("block_flip_square", lambda b, a: _rows(b) <= BLOCK_FLIP_ROWS,
+     lambda b, a: b.M @ b.M == RationalMatrix.block_diag(b.Q, b.K)),
+    ("stationary_piQ", None, lambda b, a: b.Q.vec_mul(list(b.piQ)) == list(b.piQ)),
+    ("stationary_piK", None, lambda b, a: b.K.vec_mul(list(b.piK)) == list(b.piK)),
+    ("stationarity_transfer", None, lambda b, a: stationarity_transfer_check(b)),
+    ("detailed_balance_Q", None, lambda b, a: check_detailed_balance(b.Q, b.piQ)),
+    ("detailed_balance_K", None, lambda b, a: check_detailed_balance(b.K, b.piK)),
+    ("diagonal_equals_e_column", None, lambda b, a: diagonal_equals_e_column(b)),
+    ("doeblin_floor", None, lambda b, a: (True, f"delta = {doeblin_floor(b)}")),
+    ("nonzero_spectrum_equal", None, _spectrum_equal),
+    ("eigenvector_intertwining", lambda b, a: _rows(b) <= EIGEN_ROWS,
+     lambda b, a: intertwine_check(b)["ok"]),
+    ("absolute_gaps_agree", lambda b, a: _rows(b) <= EIGEN_ROWS, _gaps_agree),
+    ("closed_forms_match_kernel", None, _closed_forms_match),
+    ("direct_q_construction", None, _direct_q),
+    ("conjugacy_lump_Q", None, lambda b, a: (True, f"{conjugacy_lump_Q(b).kernel.rows} classes")),
+    ("orbit_lump_K", None, lambda b, a: (True, f"{orbit_lump_K(b).kernel.rows} orbits")),
+    ("fixedpoint_lump_matches_closed_form", lambda b, a: b.spec.model == "value",
+     _fixedpoint_lump),
+    ("expected_lump_failure", lambda b, a: a.expect_lump_failure == "cycle-count",
+     _expected_lump_failure),
+    ("bound_suite", None, _bound_lines),
+]
 
 
 def _check_tmax(tmax: int) -> None:
@@ -141,123 +226,22 @@ def cmd_verify(args) -> int:
     except CapExceeded as exc:
         print(f"FAIL build: {exc}")
         return 1
-    ck = _Checker()
-
-    ck.check(
-        "legs_row_stochastic",
-        bundle.A.is_row_stochastic() and bundle.B.is_row_stochastic(),
-    )
-    ck.check(
-        "kernels_row_stochastic",
-        bundle.Q.is_row_stochastic() and bundle.K.is_row_stochastic(),
-    )
-    # row by row from the legs, never through the product that built Q and K
-    ck.check("factorization_Q_eq_AB", rows_are_products(bundle.Q, bundle.A, bundle.B))
-    ck.check("factorization_K_eq_BA", rows_are_products(bundle.K, bundle.B, bundle.A))
-    if bundle.num_duals + bundle.num_states <= BLOCK_FLIP_ROWS:
-        ck.check(
-            "block_flip_square",
-            bundle.M @ bundle.M == RationalMatrix.block_diag(bundle.Q, bundle.K),
-        )
-
-    ck.check(
-        "stationary_piQ", bundle.Q.vec_mul(list(bundle.piQ)) == list(bundle.piQ)
-    )
-    ck.check(
-        "stationary_piK", bundle.K.vec_mul(list(bundle.piK)) == list(bundle.piK)
-    )
-    ck.check("stationarity_transfer", stationarity_transfer_check(bundle))
-    ck.check("detailed_balance_Q", check_detailed_balance(bundle.Q, bundle.piQ))
-    ck.check("detailed_balance_K", check_detailed_balance(bundle.K, bundle.piK))
-    ck.check("diagonal_equals_e_column", diagonal_equals_e_column(bundle))
-    try:
-        delta = doeblin_floor(bundle)
-        ck.check("doeblin_floor", True, f"delta = {delta}")
-    except AssertionError as exc:
-        ck.check("doeblin_floor", False, str(exc))
-
-    rep = spectrum_equal_report(bundle.spectra["Q"], bundle.spectra["K"], (bundle.A, bundle.B))
-    ck.check("nonzero_spectrum_equal", rep.equal, f"mode = {rep.mode}")
-    if bundle.num_duals + bundle.num_states <= EIGEN_ROWS:
+    failures = 0
+    for name, runs_here, check in VERIFY_CHECKS:
+        if runs_here is not None and not runs_here(bundle, args):
+            continue
         try:
-            ck.check("eigenvector_intertwining", intertwine_check(bundle)["ok"])
-        except (AssertionError, ValueError) as exc:  # a bad char poly, or not reversible
-            ck.check("eigenvector_intertwining", False, str(exc))
-        try:
-            rep_q, rep_k = bundle_gap_report(bundle)
-            ck.check(
-                "absolute_gaps_agree", True,
-                f"gamma* = {rep_q.gamma_star:.6g}, t_rel = {rep_q.relaxation_time:.6g}",
-            )
-        except (AssertionError, ValueError) as exc:  # gaps differ, or Q or K is not reversible
-            ck.check("absolute_gaps_agree", False, str(exc))
-
-    ok = True
-    detail = ""
-    forms = kernel_forms(spec)
-    for gi, hi in _closed_form_pairs(bundle):
-        g, h = bundle.duals[gi], bundle.duals[hi]
-        expected = bundle.Q[gi, hi]
-        values = [form(g, h) for _, form in forms]
-        brute = q_brute(spec, g, h)
-        if brute != expected or any(v != expected for v in values):
-            ok = False
-            detail = f"mismatch at ({g}, {h})"
-            break
-    ck.check("closed_forms_match_kernel", ok, detail)
-    if bundle.num_duals <= DIRECT_Q_DUALS:
-        ck.check("direct_q_construction", build_q_direct(spec) == bundle.Q)
-    else:
-        print(f"SKIP direct_q_construction: {bundle.num_duals} dual states (> {DIRECT_Q_DUALS})")
-
-    try:
-        lumped = conjugacy_lump_Q(bundle)
-        ck.check("conjugacy_lump_Q", True, f"{lumped.kernel.rows} classes")
-    except (AssertionError, StrongLumpabilityFailure) as exc:
-        ck.check("conjugacy_lump_Q", False, str(exc))
-    try:
-        lumped = orbit_lump_K(bundle)
-        ck.check("orbit_lump_K", True, f"{lumped.kernel.rows} orbits")
-    except (AssertionError, StrongLumpabilityFailure) as exc:
-        ck.check("orbit_lump_K", False, str(exc))
-
-    if spec.model == "value":
-        try:
-            lumped = fixedpoint_lump_value(bundle)
-            closed = RationalMatrix.from_rows(
-                [[qbar_value(spec.k, spec.n, r, s) for s in lumped.labels] for r in lumped.labels]
-            )
-            ck.check("fixedpoint_lump_matches_closed_form", lumped.kernel == closed)
-        except StrongLumpabilityFailure as exc:
-            ck.check("fixedpoint_lump_matches_closed_form", False, str(exc))
-
-    if args.expect_lump_failure == "cycle-count":
-        if spec.model != "coord":
-            ck.check("expected_lump_failure", False, "cycle-count partition needs the coordinate model")
-        else:
-            try:
-                lump(bundle.Q, bundle.piQ, cycle_count_partition(bundle))
-                ck.check("expected_lump_failure", False, "cycle-count lumping unexpectedly succeeded")
-            except StrongLumpabilityFailure as exc:
-                gi, gj = bundle.dual_labels[exc.state_i], bundle.dual_labels[exc.state_j]
-                pieces = "; ".join(
-                    f"sums over c={label}: {si} vs {sj}" for label, si, sj in exc.mismatches
-                )
-                ck.check("expected_lump_failure", True, f"witnesses {gi} vs {gj}; {pieces}")
-
-    try:
-        results = bound_suite(bundle, args.tmax)  # builds the profiles too
-    except (AssertionError, StrongLumpabilityFailure, MinorizationError) as exc:
-        ck.check("bound_suite", False, str(exc))  # a floor or a lumping under it fails
-        results = []
-    for res in results:
-        if not res.applicable:
-            print(f"SKIP bound {res.name}: {res.reason}")
-        else:
-            ck.check(f"bound_{res.name}", bool(res.verified), res.reason)
-
-    print(f"{'PASS' if ck.failures == 0 else 'FAIL'} total: {ck.failures} failure(s)")
-    return 0 if ck.failures == 0 else 1
+            out = check(bundle, args)
+        except (AssertionError, ValueError, StrongLumpabilityFailure) as exc:
+            out = (False, str(exc))
+        if not isinstance(out, list):
+            out = [(name, *out) if isinstance(out, tuple) else (name, out, "")]
+        for line, ok, detail in out:
+            failures += ok is not None and not ok
+            tag = "SKIP" if ok is None else "PASS" if ok else "FAIL"
+            print(f"{tag} {line}" + (f": {detail}" if detail else ""))
+    print(f"{'PASS' if failures == 0 else 'FAIL'} total: {failures} failure(s)")
+    return 0 if failures == 0 else 1
 
 
 def _parse_eps(values) -> list:

@@ -206,7 +206,8 @@ def extract_rational_roots(poly: CharPoly, p: RationalMatrix, pi):
     the symmetrized kernel proposes m = round(L mu), computed exactly, which
     counts only if it divides out of poly exactly.  The set is complete
     while L times the float error stays under 1/2: any L below about 10**11
-    at 512 dimensions."""
+    at 512 dimensions.  Past it, a root 1 left in the remainder raises
+    AssertionError; other missed roots stay in the remainder unnoticed."""
     return _peel_roots(poly, p, SpectrumReport("", p, pi).float_roots)
 
 
@@ -219,6 +220,8 @@ def _peel_roots(poly: CharPoly, p: RationalMatrix, eigs):
         while rem.degree > 0 and (quotient := rem.deflate(cand)) is not None:
             roots[cand] = roots.get(cand, 0) + 1
             rem = quotient
+    if rem(Rat(1)) == 0:  # then poly(1) == 0 too, and no candidate was 1
+        raise AssertionError("root 1 not among the float candidates: the roots are incomplete")
     return roots, rem
 
 

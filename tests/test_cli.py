@@ -350,6 +350,64 @@ def test_verify_stdout_digest(capsys, config):
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_STDOUT_DIGESTS[config]
 
 
+# (verify arguments past --model/--k/--n, exit code, sha256 of stdout) for
+# the paths the digests above do not reach: a printed SKIP of the direct Q
+# (value 6,1: 1 dual), of the dz bounds (coord 2,1) and of the mixing
+# equivalence (--tmax 2), the silent gates past EIGEN_ROWS off (value 4,3),
+# and the expected cycle-count lump failure met (coord 2,4) and refused
+# (value 3,2)
+VERIFY_PATH_DIGESTS = {
+    ("value", "6", "1"): (0, "e2301a49cb63c4383909275b5ceb250ab4de47f092fbded8e444c3863519ae2b"),
+    ("value", "4", "3"): (0, "adc7e76a9f9b750eb9664b9061dc71dcd7511567edb6cfdb21174d8c63cfeac8"),
+    ("coord", "2", "1"): (0, "43f967bab0619e5b22409ec06020689336fa69b538d7844f693680d316d48c0f"),
+    ("value", "3", "2", "--tmax", "2"):
+        (0, "16f604080ba28db71afaa4d5b1463a6558b7e8099330ba8ad95b7874eebac760"),
+    ("coord", "2", "4", "--expect-lump-failure", "cycle-count"):
+        (0, "bd6c8b6a5e5879e04ebf0c10299dba4bea465eba663dd5af8a4c82a064951695"),
+    ("value", "3", "2", "--expect-lump-failure", "cycle-count"):
+        (1, "2add67123191084b28d7cfbd127a349c8ef03b5734a4f518bc4204673f64580f"),
+}
+
+
+@pytest.mark.parametrize(
+    "config", list(VERIFY_PATH_DIGESTS), ids=lambda c: "{}{},{}".format(*c) + " ".join(("",) + c[3:])
+)
+def test_verify_path_digest(capsys, config):
+    model, k, n, *extra = config
+    code = main(["verify", "--model", model, "--k", k, "--n", n, *extra])
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert (code, digest) == VERIFY_PATH_DIGESTS[config]
+
+
+def test_verify_raising_check_fails_and_continues(monkeypatch, capsys):
+    # a check that raises prints FAIL with its message; the checks after it,
+    # the bound suite among them, still run and the total counts it
+    def broken(k, n, r, s):
+        raise AssertionError("two-stage product mismatch")
+
+    monkeypatch.setattr(burnside.cli, "qbar_value", broken)
+    code = main(["verify", "--model", "value", "--k", "3", "--n", "2"])
+    lines = capsys.readouterr().out.splitlines()
+    at = lines.index("FAIL fixedpoint_lump_matches_closed_form: two-stage product mismatch")
+    assert any(line.startswith("PASS bound_") for line in lines[at + 1:])
+    assert lines[-1] == "FAIL total: 1 failure(s)"
+    assert code == 1
+
+
+def test_verify_value_error_in_check_is_a_failure(monkeypatch, capsys):
+    # a ValueError inside a check is a failed check (exit 1), not a usage error
+    def broken(spec, g, h):
+        raise ValueError("brute force refused")
+
+    monkeypatch.setattr(burnside.cli, "q_brute", broken)
+    code = main(["verify", "--model", "coord", "--k", "2", "--n", "3"])
+    captured = capsys.readouterr()
+    assert "FAIL closed_forms_match_kernel: brute force refused" in captured.out
+    assert captured.out.splitlines()[-1] == "FAIL total: 1 failure(s)"
+    assert "error:" not in captured.err
+    assert code == 1
+
+
 def _count_calls(monkeypatch, owner, name, calls):
     """Rebind owner.name to a wrapper that bumps calls[0] on every call."""
     orig = getattr(owner, name)

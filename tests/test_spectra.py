@@ -6,8 +6,8 @@ import math
 import pytest
 
 from burnside._rat import Rat, rat_str
-from burnside.actions import random_tabled_action, value_spec
-from burnside.kernels import build_bundle
+from burnside.actions import dual_states, fixed_set_size, random_tabled_action, value_spec
+from burnside.kernels import build_bundle, build_q_direct
 from burnside.ratmat import RationalMatrix
 from burnside.sampler import make_rng
 import burnside.spectra
@@ -331,6 +331,23 @@ class TestRationalRoots:
             b = build_bundle(random_tabled_action(rng))
             self._assert_roots_match_eigenspaces(b.Q, b.piQ)
             self._assert_roots_match_eigenspaces(b.K, b.piK)
+
+    # value Q from the closed forms, past the enumeration caps, where the lcm
+    # L of the row denominators passes 2**50 and round(mu L) misses rational
+    # roots: value 4,26 (3 of 15 found) and 5,14 miss the root 1 itself, which
+    # P(1) = 0 proves a root, so the peel must raise rather than report it in
+    # the remainder.  value 4,30 finds 1 and misses 14 other roots unseen: the
+    # guard sees only the root 1, and certified roots at any L are open work.
+    @pytest.mark.parametrize("k, n", [(4, 26), (5, 14)], ids=["value4,26", "value5,14"])
+    def test_missed_root_one_raises(self, k, n):
+        spec = value_spec(k, n)
+        q = build_q_direct(spec)
+        weights = [fixed_set_size(spec, g) for g in dual_states(spec)]
+        pi = [Rat(w, sum(weights)) for w in weights]
+        with pytest.raises(AssertionError, match="root 1"):
+            SpectrumReport("Q", q, pi).roots
+        with pytest.raises(AssertionError, match="root 1"):
+            extract_rational_roots(char_poly(q), q, pi)
 
 
 class TestSpectrumEqual:
