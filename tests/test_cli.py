@@ -399,12 +399,70 @@ def test_verify_value_error_in_check_is_a_failure(monkeypatch, capsys):
     def broken(spec, g, h):
         raise ValueError("brute force refused")
 
-    monkeypatch.setattr(burnside.cli, "q_brute", broken)
+    monkeypatch.setattr(burnside.cli, "q_brute_row", broken)
     code = main(["verify", "--model", "coord", "--k", "2", "--n", "3"])
     captured = capsys.readouterr()
     assert "FAIL closed_forms_match_kernel: brute force refused" in captured.out
     assert captured.out.splitlines()[-1] == "FAIL total: 1 failure(s)"
     assert "error:" not in captured.err
+    assert code == 1
+
+
+def _wrap_grid(monkeypatch, on_form, on_oracle):
+    """Route the closed-form grid of verify through on_form(g, h, value) for
+    the first closed form and on_oracle(g, h, value) for every brute-force
+    entry; each returns the value the check sees."""
+    forms, oracle = burnside.cli.kernel_forms, burnside.cli.q_brute_row
+
+    def wrapped_forms(spec):
+        (name, first), *rest = forms(spec)
+        return [(name, lambda g, h: on_form(g, h, first(g, h))), *rest]
+
+    def wrapped_oracle(spec, g, hs):
+        return [on_oracle(g, h, v) for h, v in zip(hs, oracle(spec, g, hs))]
+
+    monkeypatch.setattr(burnside.cli, "kernel_forms", wrapped_forms)
+    monkeypatch.setattr(burnside.cli, "q_brute_row", wrapped_oracle)
+
+
+def test_verify_closed_form_grid_is_full(monkeypatch, capsys):
+    # value 5,3 has 76 dual states, fewer than 2 * CLOSED_FORM_DUALS: the
+    # grid compares every one of the 76^2 pairs, each by forms and oracle
+    pairs = {"form": 0, "oracle": 0}
+
+    def count(kind):
+        def seen(g, h, value):
+            pairs[kind] += 1
+            return value
+        return seen
+
+    _wrap_grid(monkeypatch, count("form"), count("oracle"))
+    assert main(["verify", "--model", "value", "--k", "5", "--n", "3"]) == 0
+    assert "PASS closed_forms_match_kernel" in capsys.readouterr().out.splitlines()
+    assert pairs == {"form": 5776, "oracle": 5776}
+
+
+# two pairs of value 5,3 whose order differs by rows and by columns: the grid
+# goes row by row, so it names the pair in the row of (1 2) first
+CORRUPTED_PAIRS = {("(1 3)", "(1 2 3)"), ("(1 2)", "(1 4 5)")}
+
+
+@pytest.mark.parametrize("corrupt", ["form", "oracle"])
+def test_verify_closed_form_grid_names_first_mismatch(monkeypatch, capsys, corrupt):
+    def off_by_one(g, h, value):
+        return value + 1 if (str(g), str(h)) in CORRUPTED_PAIRS else value
+
+    def exact(g, h, value):
+        return value
+
+    if corrupt == "form":
+        _wrap_grid(monkeypatch, off_by_one, exact)
+    else:
+        _wrap_grid(monkeypatch, exact, off_by_one)
+    code = main(["verify", "--model", "value", "--k", "5", "--n", "3"])
+    lines = capsys.readouterr().out.splitlines()
+    assert "FAIL closed_forms_match_kernel: mismatch at ((1 2), (1 4 5))" in lines
+    assert lines[-1] == "FAIL total: 1 failure(s)"
     assert code == 1
 
 

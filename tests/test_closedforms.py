@@ -5,7 +5,14 @@ from math import comb, factorial
 import pytest
 
 from burnside._rat import Rat
-from burnside.actions import coord_spec, dual_states, value_spec
+from burnside.actions import (
+    apply_perm,
+    coord_spec,
+    dual_states,
+    enumerate_fixed_words,
+    stabilizer_size,
+    value_spec,
+)
 import burnside.closedforms
 from burnside.closedforms import (
     cycle_index_Fk,
@@ -15,6 +22,7 @@ from burnside.closedforms import (
     pi_value,
     pibar_value,
     q_brute,
+    q_brute_row,
     q_coord_binary,
     q_coord_colorings,
     q_coord_expectation,
@@ -32,6 +40,45 @@ from burnside.closedforms import (
 )
 from burnside.combinat import bell, stirling2, subfactorial
 from burnside.permgroup import enumerate_sym, from_cycles, identity, joint_orbits, parse_perm
+
+
+def _q_brute_by_definition(spec, g, h):
+    """Q(g,h) word by word: 1/(|X_g| |G_x|) summed over x in X_g with h.x = x."""
+    total, count = Rat(0), 0
+    for x in enumerate_fixed_words(spec, g):
+        count += 1
+        if apply_perm(spec, h, x) == x:
+            total += Rat(1, stabilizer_size(spec, x))
+    return total / count
+
+
+class TestBruteRow:
+    @pytest.mark.parametrize(
+        "spec",
+        [value_spec(3, 2), value_spec(4, 3), value_spec(5, 2), coord_spec(2, 4), coord_spec(3, 3)],
+        ids=lambda spec: f"{spec.model}{spec.k},{spec.n}",
+    )
+    def test_row_matches_definition(self, spec):
+        duals = dual_states(spec)
+        for g in duals:
+            want = [_q_brute_by_definition(spec, g, h) for h in duals]
+            assert q_brute_row(spec, g, duals) == want
+            assert [q_brute(spec, g, h) for h in duals] == want
+
+    def test_weight_sums_exceed_int64(self):
+        # |X_g| = 2^16 words with weights |G|/|G_x| up to C(60,30): their sum
+        # leaves int64, and wrapped around it would give a wrong entry
+        g = from_cycles(60, [range(4 * i + 1, 4 * i + 5) for i in range(14)] + [(57, 58), (59, 60)])
+        assert q_brute(coord_spec(2, 60), g, g) == Rat(
+            31157708190466567351,
+            4868966173398390575850841926640414357652727285093666203033177349213388800000000000000,
+        )
+
+    def test_degree_mismatch_refused(self):
+        with pytest.raises(ValueError, match="degree"):
+            q_brute_row(value_spec(3, 2), identity(3), [identity(4)])
+        with pytest.raises(ValueError, match="degree"):
+            q_brute(coord_spec(2, 3), identity(3), identity(2))
 
 
 class TestValueForms:
