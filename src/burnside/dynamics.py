@@ -2,16 +2,18 @@
 
 Distances stay exact rationals throughout.  A distribution evolves as
 integer numerators over a running denominator, reduced by their gcd after
-every step (``RationalMatrix.step``).  Worst-case profiles for a bundle walk
-point masses through the legs (a step through B, then one through A, per
-primal step) and reduce the start set to orbit representatives for K and
-conjugacy-class representatives for Q; both kernels are equivariant, so
-every other start reproduces a representative's curve exactly (validated in
-the tests against the all-starts computation).  Lumping, the floors and the
-sign checks compare the integers as well; the orbit and class lumpings also
-check their aggregation identity against the legs, row by row.
+every step (``RationalMatrix.step``).  A profile reads step 0, 1 - pi(x),
+off the start and walks each distinct row once.  Worst-case profiles for a
+bundle reduce the start set to orbit representatives for K and
+conjugacy-class representatives for Q (both kernels are equivariant, so
+every other start reproduces a representative's curve exactly) and walk
+the legs lumped where their rows repeat, into classes of equal stabilizers
+and of equal fixed sets, on which the TV is exact (``bundle_profiles``);
+the tests check both reductions against the all-starts computation.
+Lumping, the floors and the sign checks compare the integers as well; the
+orbit and class lumpings also check their aggregation identity against the
+legs, row by row.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -86,19 +88,20 @@ def _tv_scaled(nums: np.ndarray, den: int, pi_nums: np.ndarray, pi_den: int):
     return Rat(int(np.abs(nums * pi_den - pi_nums * den).sum()), 2 * den * pi_den)
 
 
-def _tv_curve(
-    steps: Sequence[RationalMatrix], start: int, pi_scaled: tuple[np.ndarray, int], t_max: int
+def _tv_tail(
+    steps: Sequence[RationalMatrix], row: int, pi_scaled: tuple[np.ndarray, int], t_max: int
 ) -> list:
-    """TV to pi of the point mass at start after 0..t_max steps, one step
-    being an integer step through each matrix of steps in turn."""
+    """TV to pi after 1..t_max steps from row `row` of steps[0], one step
+    being an integer step through each matrix of steps in turn: the row is
+    the walk's state after steps[0], so the first step runs through the rest."""
     pi_nums, pi_den = pi_scaled
-    nums, den = scaled_vector(point_mass(steps[0].rows, start))
-    curve = [_tv_scaled(nums, den, pi_nums, pi_den)]
-    for _ in range(t_max):
-        for m in steps:
+    nums, den = steps[0].num[row].astype(object), int(steps[0].den[row])
+    tail = []
+    for t in range(t_max):
+        for m in steps[1:] if t == 0 else steps:
             nums, den = m.step(nums, den)
-        curve.append(_tv_scaled(nums, den, pi_nums, pi_den))
-    return curve
+        tail.append(_tv_scaled(nums, den, pi_nums, pi_den))
+    return tail
 
 
 @dataclass
@@ -125,15 +128,29 @@ class ChainProfile:
 
 
 def _profile_per_key(
-    key_of: list, steps: Sequence[RationalMatrix], pi: Sequence, t_max: int
+    key_of: list,
+    row_of: Sequence[int],
+    steps: Sequence[RationalMatrix],
+    pi: Sequence,
+    pi_walk: Sequence,
+    t_max: int,
 ) -> ChainProfile:
-    """Curves from the first start of each key, one step through each of steps."""
-    pi_scaled = scaled_vector(pi)
-    reps, curves = [], {}
+    """Curves from the first start of each key.  At t = 0 start s is a
+    point mass, at TV 1 - pi[s] from pi; from t = 1 on it walks from row
+    row_of[s] of steps[0], against pi_walk.  Starts whose rows are equal
+    share that tail, and it is walked once."""
+    row_class = _row_classes(steps[0]).block_of
+    pi_scaled = scaled_vector(pi_walk)
+    reps, curves, tails = [], {}, {}
     for start, key in enumerate(key_of):
-        if key not in curves:
-            reps.append(start)
-            curves[key] = _tv_curve(steps, start, pi_scaled, t_max)
+        if key in curves:
+            continue
+        reps.append(start)
+        row = row_of[start]
+        cls = row_class[row]
+        if cls not in tails:
+            tails[cls] = _tv_tail(steps, row, pi_scaled, t_max)
+        curves[key] = [1 - pi[start], *tails[cls]]
     worst = [max(curve[t] for curve in curves.values()) for t in range(t_max + 1)]
     if not _holds(worst[1:], worst):
         raise AssertionError("worst-case TV increased from one step to the next")
@@ -141,8 +158,9 @@ def _profile_per_key(
 
 
 def d_profile(p: RationalMatrix, pi: Sequence, t_max: int) -> ChainProfile:
-    """Exact worst-case TV profile over every start."""
-    return _profile_per_key(list(range(p.rows)), (p,), pi, t_max)
+    """Exact worst-case TV profile over every start, to the law pi."""
+    starts = list(range(p.rows))
+    return _profile_per_key(starts, starts, (p,), pi, pi, t_max)
 
 
 def mixing_time_from_curve(curve: Sequence, eps) -> Optional[int]:
@@ -163,7 +181,7 @@ def mixing_time(p: RationalMatrix, pi: Sequence, eps) -> int:
 
 
 # ---------------------------------------------------------------------------
-# exact profiles for a bundle (point masses walked through the legs)
+# exact profiles for a bundle (classes walked through the lumped legs)
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -176,10 +194,30 @@ class BundleProfiles:
 
 def bundle_profiles(bundle: ChainBundle, t_max: int = 60) -> BundleProfiles:
     """Exact d_K and d_Q curves for every start, up to equivariance (one per
-    orbit of K, one per conjugacy class of Q), and the profile of K lumped by orbits."""
-    legs_k = (bundle.B, bundle.A)  # K = BA
-    k_profile = _profile_per_key(bundle.state_orbit_keys, legs_k, bundle.piK, t_max)
-    q_profile = _profile_per_key(bundle.dual_class_keys, legs_k[::-1], bundle.piQ, t_max)
+    orbit of K, one per conjugacy class of Q), and the profile of K lumped by
+    orbits.
+
+    The walks run on the legs lumped where their rows repeat: the states
+    fall into classes of equal B rows (equal stabilizers), the duals into
+    classes of equal A rows (equal fixed sets).  B_bar is B summed over the
+    dual classes, A_bar is A summed over the state classes, each at one row
+    per class, and a start walks from its class through (B_bar, A_bar) for
+    K = BA or (A_bar, B_bar) for Q = AB.  The TV on the classes is the TV on
+    the states: for t >= 1, delta_x K^t is constant on each stabilizer class,
+    since A's column at y depends only on G_y, and so is pi_K, proportional
+    to |G_y|; for Q the same holds with fixed sets for stabilizers.  Step 0,
+    1 - pi(x), is read off the start, not off its class."""
+    states, duals = _row_classes(bundle.B), _row_classes(bundle.A)
+    b_bar = bundle.B.block_sums(duals.block_of, duals.num_blocks).select_rows(states.reps)
+    a_bar = bundle.A.block_sums(states.block_of, states.num_blocks).select_rows(duals.reps)
+    k_profile = _profile_per_key(
+        bundle.state_orbit_keys, states.block_of, (b_bar, a_bar),
+        bundle.piK, states.sums(bundle.piK), t_max,
+    )
+    q_profile = _profile_per_key(
+        bundle.dual_class_keys, duals.block_of, (a_bar, b_bar),
+        bundle.piQ, duals.sums(bundle.piQ), t_max,
+    )
     lumped = orbit_lump_K(bundle)
     return BundleProfiles(t_max, k_profile, q_profile, d_profile(lumped.kernel, lumped.pi, t_max))
 
@@ -210,10 +248,25 @@ class StatePartition:
     def num_blocks(self) -> int:
         return len(self.blocks)
 
+    @property
+    def reps(self) -> list[int]:
+        """The first member of each block."""
+        return [block[0] for block in self.blocks]
+
+    def sums(self, v: Sequence) -> list:
+        """The block sums of v."""
+        return [sum((v[i] for i in block), Rat(0)) for block in self.blocks]
+
     def validate_cover(self, n: int) -> None:
         seen = sorted(i for b in self.blocks for i in b)
         if seen != list(range(n)) or any(not b for b in self.blocks):
             raise ValueError("blocks must be nonempty and partition the state set")
+
+
+def _row_classes(m: RationalMatrix) -> StatePartition:
+    """The rows of m grouped into classes of equal rows; rows are canonical,
+    so equal rows have equal numerators and denominator."""
+    return StatePartition.from_keys(list(zip(map(tuple, m.num.tolist()), m.den.tolist())))
 
 
 class StrongLumpabilityFailure(Exception):
@@ -264,9 +317,7 @@ def lump(p: RationalMatrix, pi: Sequence, partition: StatePartition):
                 if rep_sums[bi] != other_sums[bi]
             ]
             raise StrongLumpabilityFailure(rep, other, mismatches)
-    bar_p = sums.select_rows([block[0] for block in partition.blocks])
-    bar_pi = [sum((pi[i] for i in block), Rat(0)) for block in partition.blocks]
-    return bar_p, bar_pi
+    return sums.select_rows(partition.reps), partition.sums(pi)
 
 
 @dataclass
@@ -289,7 +340,7 @@ def _aggregation_holds(
     other leg and the product is checked row by row, so neither the kernel
     nor its block sums are reused."""
     right = other.block_sums(partition.block_of, partition.num_blocks)
-    left = leg.select_rows([block[0] for block in partition.blocks])
+    left = leg.select_rows(partition.reps)
     return rows_are_products(bar, left, right)
 
 

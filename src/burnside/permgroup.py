@@ -33,7 +33,7 @@ CycleType = tuple[int, ...]
 
 
 class Permutation:
-    __slots__ = ("images", "_cycles")
+    __slots__ = ("images", "_cycles", "_fixed")
 
     def __init__(self, images) -> None:
         """One walk over the images finds the cycles and checks that they
@@ -58,6 +58,7 @@ class Permutation:
             cycles.append(tuple(cyc))
         self.images = images
         self._cycles = tuple(cycles)
+        self._fixed = None
 
     @property
     def degree(self) -> int:
@@ -82,7 +83,11 @@ class Permutation:
         return len(self._cycles) == len(self.images)
 
     def fixed_points(self) -> frozenset[int]:
-        return frozenset(c[0] for c in self._cycles if len(c) == 1)
+        """The fixed points, built on first use and kept: the closed forms
+        and the stationary masses ask for them once per dual pair."""
+        if self._fixed is None:
+            self._fixed = frozenset(c[0] for c in self._cycles if len(c) == 1)
+        return self._fixed
 
     def moved_points(self) -> frozenset[int]:
         return frozenset(i for c in self._cycles if len(c) > 1 for i in c)

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from burnside import dynamics
 from burnside._rat import Rat, parse_rat, rat_str
 from burnside.actions import random_tabled_action, value_spec
 from burnside.dynamics import (
@@ -88,6 +89,35 @@ class TestProfiles:
             assert reduced.q.curve_for(gi) == full_q.per_start[gi]
         for xi in range(b.num_states):
             assert reduced.k.curve_for(xi) == full_k.per_start[xi]
+
+    @pytest.mark.parametrize(
+        "key, longest", [(("value", 4, 4), 11), (("value", 5, 3), 26)]
+    )
+    def test_leg_walks_step_class_vectors(self, bundles, monkeypatch, key, longest):
+        # value 4,4 has 11 stabilizer and 11 fixed-set classes (256 states,
+        # 15 duals), value 5,3 has 25 and 26 (125 states, 76 duals): the K and
+        # Q walks step vectors over the classes, never over states or duals
+        b = bundles(*key)
+        lengths, walking = [], []
+        step, per_key = RationalMatrix.step, dynamics._profile_per_key
+
+        def spy_step(self, nums, den):
+            if walking:
+                lengths.append(len(nums))
+            return step(self, nums, den)
+
+        def spy_per_key(key_of, *args):
+            if key_of is b.state_orbit_keys or key_of is b.dual_class_keys:
+                walking.append(True)
+            try:
+                return per_key(key_of, *args)
+            finally:
+                walking.clear()
+
+        monkeypatch.setattr(RationalMatrix, "step", spy_step)
+        monkeypatch.setattr(dynamics, "_profile_per_key", spy_per_key)
+        dynamics.bundle_profiles(b, 4)
+        assert lengths and max(lengths) <= longest
 
     def test_one_step_lag_both_directions(self, bundles):
         for key in [("value", 3, 2), ("coord", 2, 4), ("coord", 3, 3)]:

@@ -17,6 +17,7 @@ from burnside.actions import random_tabled_action
 from burnside.dynamics import (
     StatePartition,
     StrongLumpabilityFailure,
+    bundle_profiles,
     cycle_count_partition,
     d_profile,
     lump,
@@ -167,6 +168,17 @@ def test_d_profile_matches_reference(seed):
         curves = ref_profile(entries(m), pi, 5)
         assert prof.per_start == curves
         assert prof.worst == [max(c[t] for c in curves) for t in range(6)]
+
+
+@SETTINGS
+@given(seed=seeds)
+def test_bundle_profiles_match_reference(seed):
+    # random stabilizer lattices: the walks on the legs lumped by repeated
+    # rows against the state-level Fraction walk of every start
+    b = tabled_bundle(seed, max_states=24)
+    profs = bundle_profiles(b, 5)
+    assert profs.k.per_start == ref_profile(entries(b.K), b.piK, 5)
+    assert profs.q.per_start == ref_profile(entries(b.Q), b.piQ, 5)
 
 
 # --- arbitrary rational matrices, numerators and denominators beyond int64 ----
