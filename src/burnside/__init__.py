@@ -4,7 +4,7 @@ dual orbit-sampling (Burnside) chains on two symmetric-group actions."""
 from ._rat import BACKEND as EXACT_BACKEND
 from ._rat import Rat
 from .actions import ActionSpec, TabledAction, coord_spec, value_spec
-from .kernels import ChainBundle, build_bundle, build_legs, build_q_direct
+from .kernels import ChainBundle, build_bundle, build_q_direct
 from .permgroup import Permutation, parse_perm
 from .ratmat import RationalMatrix
 
@@ -19,7 +19,6 @@ __all__ = [
     "RationalMatrix",
     "TabledAction",
     "build_bundle",
-    "build_legs",
     "build_q_direct",
     "coord_spec",
     "parse_perm",

@@ -31,7 +31,14 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .combinat import rising_factorial, stirling2, subfactorial
-from .permgroup import Permutation, _UnionFind, canonical_sort_key, enumerate_sym, identity
+from .permgroup import (
+    Permutation,
+    _sym_within_cap,
+    _UnionFind,
+    canonical_sort_key,
+    enumerate_sym,
+    identity,
+)
 
 __all__ = [
     "ActionSpec",
@@ -68,9 +75,6 @@ Word = tuple[int, ...]
 
 VALUE = "value"
 COORD = "coord"
-
-# count_orbits sums |X_g| over all of S_m up to this degree, by cycle data above.
-COUNT_ENUMERATION_DEGREE = 8
 
 
 @dataclass(frozen=True)
@@ -304,13 +308,13 @@ def count_orbits(spec: ActionSpec) -> int:
     """Number of orbits, by closed form and by the Burnside average.
 
     The two computations must agree; the Burnside side enumerates the group
-    up to degree COUNT_ENUMERATION_DEGREE and above it uses the exact
-    fixed-size counts aggregated over cycle data.
+    while m! is within the state cap and past it uses the exact fixed-size
+    counts aggregated over cycle data.
     """
     n, k = spec.n, spec.k
     closed = orbit_count(spec)
     m = group_degree(spec)
-    if m <= COUNT_ENUMERATION_DEGREE:
+    if _sym_within_cap(m):
         total = sum(fixed_set_size(spec, g) for g in enumerate_sym(m))
     elif spec.model == VALUE:
         total = sum(

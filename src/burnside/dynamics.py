@@ -281,9 +281,6 @@ class StrongLumpabilityFailure(Exception):
         self.state_j = state_j
         self.mismatches = list(mismatches)
         label, sum_i, sum_j = self.mismatches[0]
-        self.block_label = label
-        self.sum_i = sum_i
-        self.sum_j = sum_j
         super().__init__(
             f"block sums differ over {len(self.mismatches)} target block(s); e.g. "
             f"over {label!r}: state {state_i} gives {sum_i}, state {state_j} gives {sum_j}"

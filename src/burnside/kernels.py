@@ -1,16 +1,16 @@
 """Leg matrices A and B, the kernels Q = AB and K = BA, and stationary laws.
 
 A has one row per dual state g (uniform on the fixed words of g); B has one
-row per word x (uniform on the stabilizer of x).  Every kernel is a product
-of the two legs: ``build_bundle`` forms both, ``build_k_matrix`` only
-K = BA.  Everything is exact: each matrix is integer numerators over one
+row per word x (uniform on the stabilizer of x).  The legs are formed only
+inside a kernel builder: ``build_bundle`` forms both, ``build_k_matrix``
+only K = BA.  Everything is exact: each matrix is integer numerators over one
 denominator per row (see ``ratmat``), and the checks here (detailed balance,
 the diagonal identity, the Doeblin floors) compare those integers.  The same
 assembly runs for the two concrete models and for tabled test actions.  One
 0/1 incidence 1[x in X_g] gives both legs: A is it over its row sums |X_g|,
 B its transpose over its column sums |G_x|.  Only ``build_bundle`` forms the
-orbit and class keys and the labels.  Each public builder checks its spec once,
-from closed forms, before any enumeration (``_check_size``).
+orbit and class keys and the labels.  Each builder checks its spec once, from
+closed forms, before any enumeration (``_check_size``, ``permgroup.STATE_CAP``).
 """
 
 from __future__ import annotations
@@ -35,11 +35,11 @@ from .actions import (
     word_to_str,
     words,
 )
+from .permgroup import STATE_CAP
 from .ratmat import RationalMatrix
 
 __all__ = [
     "ChainBundle",
-    "build_legs",
     "build_bundle",
     "build_k_matrix",
     "build_q_direct",
@@ -49,8 +49,6 @@ __all__ = [
     "doeblin_floor",
 ]
 
-# Largest state space a builder enumerates, |X| and |G*| alike.
-STATE_CAP = 65536
 # Entries of the dense matrices one call may form (2**25 int64 entries are
 # 256 MiB).
 DENSE_BUDGET = 2**25
@@ -171,13 +169,6 @@ def _legs(incidence: np.ndarray) -> tuple[RationalMatrix, RationalMatrix]:
     return a, RationalMatrix._canonical(incidence.T, incidence.sum(axis=0))
 
 
-def build_legs(source) -> tuple[RationalMatrix, RationalMatrix]:
-    """The forward leg A(g,x) = 1[x in X_g]/|X_g| and backward leg
-    B(x,h) = 1[h in G_x]/|G_x|; both are row-stochastic."""
-    _check_size(source, "AB")
-    return _legs(_incidence(source)[2])
-
-
 def build_bundle(source) -> ChainBundle:
     """Assemble A, B, Q = AB, K = BA, both stationary laws, and the orbit
     and class keys and labels of the states."""
@@ -190,7 +181,7 @@ def build_bundle(source) -> ChainBundle:
     if isinstance(source, ActionSpec):
         order = group_order(source)
         orbit_keys = [orbit_key(source, x) for x in states]
-        class_keys = [g.conjugacy_class_id() for g in duals]
+        class_keys = [g.cycle_type() for g in duals]
         state_labels = [word_to_str(source, x) for x in states]
     else:
         order = source.group_order

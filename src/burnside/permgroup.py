@@ -1,4 +1,4 @@
-"""Permutations of {1..m}: cycle structure, conjugacy, enumeration, joint orbits.
+"""Permutations of {1..m}: cycle structure, conjugacy, capped enumeration, joint orbits.
 
 Permutations are immutable, stored in one-line form (``images[i]`` is the
 image of point ``i+1``).  Only what the two concrete actions need lives here;
@@ -11,6 +11,7 @@ points omitted, e.g. ``"(1 2)(3 4)"``; the identity prints as ``"e"``.
 from __future__ import annotations
 
 import itertools
+from math import factorial
 from typing import Iterator
 
 __all__ = [
@@ -20,13 +21,14 @@ __all__ = [
     "from_cycles",
     "parse_perm",
     "enumerate_sym",
-    "conjugate",
     "joint_orbits",
     "canonical_sort_key",
-    "ENUMERATION_CAP",
+    "STATE_CAP",
 ]
 
-ENUMERATION_CAP = 9
+# The one enumeration limit: S_m here, and the words, dual states and fixed
+# sets X_g that kernels and closedforms enumerate.
+STATE_CAP = 65536
 
 # Multiset of cycle lengths, sorted descending, summing to the degree.
 CycleType = tuple[int, ...]
@@ -104,10 +106,6 @@ class Permutation:
         """Total number of cycles, fixed points included; c(e) = degree."""
         return len(self._cycles)
 
-    def conjugacy_class_id(self) -> CycleType:
-        """Canonical key shared by g and a*g*a^-1 for every a."""
-        return self.cycle_type()
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and self.images == other.images
 
@@ -169,20 +167,20 @@ def canonical_sort_key(g: Permutation):
     return (sum(map(len, moved_cycles)), moved_cycles)
 
 
+def _sym_within_cap(m: int) -> bool:
+    """Whether m! <= STATE_CAP; the factorials stop at the first past the
+    cap, so any degree is answered at once."""
+    return all(factorial(i) <= STATE_CAP for i in range(m + 1))
+
+
 def enumerate_sym(m: int) -> Iterator[Permutation]:
-    """All m! permutations in lexicographic one-line order, for degrees up
-    to ENUMERATION_CAP."""
+    """All m! permutations in lexicographic one-line order; refused, before
+    any is formed, when m! exceeds STATE_CAP."""
     if m < 1:
         raise ValueError("degree must be >= 1")
-    if m > ENUMERATION_CAP:
-        raise ValueError(f"enumeration degree {m} exceeds cap {ENUMERATION_CAP}")
-    for images in itertools.permutations(range(1, m + 1)):
-        yield Permutation(images)
-
-
-def conjugate(a: Permutation, g: Permutation) -> Permutation:
-    """a g a^-1."""
-    return a * g * a.inverse()
+    if not _sym_within_cap(m):
+        raise ValueError(f"|S_{m}| = {m}! exceeds the state cap {STATE_CAP}")
+    return (Permutation(images) for images in itertools.permutations(range(1, m + 1)))
 
 
 class _UnionFind:

@@ -39,7 +39,6 @@ __all__ = [
     "dz_eigenvalues",
     "dz_check",
     "SpectrumReport",
-    "gap_report",
     "bundle_gap_report",
     "EXACT_DIM_CAP",
 ]
@@ -453,12 +452,3 @@ def bundle_gap_report(bundle: ChainBundle) -> tuple[SpectrumReport, SpectrumRepo
             f"absolute gaps differ: Q gives {rep_q.gamma_star}, K gives {rep_k.gamma_star}"
         )
     return rep_q, rep_k
-
-
-def gap_report(p: RationalMatrix, pi, name: str = "") -> SpectrumReport:
-    """Spectral gap, absolute gap and relaxation time of a reversible kernel
-    from the float spectrum of its symmetrization; up to EXACT_DIM_CAP states
-    the rational roots of the exact char poly are certified beside it."""
-    rep = SpectrumReport(name, p, pi)
-    rep.float_roots  # raises unless p is reversible with respect to pi
-    return rep

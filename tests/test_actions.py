@@ -31,6 +31,7 @@ from burnside.actions import (
     word_to_str,
     words,
 )
+import burnside.actions
 from burnside.permgroup import enumerate_sym, identity, parse_perm
 from burnside.sampler import make_rng
 
@@ -260,6 +261,19 @@ class TestOrbits:
         # degree 9: the Burnside side sums the cycle-data closed forms
         assert count_orbits(value_spec(9, 2)) == 2
         assert count_orbits(coord_spec(2, 9)) == 10
+
+    def test_enumerates_sym_within_state_cap(self, monkeypatch):
+        # the limit of enumerate_sym: S_8 is summed over, S_9 is not
+        degrees = []
+
+        def spy(m):
+            degrees.append(m)
+            return enumerate_sym(m)
+
+        monkeypatch.setattr(burnside.actions, "enumerate_sym", spy)
+        for spec in (coord_spec(2, 8), value_spec(8, 1), coord_spec(2, 9), value_spec(9, 1)):
+            count_orbits(spec)
+        assert degrees == [8, 8]
 
     def test_burnside_by_enumeration(self):
         for spec in SMALL_SPECS:

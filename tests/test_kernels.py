@@ -21,7 +21,6 @@ from burnside.kernels import (
     CapExceeded,
     build_bundle,
     build_k_matrix,
-    build_legs,
     build_q_direct,
     check_detailed_balance,
     diagonal_equals_e_column,
@@ -291,17 +290,13 @@ class TestKernelOps:
     @pytest.mark.parametrize(
         "build, spec, refused",
         [
-            # over a limit: the legs of coord 3,8 (2 * 6561 * 40320 entries),
-            # |G*| = 9!, 9! - !9 and 5000! - !5000, K of 65536^2 entries, Q
-            # of 40320^2
-            (build_legs, coord_spec(3, 8), True),
-            (build_legs, coord_spec(2, 9), True),
+            # over a limit: |G*| = 9! - !9 and 5000! - !5000, K of 65536^2
+            # entries, Q of 40320^2
             (build_k_matrix, value_spec(9, 1), True),
             (build_bundle, value_spec(5000, 1), True),
             (build_bundle, value_spec(2, 16), True),
             (build_q_direct, coord_spec(2, 8), True),
             # within both limits
-            (build_legs, coord_spec(2, 8), False),
             (build_k_matrix, coord_spec(2, 8), False),
             (build_bundle, coord_spec(2, 7), False),
             (build_q_direct, value_spec(5, 4), False),
@@ -349,12 +344,6 @@ class TestKernelOps:
     def test_k_only_assembly(self, bundles, key):
         b = bundles(*key)
         assert build_k_matrix(b.spec) == b.K
-
-    def test_legs_only(self):
-        a, b = build_legs(value_spec(3, 2))
-        assert a.rows == 4 and a.cols == 9
-        assert b.rows == 9 and b.cols == 4
-        assert a.is_row_stochastic() and b.is_row_stochastic()
 
 
 class TestTabledBundles:

@@ -1,7 +1,8 @@
 """The CLI still prints the check names and writes the files that
-``perfbench/reference.json`` records for the self-test configs, so drift
-that the benchmark would count as a failed operation fails here first.
-Only reads ``perfbench/``: no bytecode is written there."""
+``perfbench/reference.json`` records for the self-test configs and for the
+``exact`` workload's own commands (verify value 5,3 and 4,4, build value
+4,4), so drift that the benchmark would count as a failed operation fails
+here first.  Only reads ``perfbench/``: no bytecode is written there."""
 
 import importlib
 import sys
@@ -26,7 +27,9 @@ def workloads():
         sys.path.remove(str(PERFBENCH))
 
 
-@pytest.mark.parametrize("model, k, n", [("value", 3, 2), ("coord", 2, 3)])
+@pytest.mark.parametrize(
+    "model, k, n", [("value", 3, 2), ("coord", 2, 3), ("value", 5, 3), ("value", 4, 4)]
+)
 def test_verify_check_names(workloads, capsys, model, k, n):
     cmd = workloads.Verify(model, k, n)
     code = main(cmd.argv(None, 0))
@@ -35,7 +38,9 @@ def test_verify_check_names(workloads, capsys, model, k, n):
 
 
 def test_build_digests(workloads, tmp_path, capsys):
-    cmd = workloads.Export("value", 3, 2)
-    code = main(cmd.argv(tmp_path, 0))
-    stdout = capsys.readouterr().out
-    assert cmd.check(code, stdout, tmp_path, workloads.load_reference()) == ""
+    for k, n in [(3, 2), (4, 4)]:
+        cmd = workloads.Export("value", k, n)
+        out_dir = tmp_path / f"value{k},{n}"
+        code = main(cmd.argv(out_dir, 0))
+        stdout = capsys.readouterr().out
+        assert cmd.check(code, stdout, out_dir, workloads.load_reference()) == ""

@@ -19,7 +19,6 @@ from burnside.spectra import (
     dz_eigenvalues,
     eigen_nullspace,
     extract_rational_roots,
-    gap_report,
     intertwine_check,
     spectrum_equal_report,
 )
@@ -482,37 +481,37 @@ class TestDZ:
 
 class TestGapReport:
     def test_golden_value(self, golden_value):
-        rep = gap_report(golden_value.Q, golden_value.piQ, "Q")
+        rep = SpectrumReport("Q", golden_value.Q, golden_value.piQ)
         assert rep.gamma == pytest.approx(0.5)
         assert rep.gamma_star == pytest.approx(0.5)
         assert rep.relaxation_time == pytest.approx(2.0)
-        rep_k = gap_report(golden_value.K, golden_value.piK, "K")
+        rep_k = SpectrumReport("K", golden_value.K, golden_value.piK)
         assert rep_k.gamma_star == pytest.approx(rep.gamma_star)
 
     def test_paguyo_gap_bound(self, bundles):
         # lambda_1 <= 1 - 1/(2k) whenever k >= n in the symbol model
         for k, n in [(3, 2), (4, 3), (4, 4)]:
             b = bundles("value", k, n)
-            rep = gap_report(b.Q, b.piQ)
+            rep = SpectrumReport("Q", b.Q, b.piQ)
             lam1 = 1.0 - rep.gamma
             assert lam1 <= 1 - 1 / (2 * k) + 1e-12
 
     def test_single_state_convention(self):
         b = build_bundle(value_spec(2, 3))
         assert b.num_duals == 1
-        rep = gap_report(b.Q, b.piQ)
+        rep = SpectrumReport("Q", b.Q, b.piQ)
         assert rep.gamma == rep.gamma_star == rep.relaxation_time == 1.0
 
     def test_rejects_non_reversible(self):
         p = RationalMatrix([[Rat(0), Rat(1)], [Rat(1, 2), Rat(1, 2)]])
         with pytest.raises(ValueError):
-            gap_report(p, [Rat(1, 2), Rat(1, 2)])
+            SpectrumReport("P", p, [Rat(1, 2), Rat(1, 2)]).float_roots
 
     def test_eigenvalues_real_and_contractive(self, bundles):
         for key in [("value", 4, 3), ("coord", 2, 4), ("coord", 3, 3)]:
             b = bundles(*key)
             for mat, pi in ((b.Q, b.piQ), (b.K, b.piK)):
-                rep = gap_report(mat, pi)
+                rep = SpectrumReport("", mat, pi)
                 assert all(abs(x) <= 1 + 1e-9 for x in rep.float_roots)
                 lam_star = max(abs(x) for x in rep.float_roots[1:])
                 assert lam_star < 1 - 1e-9
@@ -529,14 +528,14 @@ class TestGapReport:
     )
     def test_gamma_star_of_irrational_spectrum(self, bundles, key, gamma_star):
         b = bundles(*key[:3])
-        rep = gap_report(getattr(b, key[3]), getattr(b, "pi" + key[3]))
+        rep = SpectrumReport(key[3], getattr(b, key[3]), getattr(b, "pi" + key[3]))
         assert rep.mode == "exact+float"
         assert abs(rep.gamma_star - gamma_star) <= 1e-12
 
     def test_json_round_trip(self, golden_value):
         import json
 
-        rep = gap_report(golden_value.Q, golden_value.piQ, "Q")
+        rep = SpectrumReport("Q", golden_value.Q, golden_value.piQ)
         payload = json.loads(rep.to_json())
         assert payload["exact_roots"][0] == {"value": "1", "multiplicity": 1}
         assert payload["name"] == "Q"
