@@ -346,8 +346,7 @@ def cmd_sample(args) -> int:
             print(f"invalid start: {start} is a derangement", file=sys.stderr)
             return 2
     run = ChainRun(spec, args.chain, start, args.steps, args.seed, thin=args.thin)
-    keep = args.out is not None
-    result = run_chain(run, keep_trajectory=keep)
+    result = run_chain(run, keep_trajectory=args.out is not None)
     if args.out:
         dump_trajectory(args.out, result)
     text = summary_json(result)
@@ -365,10 +364,7 @@ def cmd_closedform(args) -> int:
     g = parse_perm(args.g, deg)
     h = parse_perm(args.h, deg)
     rows = [(name, form(g, h)) for name, form in kernel_forms(spec)]
-    if spec.model == "value":
-        pi_g = pi_value(spec.k, spec.n, g)
-    else:
-        pi_g = pi_coord(spec.n, spec.k, g)
+    pi_g = pi_value(spec.k, spec.n, g) if spec.model == "value" else pi_coord(spec.n, spec.k, g)
     rows.append(("brute_force", q_brute(spec, g, h)))
     payload = {
         "model": spec.model,

@@ -10,9 +10,9 @@ every other start reproduces a representative's curve exactly) and walk
 the legs lumped where their rows repeat, into classes of equal stabilizers
 and of equal fixed sets, on which the TV is exact (``bundle_profiles``);
 the tests check both reductions against the all-starts computation.
-Lumping, the floors and the sign checks compare the integers as well; the
-orbit and class lumpings also check their aggregation identity against the
-legs, row by row.
+``LumpedPair`` alone forms lumped legs (``ChainBundle.lumped`` is the
+orbit/class pair); every lumping reads a pair and ``lump`` of the full
+kernel checks it.  Lumping, the floors and the sign checks compare integers.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ import numpy as np
 
 from ._rat import Rat
 from .kernels import ChainBundle, check_detailed_balance, doeblin_floor
-from .ratmat import RationalMatrix, rat_vector, rows_are_products, scaled_vector
+from .ratmat import RationalMatrix, rat_vector, scaled_vector
 
 __all__ = [
     "evolve",
@@ -38,6 +38,7 @@ __all__ = [
     "StatePartition",
     "StrongLumpabilityFailure",
     "lump",
+    "LumpedPair",
     "LumpedChain",
     "orbit_lump_K",
     "conjugacy_lump_Q",
@@ -189,37 +190,34 @@ class BundleProfiles:
     t_max: int
     k: ChainProfile
     q: ChainProfile
-    k_lumped: ChainProfile  # K lumped by orbits (orbit_lump_K)
+    k_lumped: ChainProfile  # K lumped by orbits (the bundle's K_bar)
 
 
 def bundle_profiles(bundle: ChainBundle, t_max: int = 60) -> BundleProfiles:
     """Exact d_K and d_Q curves for every start, up to equivariance (one per
     orbit of K, one per conjugacy class of Q), and the profile of K lumped by
-    orbits.
+    orbits, read off ``bundle.lumped``.
 
     The walks run on the legs lumped where their rows repeat: the states
     fall into classes of equal B rows (equal stabilizers), the duals into
-    classes of equal A rows (equal fixed sets).  B_bar is B summed over the
-    dual classes, A_bar is A summed over the state classes, each at one row
-    per class, and a start walks from its class through (B_bar, A_bar) for
-    K = BA or (A_bar, B_bar) for Q = AB.  The TV on the classes is the TV on
-    the states: for t >= 1, delta_x K^t is constant on each stabilizer class,
+    classes of equal A rows (equal fixed sets); a start walks from its class
+    through the ``LumpedPair`` of these classes, (B_bar, A_bar) for K = BA
+    or (A_bar, B_bar) for Q = AB.  The TV on the classes is the TV on the
+    states: for t >= 1, delta_x K^t is constant on each stabilizer class,
     since A's column at y depends only on G_y, and so is pi_K, proportional
     to |G_y|; for Q the same holds with fixed sets for stabilizers.  Step 0,
     1 - pi(x), is read off the start, not off its class."""
-    states, duals = _row_classes(bundle.B), _row_classes(bundle.A)
-    b_bar = bundle.B.block_sums(duals.block_of, duals.num_blocks).select_rows(states.reps)
-    a_bar = bundle.A.block_sums(states.block_of, states.num_blocks).select_rows(duals.reps)
+    rows = LumpedPair(bundle, _row_classes(bundle.B), _row_classes(bundle.A))
     k_profile = _profile_per_key(
-        bundle.state_orbit_keys, states.block_of, (b_bar, a_bar),
-        bundle.piK, states.sums(bundle.piK), t_max,
+        bundle.state_orbit_keys, rows.states.block_of, (rows.B_bar, rows.A_bar),
+        bundle.piK, rows.piK_bar, t_max,
     )
     q_profile = _profile_per_key(
-        bundle.dual_class_keys, duals.block_of, (a_bar, b_bar),
-        bundle.piQ, duals.sums(bundle.piQ), t_max,
+        bundle.dual_class_keys, rows.duals.block_of, (rows.A_bar, rows.B_bar),
+        bundle.piQ, rows.piQ_bar, t_max,
     )
-    lumped = orbit_lump_K(bundle)
-    return BundleProfiles(t_max, k_profile, q_profile, d_profile(lumped.kernel, lumped.pi, t_max))
+    k_lumped = d_profile(bundle.lumped.K_bar, bundle.lumped.piK_bar, t_max)
+    return BundleProfiles(t_max, k_profile, q_profile, k_lumped)
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +259,22 @@ class StatePartition:
         seen = sorted(i for b in self.blocks for i in b)
         if seen != list(range(n)) or any(not b for b in self.blocks):
             raise ValueError("blocks must be nonempty and partition the state set")
+
+
+class LumpedPair:
+    """The legs lumped by a state and a dual partition.  A_bar is A summed over
+    the state blocks, one row per dual block (its first dual); B_bar is B
+    summed over the dual blocks, one row per state block.  K_bar = B_bar A_bar
+    and Q_bar = A_bar B_bar share their nonzero spectrum; piK_bar and piQ_bar
+    are the block sums of piK and piQ.  They are K and Q lumped when the leg
+    rows of one block have equal block sums, as on orbits/classes or equal rows."""
+
+    def __init__(self, bundle: ChainBundle, states: StatePartition, duals: StatePartition):
+        self.states, self.duals = states, duals
+        a_bar = bundle.A.block_sums(states.block_of, states.num_blocks).select_rows(duals.reps)
+        b_bar = bundle.B.block_sums(duals.block_of, duals.num_blocks).select_rows(states.reps)
+        self.A_bar, self.B_bar, self.K_bar, self.Q_bar = a_bar, b_bar, b_bar @ a_bar, a_bar @ b_bar
+        self.piK_bar, self.piQ_bar = states.sums(bundle.piK), duals.sums(bundle.piQ)
 
 
 def _row_classes(m: RationalMatrix) -> StatePartition:
@@ -321,66 +335,50 @@ def lump(p: RationalMatrix, pi: Sequence, partition: StatePartition):
 class LumpedChain:
     kernel: RationalMatrix
     pi: list
-    partition: StatePartition
+    partition: StatePartition  # of the states of the kernel that was lumped
 
     @property
     def labels(self) -> list:
         return self.partition.labels
 
 
-def _aggregation_holds(
-    bar: RationalMatrix, leg: RationalMatrix, partition: StatePartition, other: RationalMatrix
-) -> bool:
-    """The aggregation identity of a lumped kernel built as a leg product:
-    bar == (leg at the block representatives) @ (other's block sums)
-    (K 1_O = B (A 1_O), Q 1_C = A (B 1_C)).  The block sums come from the
-    other leg and the product is checked row by row, so neither the kernel
-    nor its block sums are reused."""
-    right = other.block_sums(partition.block_of, partition.num_blocks)
-    left = leg.select_rows(partition.reps)
-    return rows_are_products(bar, left, right)
-
-
 def orbit_lump_K(bundle: ChainBundle) -> LumpedChain:
     """Lump K by orbits: symmetric kernel, uniform lumped stationary law."""
-    partition = StatePartition.from_keys(bundle.state_orbit_keys)
-    bar_k, bar_pi = lump(bundle.K, bundle.piK, partition)
-    z = bundle.orbit_count
-    if any(v != Rat(1, z) for v in bar_pi):
+    pair = bundle.lumped
+    bar_k, bar_pi = lump(bundle.K, bundle.piK, pair.states)
+    if any(v != Rat(1, bundle.orbit_count) for v in bar_pi):
         raise AssertionError("orbit-lumped stationary law is not uniform")
     if bar_k != bar_k.transpose():
         raise AssertionError("orbit-lumped kernel is not symmetric")
-    # K(x, O') = stabilizer average of |X_h & O'| / |X_h|
-    if not _aggregation_holds(bar_k, bundle.B, partition, bundle.A):
+    # K(x, O') = stabilizer average of |X_h & O'| / |X_h|, that is B_bar A_bar
+    if pair.K_bar != bar_k:
         raise AssertionError("orbit aggregation formula mismatch")
-    return LumpedChain(bar_k, bar_pi, partition)
+    return LumpedChain(bar_k, bar_pi, pair.states)
 
 
 def conjugacy_lump_Q(bundle: ChainBundle) -> LumpedChain:
     """Lump Q by conjugacy classes; the lumped chain stays reversible."""
-    partition = StatePartition.from_keys(bundle.dual_class_keys)
+    partition = bundle.lumped.duals
     bar_q, bar_pi = lump(bundle.Q, bundle.piQ, partition)
-    z = bundle.orbit_count
-    order = bundle.group_order
-    for bi, block in enumerate(partition.blocks):
-        expected = Rat(len(block) * bundle.fixed_size(block[0]), order * z)
-        if bar_pi[bi] != expected:
-            raise AssertionError("class-lumped stationary mass mismatch")
+    unit = Rat(1, bundle.group_order * bundle.orbit_count)  # piQ(g) = |X_g| unit
+    if any(p != len(c) * bundle.fixed_size(c[0]) * unit for p, c in zip(bar_pi, partition.blocks)):
+        raise AssertionError("class-lumped stationary mass mismatch")
     if not check_detailed_balance(bar_q, bar_pi):
         raise AssertionError("class-lumped kernel lost reversibility")
-    # Q(g, C') = fixed-word average of |G_u & C'| / |G_u|
-    if not _aggregation_holds(bar_q, bundle.A, partition, bundle.B):
+    # Q(g, C') = fixed-word average of |G_u & C'| / |G_u|, that is A_bar B_bar
+    if bundle.lumped.Q_bar != bar_q:
         raise AssertionError("class aggregation formula mismatch")
     return LumpedChain(bar_q, bar_pi, partition)
 
 
 def fixedpoint_lump_value(bundle: ChainBundle) -> LumpedChain:
-    """Lump the value-model Q by the number of fixed symbols."""
+    """Lump the value-model Q by fixed-symbol count, through the class-lumped Q_bar."""
     if bundle.spec is None or bundle.spec.model != "value":
         raise ValueError("fixed-point lumping applies to the value model")
-    keys = [len(g.fixed_points()) for g in bundle.duals]
+    pair = bundle.lumped
+    keys = [len(bundle.duals[gi].fixed_points()) for gi in pair.duals.reps]
     partition = StatePartition.from_keys(keys)
-    bar_q, bar_pi = lump(bundle.Q, bundle.piQ, partition)
+    bar_q, bar_pi = lump(pair.Q_bar, pair.piQ_bar, partition)
     return LumpedChain(bar_q, bar_pi, partition)
 
 

@@ -65,6 +65,8 @@ class ChainBundle:
     Q (on the dual states) and K (on the words) are exact row-stochastic
     matrices with Q = A B and K = B A; piQ and piK are their stationary laws,
     and spectra["Q"] and spectra["K"] their lazy ``spectra.SpectrumReport``s.
+    ``lumped``, built on first read, is the ``dynamics.LumpedPair`` of the
+    orbits and classes that every such lumping reads and ``lump`` checks.
     """
 
     spec: Optional[ActionSpec]
@@ -87,6 +89,12 @@ class ChainBundle:
     def M(self) -> RationalMatrix:
         """Block-flip matrix [[0, A], [B, 0]]; built on first use."""
         return RationalMatrix.block_flip(self.A, self.B)
+
+    @cached_property
+    def lumped(self):
+        from .dynamics import LumpedPair, StatePartition  # dynamics imports this module
+        keys = (self.state_orbit_keys, self.dual_class_keys)
+        return LumpedPair(self, *map(StatePartition.from_keys, keys))
 
     @property
     def num_duals(self) -> int:

@@ -174,7 +174,8 @@ def estimate_orbit_count(spec: ActionSpec, samples: int, seed: int = 0):
 
 
 def dump_trajectory(path: str, result: RunResult) -> None:
-    """One state per line in the text formats; gzip when path ends in .gz."""
+    """One state per line in the text formats; gzip when path ends in .gz,
+    with a zero modification time, so equal runs write equal bytes."""
     if result.trajectory is None:
         raise ValueError("run_chain was called without keep_trajectory")
     spec = result.run.spec
@@ -182,13 +183,9 @@ def dump_trajectory(path: str, result: RunResult) -> None:
         lines = (word_to_str(spec, x) for x in result.trajectory)
     else:
         lines = (str(g) for g in result.trajectory)
-    text = "\n".join(lines) + "\n"
-    if path.endswith(".gz"):
-        with gzip.open(path, "wt") as fh:
-            fh.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+    data = ("\n".join(lines) + "\n").encode()
+    with open(path, "wb") as fh:
+        fh.write(gzip.compress(data, mtime=0) if path.endswith(".gz") else data)
 
 
 def summary_json(result: RunResult) -> str:

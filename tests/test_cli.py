@@ -506,6 +506,27 @@ def test_verify_one_spectral_record_per_kernel(
     assert (char_polys[0], eigvalsh[0]) == (2, eigvalsh_calls)
 
 
+# verify value 4,4 and coord 3,4: {dimension of a lumped full kernel: lumps}.
+# The orbit and class lumpings and the profiles read the bundle's one lumped
+# pair; only the checks that compare it with the full kernels lump K and Q.
+@pytest.mark.parametrize(
+    "config, lumped_dims",
+    [(("value", 4, 4), {256: 1, 15: 1}), (("coord", 3, 4), {81: 1, 24: 1})],
+)
+def test_verify_lumps_each_full_kernel_once(monkeypatch, capsys, config, lumped_dims):
+    dims, lump = [], burnside.dynamics.lump
+
+    def recorded(p, pi, partition):
+        dims.append(p.rows)
+        return lump(p, pi, partition)
+
+    monkeypatch.setattr(burnside.dynamics, "lump", recorded)
+    model, k, n = config
+    assert main(["verify", "--model", model, "--k", str(k), "--n", str(n)]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    assert {dim: dims.count(dim) for dim in lumped_dims} == lumped_dims
+
+
 def test_mix_lumps_each_profile_once(monkeypatch, tmp_path):
     # the orbit-lumped K profile comes with bundle_profiles, for the bound
     # suite and the d_lumped column alike; the class-lumped Q adds the second
@@ -518,13 +539,12 @@ def test_mix_lumps_each_profile_once(monkeypatch, tmp_path):
 
 
 def test_verify_lump_failure_fails_bound_suite(monkeypatch, capsys):
-    # the profiles carry the orbit-lumped K, so a lumping that fails under
-    # them must still print FAIL bound_suite and exit 1, not raise
-    def broken(bundle):
+    # the profiles walk the legs of lumped pairs, so a pair builder that
+    # fails under them must still print FAIL bound_suite and exit 1, not raise
+    def broken(bundle, states, duals):
         raise AssertionError("orbit aggregation formula mismatch")
 
-    monkeypatch.setattr(burnside.dynamics, "orbit_lump_K", broken)
-    monkeypatch.setattr(burnside.cli, "orbit_lump_K", broken)
+    monkeypatch.setattr(burnside.dynamics, "LumpedPair", broken)
     code = main(["verify", "--model", "value", "--k", "3", "--n", "2", "--tmax", "10"])
     assert "FAIL bound_suite: orbit aggregation formula mismatch" in capsys.readouterr().out
     assert code == 1

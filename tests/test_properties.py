@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from burnside._rat import Rat
 from burnside.actions import random_tabled_action
 from burnside.dynamics import (
+    LumpedPair,
     StatePartition,
     StrongLumpabilityFailure,
     bundle_profiles,
@@ -25,6 +26,7 @@ from burnside.dynamics import (
 from burnside.kernels import build_bundle, check_detailed_balance
 from burnside.ratmat import RationalMatrix
 from burnside.sampler import make_rng
+from burnside.spectra import char_poly
 
 SETTINGS = settings(max_examples=25, deadline=None)
 
@@ -179,6 +181,38 @@ def test_bundle_profiles_match_reference(seed):
     profs = bundle_profiles(b, 5)
     assert profs.k.per_start == ref_profile(entries(b.K), b.piK, 5)
     assert profs.q.per_start == ref_profile(entries(b.Q), b.piQ, 5)
+
+
+def _check_lumped_pairs(b) -> None:
+    """The orbit/class pair and the pair of classes of equal leg rows: K_bar
+    and Q_bar, with their laws, are lump of the full kernels on the pair's
+    partitions, and the larger char poly is the smaller times x^(difference
+    of dimensions), so the two share their nonzero spectrum."""
+    rows = LumpedPair(
+        b,
+        StatePartition.from_keys([tuple(row) for row in entries(b.B)]),
+        StatePartition.from_keys([tuple(row) for row in entries(b.A)]),
+    )
+    for pair in (b.lumped, rows):
+        assert (pair.K_bar, pair.piK_bar) == lump(b.K, b.piK, pair.states)
+        assert (pair.Q_bar, pair.piQ_bar) == lump(b.Q, b.piQ, pair.duals)
+        polys = sorted((char_poly(pair.K_bar), char_poly(pair.Q_bar)), key=lambda c: c.degree)
+        assert polys[1] == polys[0].shifted(polys[1].degree - polys[0].degree)
+
+
+@SETTINGS
+@given(seed=seeds)
+def test_lumped_pairs_match_lump(seed):
+    _check_lumped_pairs(tabled_bundle(seed))
+
+
+@pytest.mark.parametrize("config", [
+    ("value", 3, 2), ("value", 3, 3), ("value", 4, 3), ("value", 4, 4), ("value", 5, 2),
+    ("value", 5, 3), ("value", 5, 4), ("coord", 2, 3), ("coord", 2, 4), ("coord", 2, 5),
+    ("coord", 3, 3), ("coord", 3, 4),
+])
+def test_lumped_pairs_match_lump_on_models(bundles, config):
+    _check_lumped_pairs(bundles(*config))
 
 
 # --- arbitrary rational matrices, numerators and denominators beyond int64 ----

@@ -302,3 +302,16 @@ class TestLongRun:
         import gzip as gzmod
 
         assert gzmod.open(gz, "rt").read().splitlines() == lines
+
+    def test_gzip_dump_is_byte_identical(self, tmp_path):
+        # the gzip header's modification time (bytes 4-8) is zero, so two
+        # writes of one run give the same bytes whenever they happen
+        from burnside.sampler import dump_trajectory
+
+        res = run_chain(ChainRun(coord_spec(2, 6), "dual", identity(6), 100, seed=1), True)
+        first, second = tmp_path / "1" / "traj.gz", tmp_path / "2" / "traj.gz"
+        for path in (first, second):
+            path.parent.mkdir()
+            dump_trajectory(str(path), res)
+        assert first.read_bytes()[4:8] == bytes(4)
+        assert first.read_bytes() == second.read_bytes()
