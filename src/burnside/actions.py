@@ -10,7 +10,8 @@ presentation-only.
 
 Both models are stated once, in two functions, and the stabilizer and
 fixed-set primitives read them without asking which model they serve
-(``stabilizer_size`` alone reads |G_x| off the letter counts, with no block):
+(``stabilizer_size`` reads |G_x| off the letter counts, and ``_fixed_slots``
+reads X_g off a one-line image tuple for the sampler's tuple draws):
 
 - ``stabilizer_blocks(spec, x)``: G_x is the Young subgroup prod Sym(block),
   S_{k-r} on the symbols x leaves unused, r the number x uses (value model),
@@ -163,11 +164,7 @@ def word_to_str(spec: ActionSpec, x: Word) -> str:
 def word_from_str(spec: ActionSpec, s: str) -> Word:
     offset = 1 if spec.model == COORD else 0
     s = s.strip()
-    if "," in s:
-        symbols = [int(tok) for tok in s.split(",")]
-    else:
-        symbols = [int(ch) for ch in s]
-    x = tuple(a + offset for a in symbols)
+    x = tuple(int(tok) + offset for tok in (s.split(",") if "," in s else s))
     if len(x) != spec.n or any(not 1 <= a <= spec.k for a in x):
         raise ValueError(f"{s!r} is not a word for {spec}")
     return x
@@ -200,31 +197,41 @@ def fixed_coloring(
     return g.cycles(), tuple(range(1, spec.k + 1))
 
 
+def _fixed_slots(spec: ActionSpec, images: Sequence[int]) -> tuple[Sequence[int], int, Sequence]:
+    """fixed_coloring read off one-line images: (the slot of each position,
+    the slot count, the palette), cycles numbered by their smallest point."""
+    if spec.model == VALUE:
+        return range(spec.n), spec.n, [i for i, a in enumerate(images, 1) if i == a]
+    slot_of = [-1] * spec.n
+    count = 0
+    for start in range(spec.n):
+        if slot_of[start] < 0:
+            j = start
+            while slot_of[j] < 0:
+                slot_of[j] = count
+                j = images[j] - 1
+            count += 1
+    return slot_of, count, range(1, spec.k + 1)
+
+
 def fixed_set_size(spec: ActionSpec, g: Permutation) -> int:
     """|X_g| = |palette|^slots: f(g)^n (value model), k^c(g) (coordinate model)."""
     slots, palette = fixed_coloring(spec, g)
     return len(palette) ** len(slots)
 
 
-def _colored_word(spec: ActionSpec, slots, palette, picks) -> Word:
-    word = [0] * spec.n
-    for slot, pick in zip(slots, picks):
-        for pos in slot:
-            word[pos - 1] = palette[pick]
-    return tuple(word)
-
-
-def _nonempty_palette(g: Permutation, palette) -> None:
+def _nonempty_palette(images: Sequence[int], palette) -> None:
     if not palette:
-        raise ValueError(f"{g} is a derangement: empty fixed-word set")
+        raise ValueError(f"{Permutation(images)} is a derangement: empty fixed-word set")
 
 
 def enumerate_fixed_words(spec: ActionSpec, g: Permutation) -> Iterator[Word]:
     """All words fixed by g, one per coloring, without scanning the state space."""
-    slots, palette = fixed_coloring(spec, g)
-    _nonempty_palette(g, palette)
-    for picks in itertools.product(range(len(palette)), repeat=len(slots)):
-        yield _colored_word(spec, slots, palette, picks)
+    _check_degree(spec, g)
+    slot_of, count, palette = _fixed_slots(spec, g.images)
+    _nonempty_palette(g.images, palette)
+    for colors in itertools.product(palette, repeat=count):
+        yield tuple([colors[s] for s in slot_of])
 
 
 def fixed_word_indices(spec: ActionSpec, g: Permutation) -> np.ndarray:
@@ -234,7 +241,7 @@ def fixed_word_indices(spec: ActionSpec, g: Permutation) -> np.ndarray:
     if word_count(spec, 2**63) >= 2**63:
         raise ValueError(f"k^n = {spec.k}^{spec.n} word indices do not fit int64")
     slots, palette = fixed_coloring(spec, g)
-    _nonempty_palette(g, palette)
+    _nonempty_palette(g.images, palette)
     digits = np.array(palette, dtype=np.int64) - 1
     idx = np.zeros(1, dtype=np.int64)
     for slot in slots:  # the first slot holds position 1, the leading digit
@@ -244,10 +251,16 @@ def fixed_word_indices(spec: ActionSpec, g: Permutation) -> np.ndarray:
 
 def sample_fixed_word_uniform(spec: ActionSpec, g: Permutation, rng) -> Word:
     """Uniform word in X_g: an i.i.d. uniform color per slot."""
-    slots, palette = fixed_coloring(spec, g)
-    _nonempty_palette(g, palette)
-    picks = rng.integers(0, len(palette), size=len(slots)).tolist()
-    return _colored_word(spec, slots, palette, picks)
+    _check_degree(spec, g)
+    return _draw_fixed_word(spec, g.images, rng)
+
+
+def _draw_fixed_word(spec: ActionSpec, images: tuple, rng) -> Word:
+    """sample_fixed_word_uniform on a one-line image tuple, with the same draw."""
+    slot_of, count, palette = _fixed_slots(spec, images)
+    _nonempty_palette(images, palette)
+    colors = [palette[p] for p in rng.integers(0, len(palette), size=count).tolist()]
+    return tuple([colors[s] for s in slot_of])
 
 
 def stabilizer_size(spec: ActionSpec, x: Word) -> int:
@@ -270,8 +283,13 @@ def stabilizer_elements(spec: ActionSpec, x: Word) -> Iterator[Permutation]:
 
 
 def sample_stabilizer_uniform(spec: ActionSpec, x: Word, rng) -> Permutation:
-    """Uniform element of G_x, drawn constructively (no rejection): one
-    shuffle per block of two or more points."""
+    """Uniform element of G_x, drawn constructively (no rejection)."""
+    return Permutation(_draw_stabilizer(spec, x, rng))
+
+
+def _draw_stabilizer(spec: ActionSpec, x: Word, rng) -> tuple[int, ...]:
+    """sample_stabilizer_uniform as a one-line image tuple, with the same draw:
+    one shuffle per block of two or more points."""
     images = list(range(1, group_degree(spec) + 1))
     for block in stabilizer_blocks(spec, x):
         if len(block) > 1:
@@ -280,7 +298,7 @@ def sample_stabilizer_uniform(spec: ActionSpec, x: Word, rng) -> Permutation:
             rng.shuffle(shuffled)
             for a, b in zip(block, shuffled):
                 images[a - 1] = b
-    return Permutation(images)
+    return tuple(images)
 
 
 def orbit_key(spec: ActionSpec, x: Word):

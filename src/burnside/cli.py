@@ -23,7 +23,7 @@ import os
 import sys
 
 from ._rat import parse_rat, rat_str
-from .actions import ActionSpec, fixed_set_size, group_degree, word_from_str
+from .actions import ActionSpec, group_degree, word_from_str
 from .closedforms import kernel_forms, pi_coord, pi_value, q_brute, q_brute_row, qbar_value
 from .dynamics import (
     StrongLumpabilityFailure,
@@ -342,9 +342,6 @@ def cmd_sample(args) -> int:
         start = word_from_str(spec, args.start) if args.start else (1,) * spec.n
     else:
         start = parse_perm(args.start or "e", group_degree(spec))
-        if fixed_set_size(spec, start) == 0:
-            print(f"invalid start: {start} is a derangement", file=sys.stderr)
-            return 2
     run = ChainRun(spec, args.chain, start, args.steps, args.seed, thin=args.thin)
     result = run_chain(run, keep_trajectory=args.out is not None)
     if args.out:

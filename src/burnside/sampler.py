@@ -21,13 +21,14 @@ import numpy as np
 
 from .actions import (
     ActionSpec,
+    _draw_fixed_word,
+    _draw_stabilizer,
+    _fixed_slots,
     count_orbits,
     fixed_set_size,
     group_degree,
     group_order,
     orbit_count,
-    sample_fixed_word_uniform,
-    sample_stabilizer_uniform,
     stabilizer_size,
     word_to_str,
 )
@@ -61,14 +62,30 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
 
 def step_primal(spec: ActionSpec, x, rng) -> tuple:
     """One step of the orbit-sampling chain on words."""
-    g = sample_stabilizer_uniform(spec, x, rng)
-    return sample_fixed_word_uniform(spec, g, rng)
+    return _draw_fixed_word(spec, _draw_stabilizer(spec, x, rng), rng)
+
+
+def _step_dual(spec: ActionSpec, images: tuple, rng) -> tuple:
+    return _draw_stabilizer(spec, _draw_fixed_word(spec, images, rng), rng)
 
 
 def step_dual(spec: ActionSpec, g: Permutation, rng) -> Permutation:
     """One step of the dual chain on permutations with nonempty fixed sets."""
-    x = sample_fixed_word_uniform(spec, g, rng)
-    return sample_stabilizer_uniform(spec, x, rng)
+    _check_start(spec, DUAL, g)
+    return Permutation(_step_dual(spec, g.images, rng))
+
+
+def _check_start(spec: ActionSpec, chain: str, start) -> None:
+    """A primal start is a word of n letters in 1..k; a dual start is a
+    permutation of the group degree with a nonempty fixed set."""
+    if chain == PRIMAL:
+        letters = range(1, spec.k + 1)
+        if not isinstance(start, tuple) or len(start) != spec.n or any(a not in letters for a in start):
+            raise ValueError(f"invalid start: {start!r} is not a word of {spec.n} letters in 1..{spec.k}")
+    elif not isinstance(start, Permutation) or start.degree != group_degree(spec):
+        raise ValueError(f"invalid start: {start!r} is not a permutation of 1..{group_degree(spec)}")
+    elif fixed_set_size(spec, start) == 0:
+        raise ValueError(f"invalid start: {start} is a derangement")
 
 
 @dataclass(frozen=True)
@@ -86,6 +103,7 @@ class ChainRun:
             raise ValueError("chain must be 'primal' or 'dual'")
         if self.steps < 0 or self.thin < 1:
             raise ValueError("need steps >= 0 and thin >= 1")
+        _check_start(self.spec, self.chain, self.start)
 
 
 @dataclass
@@ -95,11 +113,8 @@ class EmpiricalLaw:
 
     def tv_to(self, law: dict) -> float:
         """TV between the empirical frequencies and an exact law."""
-        acc = 0.0
-        for state in set(self.counts) | set(law):
-            emp = self.counts.get(state, 0) / self.total
-            acc += abs(emp - float(law.get(state, 0)))
-        return acc / 2
+        states = set(self.counts) | set(law)
+        return sum(abs(self.counts.get(s, 0) / self.total - float(law.get(s, 0))) for s in states) / 2
 
 
 @dataclass
@@ -126,47 +141,53 @@ def _tv_to_stationary(spec: ActionSpec, chain: str, law: EmpiricalLaw) -> float:
 
 
 def run_chain(run: ChainRun, keep_trajectory: bool = False) -> RunResult:
-    """Run the chain; occupation counts cover every visited state (t = 0..steps)."""
+    """Run the chain on tuples; occupation counts cover every visited state (t = 0..steps)."""
     rng = make_rng(run.seed, run.stream)
-    state = run.start
+    spec, thin, primal = run.spec, run.thin, run.chain == PRIMAL
+    step, state = (step_primal, run.start) if primal else (_step_dual, run.start.images)
     counts: dict = {state: 1}
     trajectory = [state] if keep_trajectory else None
-    step = step_primal if run.chain == PRIMAL else step_dual
     for t in range(1, run.steps + 1):
-        state = step(run.spec, state, rng)
-        if t % run.thin == 0:
+        state = step(spec, state, rng)
+        if t % thin == 0:
             counts[state] = counts.get(state, 0) + 1
             if keep_trajectory:
                 trajectory.append(state)
+    if not primal:  # dual states become Permutations here, one per distinct state
+        named = {s: Permutation(s) for s in counts}
+        counts = {named[s]: c for s, c in counts.items()}
+        state = named.get(state) or Permutation(state)
+        trajectory = [named[s] for s in trajectory] if keep_trajectory else None
     law = EmpiricalLaw(counts, sum(counts.values()))
-    return RunResult(run, law, state, _tv_to_stationary(run.spec, run.chain, law), trajectory)
+    return RunResult(run, law, state, _tv_to_stationary(spec, run.chain, law), trajectory)
 
 
 def empirical_one_step_row(
     spec: ActionSpec, chain: str, start, draws: int, seed: int, stream: int = 0
 ) -> EmpiricalLaw:
     """Law of a single step from a fixed start, over independent draws."""
+    _check_start(spec, chain, start)
     rng = make_rng(seed, stream)
-    step = step_primal if chain == PRIMAL else step_dual
+    step, start = (step_primal, start) if chain == PRIMAL else (_step_dual, start.images)
     counts: dict = {}
     for _ in range(draws):
         y = step(spec, start, rng)
         counts[y] = counts.get(y, 0) + 1
+    if chain == DUAL:
+        counts = {Permutation(s): c for s, c in counts.items()}
     return EmpiricalLaw(counts, draws)
 
 
 def estimate_orbit_count(spec: ActionSpec, samples: int, seed: int = 0):
-    """Monte Carlo orbit count: the mean of |X_g| over uniform g drawn from
-    stream 0 of seed, with its standard error.  samples == 0 falls back to
-    the exact count."""
+    """Monte Carlo orbit count: the mean of |X_g| = |palette|^slots over
+    uniform g drawn from stream 0 of seed, with its standard error.
+    samples == 0 falls back to the exact count."""
     if samples == 0:
         return float(count_orbits(spec)), 0.0
     rng = make_rng(seed)
     m = group_degree(spec)
-    vals = np.empty(samples, dtype=float)
-    for i in range(samples):
-        images = rng.permutation(m) + 1
-        vals[i] = float(fixed_set_size(spec, Permutation(images.tolist())))
+    slots = (_fixed_slots(spec, (rng.permutation(m) + 1).tolist()) for _ in range(samples))
+    vals = np.array([float(len(palette) ** count) for _, count, palette in slots])
     # z = (1/|G|) sum_g |X_g| is the expectation of |X_g| under uniform g
     est = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(samples)) if samples > 1 else float("inf")
@@ -178,12 +199,8 @@ def dump_trajectory(path: str, result: RunResult) -> None:
     with a zero modification time, so equal runs write equal bytes."""
     if result.trajectory is None:
         raise ValueError("run_chain was called without keep_trajectory")
-    spec = result.run.spec
-    if result.run.chain == PRIMAL:
-        lines = (word_to_str(spec, x) for x in result.trajectory)
-    else:
-        lines = (str(g) for g in result.trajectory)
-    data = ("\n".join(lines) + "\n").encode()
+    label = str if result.run.chain == DUAL else lambda x: word_to_str(result.run.spec, x)
+    data = ("\n".join(map(label, result.trajectory)) + "\n").encode()
     with open(path, "wb") as fh:
         fh.write(gzip.compress(data, mtime=0) if path.endswith(".gz") else data)
 
@@ -192,10 +209,7 @@ def summary_json(result: RunResult) -> str:
     """The run's parameters and its counts, keyed by state label in the
     order of str(state)."""
     spec = result.run.spec
-    if result.run.chain == PRIMAL:
-        label = lambda s: word_to_str(spec, s)
-    else:
-        label = str
+    label = str if result.run.chain == DUAL else lambda x: word_to_str(spec, x)
     labels = {s: label(s) for s in result.law.counts}
     # the labels order the states as str(state) does when they are str(state)
     # (dual) or one digit per letter of equal-length words (k <= 9)

@@ -202,6 +202,14 @@ def test_sample_rejects_derangement_start():
     assert code == 2
 
 
+def test_sample_invalid_start_message(capsys):
+    # the run refuses the start before any step; the CLI exits 2 with its reason
+    code = main(["sample", "--model", "value", "--k", "3", "--n", "2", "--chain", "dual",
+                 "--start", "(1 2 3)", "--steps", "0"])
+    assert code == 2
+    assert "invalid start: (1 2 3) is a derangement" in capsys.readouterr().err
+
+
 def test_closedform_all_equal(capsys):
     code = main(["closedform", "--model", "coord", "--k", "2", "--n", "3",
                  "--g", "e", "--h", "(1 2 3)"])

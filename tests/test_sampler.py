@@ -224,6 +224,72 @@ class TestDualStaysInDualSpace:
             step_dual(spec, parse_perm("(1 2)", 2), make_rng(0))
 
 
+class TestStartValidation:
+    # each start is checked once, when the run is made; steps=0 shows that no
+    # step is needed to refuse it
+    @pytest.mark.parametrize(
+        "spec, chain, start",
+        [
+            (value_spec(3, 2), "dual", parse_perm("(1 2 3)", 3)),  # a derangement
+            (coord_spec(2, 3), "primal", (1, 2)),  # too short
+            (coord_spec(2, 3), "primal", (1, 5, 1)),  # letter 5 past k = 2
+            (coord_spec(2, 3), "primal", [1, 1, 1]),  # not a tuple
+            (coord_spec(2, 3), "dual", identity(4)),  # degree 4, not 3
+            (coord_spec(2, 3), "dual", (1, 2, 3)),  # images, not a Permutation
+        ],
+        ids=["derangement", "short-word", "letter-past-k", "list-word", "wrong-degree", "tuple-dual"],
+    )
+    def test_invalid_start_refused(self, spec, chain, start):
+        with pytest.raises(ValueError, match="invalid start"):
+            ChainRun(spec, chain, start, 0, seed=0)
+        with pytest.raises(ValueError, match="invalid start"):
+            empirical_one_step_row(spec, chain, start, 1, seed=0)
+
+    def test_derangement_message(self):
+        with pytest.raises(ValueError, match=r"invalid start: \(1 2 3\) is a derangement"):
+            ChainRun(value_spec(3, 2), "dual", parse_perm("(1 2 3)", 3), 0, seed=0)
+
+
+class TestStepsOnTuples:
+    def test_no_permutation_per_step(self, monkeypatch):
+        # the chain walks tuples; dual states become Permutations once each,
+        # at the end, and a primal run builds none
+        made = []
+        init = permgroup.Permutation.__init__
+
+        def spy(self, images):
+            made.append(1)
+            init(self, images)
+
+        dual = ChainRun(coord_spec(2, 6), "dual", identity(6), 2000, seed=4)
+        primal = ChainRun(coord_spec(2, 8), "primal", (1, 2) * 4, 2000, seed=4)
+        monkeypatch.setattr(permgroup.Permutation, "__init__", spy)
+        res = run_chain(dual)
+        assert 0 < len(made) <= len(res.law.counts) + 2
+        made.clear()
+        run_chain(primal)
+        assert made == []
+
+    @pytest.mark.parametrize(
+        "spec", [value_spec(4, 3), value_spec(12, 2), coord_spec(3, 5)],
+        ids=lambda s: f"{s.model}{s.k},{s.n}",
+    )
+    def test_tuple_draws_match_public_draws(self, spec):
+        # the chain's private draws and the public samplers consume one
+        # stream identically, state for state
+        a, b = make_rng(61), make_rng(61)
+        x = y = (1,) * spec.n
+        for _ in range(500):
+            images = actions._draw_stabilizer(spec, x, a)
+            g = actions.sample_stabilizer_uniform(spec, y, b)
+            assert images == g.images
+            x = actions._draw_fixed_word(spec, images, a)
+            y = actions.sample_fixed_word_uniform(spec, g, b)
+            assert x == y
+        # Philox's state holds arrays, so compare the printed states
+        assert repr(a.bit_generator.state) == repr(b.bit_generator.state)
+
+
 class TestOrbitEstimate:
     def test_value_model(self):
         est, se = estimate_orbit_count(value_spec(5, 4), 60_000, seed=500)
