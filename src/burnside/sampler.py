@@ -60,9 +60,14 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed + (stream << 64)))
 
 
+def _step_primal(spec: ActionSpec, x: tuple, rng) -> tuple:
+    return _draw_fixed_word(spec, _draw_stabilizer(spec, x, rng), rng)
+
+
 def step_primal(spec: ActionSpec, x, rng) -> tuple:
     """One step of the orbit-sampling chain on words."""
-    return _draw_fixed_word(spec, _draw_stabilizer(spec, x, rng), rng)
+    _check_start(spec, PRIMAL, x)
+    return _step_primal(spec, x, rng)
 
 
 def _step_dual(spec: ActionSpec, images: tuple, rng) -> tuple:
@@ -144,7 +149,7 @@ def run_chain(run: ChainRun, keep_trajectory: bool = False) -> RunResult:
     """Run the chain on tuples; occupation counts cover every visited state (t = 0..steps)."""
     rng = make_rng(run.seed, run.stream)
     spec, thin, primal = run.spec, run.thin, run.chain == PRIMAL
-    step, state = (step_primal, run.start) if primal else (_step_dual, run.start.images)
+    step, state = (_step_primal, run.start) if primal else (_step_dual, run.start.images)
     counts: dict = {state: 1}
     trajectory = [state] if keep_trajectory else None
     for t in range(1, run.steps + 1):
@@ -168,7 +173,7 @@ def empirical_one_step_row(
     """Law of a single step from a fixed start, over independent draws."""
     _check_start(spec, chain, start)
     rng = make_rng(seed, stream)
-    step, start = (step_primal, start) if chain == PRIMAL else (_step_dual, start.images)
+    step, start = (_step_primal, start) if chain == PRIMAL else (_step_dual, start.images)
     counts: dict = {}
     for _ in range(draws):
         y = step(spec, start, rng)

@@ -28,6 +28,7 @@ from burnside.sampler import (
     make_rng,
     run_chain,
     step_dual,
+    step_primal,
     summary_json,
 )
 
@@ -245,6 +246,16 @@ class TestStartValidation:
         with pytest.raises(ValueError, match="invalid start"):
             empirical_one_step_row(spec, chain, start, 1, seed=0)
 
+    @pytest.mark.parametrize(
+        "spec, start",
+        [(value_spec(3, 2), (1, 5)), (value_spec(3, 2), (1,)), (coord_spec(2, 3), (1, 5, 1))],
+        ids=["letter-past-k", "short-word", "coord-letter-past-k"],
+    )
+    def test_step_primal_refuses_invalid_start(self, spec, start):
+        # as step_dual does: a bad word is refused, not stepped from
+        with pytest.raises(ValueError, match="invalid start"):
+            step_primal(spec, start, make_rng(0))
+
     def test_derangement_message(self):
         with pytest.raises(ValueError, match=r"invalid start: \(1 2 3\) is a derangement"):
             ChainRun(value_spec(3, 2), "dual", parse_perm("(1 2 3)", 3), 0, seed=0)
@@ -288,6 +299,56 @@ class TestStepsOnTuples:
             assert x == y
         # Philox's state holds arrays, so compare the printed states
         assert repr(a.bit_generator.state) == repr(b.bit_generator.state)
+
+
+class CountingRng:
+    """A generator that counts its integers calls and forwards shuffle and
+    the bit generator."""
+
+    def __init__(self, rng):
+        self.rng, self.bit_generator, self.integers_calls = rng, rng.bit_generator, 0
+
+    def shuffle(self, x):
+        self.rng.shuffle(x)
+
+    def integers(self, *args, **kwargs):
+        self.integers_calls += 1
+        return self.rng.integers(*args, **kwargs)
+
+
+class TestColorDraws:
+    def test_draws_match_integers(self):
+        # the colour draw and rng.integers consume one stream identically,
+        # also when a shuffle has left half of a 64-bit output in the buffer;
+        # 2**31 + 1 colours reject about every other 32-bit draw
+        a, b = make_rng(71), make_rng(71)
+        buffered = set()
+        for c in (1, 2, 3, 7, 2**31 + 1):
+            for count in range(actions._SCALAR_DRAWS + 3):
+                for length in (1, 3, 5):
+                    x, y = list(range(length)), list(range(length))
+                    a.shuffle(x)
+                    b.shuffle(y)
+                    assert x == y
+                    buffered.add(a.bit_generator.state["has_uint32"])
+                    got = actions._draw_colors(a, c, count)
+                    assert got == b.integers(0, c, size=count).tolist()
+                    assert repr(a.bit_generator.state) == repr(b.bit_generator.state)
+        assert buffered == {0, 1}
+
+    @pytest.mark.parametrize(
+        "spec, chain, start, calls",
+        [
+            (coord_spec(2, 6), "dual", identity(6), 0),  # 6 cycles
+            (value_spec(4, 3), "primal", (1, 1, 2), 0),  # 3 positions
+            (value_spec(3, 40), "dual", identity(3), 1),  # 40 positions
+        ],
+        ids=["coord2,6-dual", "value4,3-primal", "value3,40-dual"],
+    )
+    def test_integers_only_past_the_cutoff(self, spec, chain, start, calls):
+        rng = CountingRng(make_rng(5))
+        (step_dual if chain == "dual" else step_primal)(spec, start, rng)
+        assert rng.integers_calls == calls
 
 
 class TestOrbitEstimate:
