@@ -10,15 +10,14 @@ presentation-only.
 
 Both models are stated once, in two functions, and the stabilizer and
 fixed-set primitives read them without asking which model they serve
-(``stabilizer_size`` reads |G_x| off the letter counts, and ``_fixed_slots``
-reads X_g off a one-line image tuple for the sampler's tuple draws):
+(``stabilizer_size`` reads |G_x| off the letter counts instead):
 
 - ``stabilizer_blocks(spec, x)``: G_x is the Young subgroup prod Sym(block),
   S_{k-r} on the symbols x leaves unused, r the number x uses (value model),
   or prod_a S_{m_a} on the positions of each letter a (coordinate model);
-- ``fixed_coloring(spec, g)``: X_g is the set of colorings of slots by a
+- ``fixed_slots(spec, images)``: X_g is the set of colorings of slots by a
   palette, each position by a fixed symbol of g (value model) or each cycle
-  of g by one of the k letters (coordinate model).
+  of g by one of the k letters (coordinate model), read off g's images.
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ __all__ = [
     "word_to_str",
     "word_from_str",
     "stabilizer_blocks",
-    "fixed_coloring",
+    "fixed_slots",
     "fixed_set_size",
     "enumerate_fixed_words",
     "fixed_word_indices",
@@ -164,7 +163,8 @@ def word_to_str(spec: ActionSpec, x: Word) -> str:
 def word_from_str(spec: ActionSpec, s: str) -> Word:
     offset = 1 if spec.model == COORD else 0
     s = s.strip()
-    x = tuple(int(tok) + offset for tok in (s.split(",") if "," in s else s))
+    # a one-letter word is one token, so a symbol past 9 reads whole
+    x = tuple(int(tok) + offset for tok in (s.split(",") if "," in s or spec.n == 1 else s))
     if len(x) != spec.n or any(not 1 <= a <= spec.k for a in x):
         raise ValueError(f"{s!r} is not a word for {spec}")
     return x
@@ -181,25 +181,13 @@ def stabilizer_blocks(spec: ActionSpec, x: Word) -> list[list[int]]:
     return [block for block in blocks if block]
 
 
-def fixed_coloring(
-    spec: ActionSpec, g: Permutation
-) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """X_g as colorings: (slots, palette).  A word is fixed by g exactly when
-    each slot (a block of positions) takes one color of the palette: every
-    position is a slot and the palette is the fixed symbols of g (value
-    model), or the slots are the cycles of g and the palette is 1..k
-    (coordinate model).  Slots are ordered by their first position and the
-    palette ascends, so colorings in product order are words in
-    lexicographic order."""
-    _check_degree(spec, g)
-    if spec.model == VALUE:
-        return tuple((i,) for i in range(1, spec.n + 1)), tuple(sorted(g.fixed_points()))
-    return g.cycles(), tuple(range(1, spec.k + 1))
-
-
-def _fixed_slots(spec: ActionSpec, images: Sequence[int]) -> tuple[Sequence[int], int, Sequence]:
-    """fixed_coloring read off one-line images: (the slot of each position,
-    the slot count, the palette), cycles numbered by their smallest point."""
+def fixed_slots(spec: ActionSpec, images: Sequence[int]) -> tuple[Sequence[int], int, Sequence]:
+    """X_g as colorings of slots by a palette, read off g's one-line images
+    (unchecked): (the slot of each position, the slot count, the palette).
+    Each position is a slot and the palette is g's fixed symbols (value
+    model), or the slots are g's cycles and the palette is 1..k (coordinate
+    model).  Slots are numbered by their smallest position and the palette
+    ascends, so colorings in product order are words in lexicographic order."""
     if spec.model == VALUE:
         return range(spec.n), spec.n, [i for i, a in enumerate(images, 1) if i == a]
     slot_of = [-1] * spec.n
@@ -216,8 +204,9 @@ def _fixed_slots(spec: ActionSpec, images: Sequence[int]) -> tuple[Sequence[int]
 
 def fixed_set_size(spec: ActionSpec, g: Permutation) -> int:
     """|X_g| = |palette|^slots: f(g)^n (value model), k^c(g) (coordinate model)."""
-    slots, palette = fixed_coloring(spec, g)
-    return len(palette) ** len(slots)
+    _check_degree(spec, g)
+    _, count, palette = fixed_slots(spec, g.images)
+    return len(palette) ** count
 
 
 def _nonempty_palette(images: Sequence[int], palette) -> None:
@@ -228,24 +217,30 @@ def _nonempty_palette(images: Sequence[int], palette) -> None:
 def enumerate_fixed_words(spec: ActionSpec, g: Permutation) -> Iterator[Word]:
     """All words fixed by g, one per coloring, without scanning the state space."""
     _check_degree(spec, g)
-    slot_of, count, palette = _fixed_slots(spec, g.images)
+    slot_of, count, palette = fixed_slots(spec, g.images)
     _nonempty_palette(g.images, palette)
     for colors in itertools.product(palette, repeat=count):
         yield tuple([colors[s] for s in slot_of])
 
 
 def fixed_word_indices(spec: ActionSpec, g: Permutation) -> np.ndarray:
-    """The word indices of X_g, ascending, straight from the coloring: a
-    word's index is the sum over slots of (color - 1) * sum of k^(n - pos)
-    over the slot's positions.  Raises ValueError when k^n leaves int64."""
+    """The word indices of X_g, ascending: the sum over slots of (color - 1)
+    times the slot's weight, the sum of k^(n-1-pos) over its 0-based
+    positions.  Raises ValueError when k^n leaves int64."""
+    _check_degree(spec, g)
     if word_count(spec, 2**63) >= 2**63:
         raise ValueError(f"k^n = {spec.k}^{spec.n} word indices do not fit int64")
-    slots, palette = fixed_coloring(spec, g)
+    slot_of, count, palette = fixed_slots(spec, g.images)
     _nonempty_palette(g.images, palette)
+    weights = [0] * count
+    power = 1
+    for slot in reversed(slot_of):  # positions n-1 down to 0
+        weights[slot] += power
+        power *= spec.k
     digits = np.array(palette, dtype=np.int64) - 1
     idx = np.zeros(1, dtype=np.int64)
-    for slot in slots:  # the first slot holds position 1, the leading digit
-        idx = (idx[:, None] + digits * sum(spec.k ** (spec.n - p) for p in slot)).ravel()
+    for weight in weights:  # slot 0 holds position 0, the leading digit
+        idx = (idx[:, None] + digits * weight).ravel()
     return idx
 
 
@@ -257,7 +252,7 @@ def sample_fixed_word_uniform(spec: ActionSpec, g: Permutation, rng) -> Word:
 
 def _draw_fixed_word(spec: ActionSpec, images: tuple, rng) -> Word:
     """sample_fixed_word_uniform on a one-line image tuple, with the same draw."""
-    slot_of, count, palette = _fixed_slots(spec, images)
+    slot_of, count, palette = fixed_slots(spec, images)
     _nonempty_palette(images, palette)
     colors = [palette[p] for p in _draw_colors(rng, len(palette), count)]
     return tuple([colors[s] for s in slot_of])

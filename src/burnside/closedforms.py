@@ -44,8 +44,7 @@ from .combinat import (
     stirling2,
     subfactorial,
 )
-from .kernels import _refuse_above
-from .permgroup import STATE_CAP, Permutation, enumerate_sym, joint_orbits
+from .permgroup import STATE_CAP, Permutation, _refuse_above, enumerate_sym, joint_orbits
 
 __all__ = [
     "q_brute_row",

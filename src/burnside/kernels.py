@@ -35,7 +35,7 @@ from .actions import (
     word_to_str,
     words,
 )
-from .permgroup import STATE_CAP
+from .permgroup import STATE_CAP, CapExceeded, _refuse_above
 from .ratmat import RationalMatrix
 
 __all__ = [
@@ -52,10 +52,6 @@ __all__ = [
 # Entries of the dense matrices one call may form (2**25 int64 entries are
 # 256 MiB).
 DENSE_BUDGET = 2**25
-
-
-class CapExceeded(ValueError):
-    pass
 
 
 @dataclass
@@ -145,13 +141,6 @@ def _check_size(source, matrices: str) -> None:
     entries = {"A": g * x, "B": x * g, "K": x * x, "Q": g * g}
     dense = sum(entries[name] for name in matrices)
     _refuse_above(f"dense entries of {', '.join(matrices)}", dense, DENSE_BUDGET, "dense budget")
-
-
-def _refuse_above(what: str, size: int, limit: int, limit_name: str) -> None:
-    if size > limit:
-        # past 2**64 the size is a lower bound (the counts stop there): its magnitude only
-        shown = f"= {size}" if size.bit_length() <= 64 else f">= 2**{size.bit_length() - 1}"
-        raise CapExceeded(f"{what} {shown} exceeds the {limit_name} {limit}")
 
 
 def _incidence(source) -> tuple[list, list, np.ndarray]:

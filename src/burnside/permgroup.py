@@ -24,11 +24,24 @@ __all__ = [
     "joint_orbits",
     "canonical_sort_key",
     "STATE_CAP",
+    "CapExceeded",
 ]
 
 # The one enumeration limit: S_m here, and the words, dual states and fixed
 # sets X_g that kernels and closedforms enumerate.
 STATE_CAP = 65536
+
+
+class CapExceeded(ValueError):
+    """A size past an enumeration limit, refused before anything is enumerated."""
+
+
+def _refuse_above(what: str, size: int, limit: int, limit_name: str) -> None:
+    if size > limit:
+        # past 2**64 the size is a lower bound (the counts stop there): its magnitude only
+        shown = f"= {size}" if size.bit_length() <= 64 else f">= 2**{size.bit_length() - 1}"
+        raise CapExceeded(f"{what} {shown} exceeds the {limit_name} {limit}")
+
 
 # Multiset of cycle lengths, sorted descending, summing to the degree.
 CycleType = tuple[int, ...]

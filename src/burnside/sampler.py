@@ -23,9 +23,9 @@ from .actions import (
     ActionSpec,
     _draw_fixed_word,
     _draw_stabilizer,
-    _fixed_slots,
     count_orbits,
     fixed_set_size,
+    fixed_slots,
     group_degree,
     group_order,
     orbit_count,
@@ -186,12 +186,14 @@ def empirical_one_step_row(
 def estimate_orbit_count(spec: ActionSpec, samples: int, seed: int = 0):
     """Monte Carlo orbit count: the mean of |X_g| = |palette|^slots over
     uniform g drawn from stream 0 of seed, with its standard error.
-    samples == 0 falls back to the exact count."""
+    samples == 0 falls back to the exact count; samples < 0 is refused."""
+    if samples < 0:
+        raise ValueError(f"samples must be >= 0, got {samples}")
     if samples == 0:
         return float(count_orbits(spec)), 0.0
     rng = make_rng(seed)
     m = group_degree(spec)
-    slots = (_fixed_slots(spec, (rng.permutation(m) + 1).tolist()) for _ in range(samples))
+    slots = (fixed_slots(spec, (rng.permutation(m) + 1).tolist()) for _ in range(samples))
     vals = np.array([float(len(palette) ** count) for _, count, palette in slots])
     # z = (1/|G|) sum_g |X_g| is the expectation of |X_g| under uniform g
     est = float(vals.mean())

@@ -13,8 +13,8 @@ from burnside.actions import (
     dual_state_count,
     dual_states,
     enumerate_fixed_words,
-    fixed_coloring,
     fixed_set_size,
+    fixed_slots,
     fixed_word_indices,
     group_order,
     orbit_key,
@@ -74,6 +74,15 @@ class TestSpecBasics:
         spec = value_spec(3, 2)
         assert word_to_str(spec, (1, 3)) == "13"
 
+    @pytest.mark.parametrize(
+        "spec", [value_spec(12, 1), coord_spec(12, 1), value_spec(12, 2)],
+        ids=lambda s: f"{s.model}{s.k},{s.n}",
+    )
+    def test_word_text_round_trip_past_nine(self, spec):
+        # a one-letter word with a symbol past 9 prints as one multi-digit token
+        for x in words(spec):
+            assert word_from_str(spec, word_to_str(spec, x)) == x
+
     def test_word_text_matches_reference(self):
         # one digit per symbol up to 9, commas past it, in both models
         def reference(spec, x):
@@ -123,10 +132,16 @@ class TestModelForms:
         assert stabilizer_blocks(value_spec(2, 2), (1, 2)) == [[]]
         assert stabilizer_blocks(coord_spec(3, 5), (3, 1, 3, 3, 1)) == [[2, 5], [1, 3, 4]]
 
-    def test_fixed_coloring(self):
+    def test_fixed_slots(self):
+        def slots(spec, g):
+            slot_of, count, palette = fixed_slots(spec, g.images)
+            return list(slot_of), count, list(palette)
+
         g = parse_perm("(1 2)", 4)
-        assert fixed_coloring(value_spec(4, 3), g) == (((1,), (2,), (3,)), (3, 4))
-        assert fixed_coloring(coord_spec(3, 4), g) == (((1, 2), (3,), (4,)), (1, 2, 3))
+        assert slots(value_spec(4, 3), g) == ([0, 1, 2], 3, [3, 4])
+        assert slots(coord_spec(3, 4), g) == ([0, 0, 1, 2], 3, [1, 2, 3])
+        # a derangement fixes no symbol: an empty palette
+        assert slots(value_spec(3, 2), parse_perm("(1 2 3)", 3)) == ([0, 1], 2, [])
 
     def test_counts_exact_up_to_the_limit(self):
         # exact at or below the limit, a lower bound above it past the limit
@@ -169,6 +184,39 @@ class TestFixedWordIndices:
     def test_derangement_refused(self):
         with pytest.raises(ValueError, match="derangement"):
             fixed_word_indices(value_spec(3, 2), parse_perm("(1 2 3)", 3))
+
+    def test_indices_and_sizes_match_brute_scan(self):
+        # the words g fixes under apply_perm, scanned in index order
+        for spec in SMALL_SPECS + [value_spec(5, 2), coord_spec(4, 3)]:
+            m = spec.k if spec.model == "value" else spec.n
+            for g in enumerate_sym(m):
+                expected = [
+                    i for i, x in enumerate(words(spec)) if apply_perm(spec, g, x) == x
+                ]
+                assert fixed_set_size(spec, g) == len(expected), (spec, g)
+                if expected:
+                    assert fixed_word_indices(spec, g).tolist() == expected, (spec, g)
+                else:
+                    with pytest.raises(ValueError, match="derangement"):
+                        fixed_word_indices(spec, g)
+
+    @pytest.mark.parametrize(
+        "read",
+        [
+            fixed_set_size,
+            fixed_word_indices,
+            lambda spec, g: list(enumerate_fixed_words(spec, g)),
+            lambda spec, g: sample_fixed_word_uniform(spec, g, make_rng(0)),
+        ],
+        ids=["fixed_set_size", "fixed_word_indices", "enumerate_fixed_words",
+             "sample_fixed_word_uniform"],
+    )
+    def test_wrong_degree_refused(self, read):
+        # value 3,2 acts by S_3 and coord 2,3 by S_3: degrees 2 and 4 are refused
+        for spec in (value_spec(3, 2), coord_spec(2, 3)):
+            for m in (2, 4):
+                with pytest.raises(ValueError, match="does not match"):
+                    read(spec, identity(m))
 
 
 class TestFixedSets:

@@ -364,6 +364,10 @@ class TestOrbitEstimate:
         est, se = estimate_orbit_count(coord_spec(3, 4), 0)
         assert est == 15.0 and se == 0.0
 
+    def test_negative_samples_refused(self):
+        with pytest.raises(ValueError, match="samples"):
+            estimate_orbit_count(coord_spec(3, 4), -3)
+
 
 def _exact_tv(res, bundle) -> Fraction:
     """Oracle: the Fraction TV against the bundle's stationary law, over every state."""
