@@ -8,9 +8,9 @@ displayed with the 0-based alphabet {0..k-1} (so binary words print as
 bitstrings), the value model with its 1-based symbols; this relabelling is
 presentation-only.
 
-Both models are stated once, in two functions, and the stabilizer and
-fixed-set primitives read them without asking which model they serve
-(``stabilizer_size`` reads |G_x| off the letter counts instead):
+Each model is stated once, in two functions that ``_MODELS`` lists, and the
+stabilizer and fixed-set primitives read them without asking which model
+they serve (``stabilizer_size`` reads |G_x| off the letter counts instead):
 
 - ``stabilizer_blocks(spec, x)``: G_x is the Young subgroup prod Sym(block),
   S_{k-r} on the symbols x leaves unused, r the number x uses (value model),
@@ -18,6 +18,9 @@ fixed-set primitives read them without asking which model they serve
 - ``fixed_slots(spec, images)``: X_g is the set of colorings of slots by a
   palette, each position by a fixed symbol of g (value model) or each cycle
   of g by one of the k letters (coordinate model), read off g's images.
+
+A ``Stepper`` binds one model's two functions and one generator once per
+chain, and makes the two uniform draws of a step from them.
 """
 
 from __future__ import annotations
@@ -61,6 +64,7 @@ __all__ = [
     "stabilizer_elements",
     "sample_stabilizer_uniform",
     "sample_fixed_word_uniform",
+    "Stepper",
     "orbit_key",
     "orbit_count",
     "count_orbits",
@@ -155,7 +159,8 @@ def word_to_str(spec: ActionSpec, x: Word) -> str:
     """One digit per symbol when every symbol is 0..9, else the symbols
     separated by commas."""
     offset = 1 if spec.model == COORD else 0
-    if x and offset <= min(x) and max(x) <= 9 + offset:
+    # the letters are 1..k, so up to k = 9 + offset each one prints as a digit
+    if spec.k <= 9 + offset or (x and max(x) <= 9 + offset):
         return bytes(x).translate(_DIGITS[offset]).decode()
     return ",".join(str(a - offset) for a in x)
 
@@ -170,15 +175,41 @@ def word_from_str(spec: ActionSpec, s: str) -> Word:
     return x
 
 
+def _value_blocks(spec: ActionSpec, x: Word) -> list[list[int]]:
+    return [sorted(set(range(1, spec.k + 1)) - set(x))]
+
+
+def _coord_blocks(spec: ActionSpec, x: Word) -> list[list[int]]:
+    blocks: list[list[int]] = [[] for _ in range(spec.k + 1)]
+    pos = 0
+    for a in x:
+        pos += 1
+        blocks[a].append(pos)
+    return [block for block in blocks if block]
+
+
 def stabilizer_blocks(spec: ActionSpec, x: Word) -> list[list[int]]:
     """G_x = prod Sym(block): one block of the symbols x leaves unused (value
     model), or the positions of each letter in letter order (coordinate model)."""
-    if spec.model == VALUE:
-        return [sorted(set(range(1, spec.k + 1)) - set(x))]
-    blocks: list[list[int]] = [[] for _ in range(spec.k + 1)]
-    for pos, a in enumerate(x, start=1):
-        blocks[a].append(pos)
-    return [block for block in blocks if block]
+    return _MODELS[spec.model][0](spec, x)
+
+
+def _value_slots(spec: ActionSpec, images: Sequence[int]):
+    return range(spec.n), spec.n, [i for i, a in enumerate(images, 1) if i == a]
+
+
+def _coord_slots(spec: ActionSpec, images: Sequence[int]):
+    slot_of = [-1] * spec.n
+    count = 0
+    for start in range(spec.n):
+        if slot_of[start] < 0:
+            slot_of[start] = count
+            j = images[start] - 1
+            while slot_of[j] < 0:
+                slot_of[j] = count
+                j = images[j] - 1
+            count += 1
+    return slot_of, count, range(1, spec.k + 1)
 
 
 def fixed_slots(spec: ActionSpec, images: Sequence[int]) -> tuple[Sequence[int], int, Sequence]:
@@ -188,18 +219,11 @@ def fixed_slots(spec: ActionSpec, images: Sequence[int]) -> tuple[Sequence[int],
     model), or the slots are g's cycles and the palette is 1..k (coordinate
     model).  Slots are numbered by their smallest position and the palette
     ascends, so colorings in product order are words in lexicographic order."""
-    if spec.model == VALUE:
-        return range(spec.n), spec.n, [i for i, a in enumerate(images, 1) if i == a]
-    slot_of = [-1] * spec.n
-    count = 0
-    for start in range(spec.n):
-        if slot_of[start] < 0:
-            j = start
-            while slot_of[j] < 0:
-                slot_of[j] = count
-                j = images[j] - 1
-            count += 1
-    return slot_of, count, range(1, spec.k + 1)
+    return _MODELS[spec.model][1](spec, images)
+
+
+# each model's (stabilizer_blocks, fixed_slots)
+_MODELS = {VALUE: (_value_blocks, _value_slots), COORD: (_coord_blocks, _coord_slots)}
 
 
 def fixed_set_size(spec: ActionSpec, g: Permutation) -> int:
@@ -209,16 +233,16 @@ def fixed_set_size(spec: ActionSpec, g: Permutation) -> int:
     return len(palette) ** count
 
 
-def _nonempty_palette(images: Sequence[int], palette) -> None:
-    if not palette:
-        raise ValueError(f"{Permutation(images)} is a derangement: empty fixed-word set")
+def _refuse_derangement(images: Sequence[int]) -> None:
+    raise ValueError(f"{Permutation(images)} is a derangement: empty fixed-word set")
 
 
 def enumerate_fixed_words(spec: ActionSpec, g: Permutation) -> Iterator[Word]:
     """All words fixed by g, one per coloring, without scanning the state space."""
     _check_degree(spec, g)
     slot_of, count, palette = fixed_slots(spec, g.images)
-    _nonempty_palette(g.images, palette)
+    if not palette:
+        _refuse_derangement(g.images)
     for colors in itertools.product(palette, repeat=count):
         yield tuple([colors[s] for s in slot_of])
 
@@ -231,7 +255,8 @@ def fixed_word_indices(spec: ActionSpec, g: Permutation) -> np.ndarray:
     if word_count(spec, 2**63) >= 2**63:
         raise ValueError(f"k^n = {spec.k}^{spec.n} word indices do not fit int64")
     slot_of, count, palette = fixed_slots(spec, g.images)
-    _nonempty_palette(g.images, palette)
+    if not palette:
+        _refuse_derangement(g.images)
     weights = [0] * count
     power = 1
     for slot in reversed(slot_of):  # positions n-1 down to 0
@@ -247,15 +272,7 @@ def fixed_word_indices(spec: ActionSpec, g: Permutation) -> np.ndarray:
 def sample_fixed_word_uniform(spec: ActionSpec, g: Permutation, rng) -> Word:
     """Uniform word in X_g: an i.i.d. uniform color per slot."""
     _check_degree(spec, g)
-    return _draw_fixed_word(spec, g.images, rng)
-
-
-def _draw_fixed_word(spec: ActionSpec, images: tuple, rng) -> Word:
-    """sample_fixed_word_uniform on a one-line image tuple, with the same draw."""
-    slot_of, count, palette = fixed_slots(spec, images)
-    _nonempty_palette(images, palette)
-    colors = [palette[p] for p in _draw_colors(rng, len(palette), count)]
-    return tuple([colors[s] for s in slot_of])
+    return Stepper(spec, rng).fixed_word(g.images)
 
 
 # Up to this many colours are drawn one next_uint32 call at a time, past it
@@ -267,25 +284,71 @@ def _draw_fixed_word(spec: ActionSpec, images: tuple, rng) -> Word:
 _SCALAR_DRAWS = 10
 
 
-def _draw_colors(rng, c: int, count: int) -> list[int]:
-    """rng.integers(0, c, size=count).tolist(), with the same draws: numpy's
-    Lemire rejection on the bit generator's next_uint32, which shares the
-    half-word buffer of rng.shuffle (Lemire, ACM TOMACS 2019).  Unlike
-    numpy's own methods it takes no lock: a generator serves one chain."""
-    if c == 1:
-        return [0] * count
-    if count > _SCALAR_DRAWS or c >= 2**32:
-        return rng.integers(0, c, size=count).tolist()
-    bitgen = rng.bit_generator.ctypes
-    next32, state = bitgen.next_uint32, bitgen.state_address
-    threshold = (2**32 - c) % c
-    colors = []
-    for _ in range(count):
-        m = next32(state) * c
-        while m & 0xFFFFFFFF < threshold:
-            m = next32(state) * c
-        colors.append(m >> 32)
-    return colors
+class Stepper:
+    """The two word-level draws of one chain, bound once to (spec, rng).
+
+    ``stabilizer(x)`` is the one-line image tuple of a uniform element of
+    G_x: one ``rng.shuffle`` per block of two or more points, the same draws
+    as ``rng.permutation(block)``.  ``fixed_word(images)`` is a uniform word
+    of X_g: an i.i.d. uniform colour per slot, drawn by ``colors``.
+    ``primal`` and ``dual`` are the two chains' steps, the same two draws in
+    either order.  Bound before the first step: the model's block and slot
+    functions, the identity images, the generator's ``shuffle`` and
+    ``integers``, its bit generator's ``next_uint32`` and state address,
+    and the Lemire threshold of k colours (every coordinate-model palette
+    is 1..k).  The draws are closures over these, so a step looks up no
+    attribute.
+    """
+
+    __slots__ = ("colors", "fixed_word", "stabilizer", "primal", "dual")
+
+    def __init__(self, spec: ActionSpec, rng) -> None:
+        blocks_of, slots_of = _MODELS[spec.model]
+        identity = list(range(1, group_degree(spec) + 1))
+        shuffle, integers = rng.shuffle, rng.integers
+        bitgen = rng.bit_generator.ctypes
+        next32, state = bitgen.next_uint32, bitgen.state_address
+        k, k_threshold = spec.k, (2**32 - spec.k) % spec.k
+
+        def colors(c: int, count: int) -> list[int]:
+            """rng.integers(0, c, size=count).tolist(), with the same draws:
+            numpy's Lemire rejection on the bit generator's next_uint32, which
+            shares the half-word buffer of rng.shuffle (Lemire, ACM TOMACS
+            2019).  Unlike numpy's own methods it takes no lock: a generator
+            serves one chain."""
+            if c == 1:
+                return [0] * count
+            if count > _SCALAR_DRAWS or c >= 2**32:
+                return integers(0, c, size=count).tolist()
+            threshold = k_threshold if c == k else (2**32 - c) % c
+            drawn = []
+            for _ in range(count):
+                m = next32(state) * c
+                while m & 0xFFFFFFFF < threshold:
+                    m = next32(state) * c
+                drawn.append(m >> 32)
+            return drawn
+
+        def fixed_word(images: Sequence[int]) -> Word:
+            slot_of, count, palette = slots_of(spec, images)
+            if not palette:
+                _refuse_derangement(images)
+            letters = [palette[p] for p in colors(len(palette), count)]
+            return tuple([letters[s] for s in slot_of])
+
+        def stabilizer(x: Word) -> tuple[int, ...]:
+            images = identity.copy()
+            for block in blocks_of(spec, x):
+                if len(block) > 1:
+                    shuffled = block.copy()
+                    shuffle(shuffled)
+                    for a, b in zip(block, shuffled):
+                        images[a - 1] = b
+            return tuple(images)
+
+        self.colors, self.fixed_word, self.stabilizer = colors, fixed_word, stabilizer
+        self.primal = lambda x: fixed_word(stabilizer(x))
+        self.dual = lambda images: stabilizer(fixed_word(images))
 
 
 def stabilizer_size(spec: ActionSpec, x: Word) -> int:
@@ -309,21 +372,7 @@ def stabilizer_elements(spec: ActionSpec, x: Word) -> Iterator[Permutation]:
 
 def sample_stabilizer_uniform(spec: ActionSpec, x: Word, rng) -> Permutation:
     """Uniform element of G_x, drawn constructively (no rejection)."""
-    return Permutation(_draw_stabilizer(spec, x, rng))
-
-
-def _draw_stabilizer(spec: ActionSpec, x: Word, rng) -> tuple[int, ...]:
-    """sample_stabilizer_uniform as a one-line image tuple, with the same draw:
-    one shuffle per block of two or more points."""
-    images = list(range(1, group_degree(spec) + 1))
-    for block in stabilizer_blocks(spec, x):
-        if len(block) > 1:
-            # the same Fisher-Yates draws as rng.permutation(block), on a list
-            shuffled = block.copy()
-            rng.shuffle(shuffled)
-            for a, b in zip(block, shuffled):
-                images[a - 1] = b
-    return tuple(images)
+    return Permutation(Stepper(spec, rng).stabilizer(x))
 
 
 def orbit_key(spec: ActionSpec, x: Word):
@@ -380,8 +429,9 @@ def dual_states(spec: ActionSpec) -> tuple[Permutation, ...]:
     For the value model this drops the derangements of S_k; for the
     coordinate model G* is all of S_n.
     """
-    m = group_degree(spec)
-    elems = [g for g in enumerate_sym(m) if fixed_set_size(spec, g) > 0]
+    elems = enumerate_sym(group_degree(spec))
+    if spec.model == VALUE:
+        elems = [g for g in elems if fixed_set_size(spec, g) > 0]
     return tuple(sorted(elems, key=canonical_sort_key))
 
 

@@ -21,8 +21,7 @@ import numpy as np
 
 from .actions import (
     ActionSpec,
-    _draw_fixed_word,
-    _draw_stabilizer,
+    Stepper,
     count_orbits,
     fixed_set_size,
     fixed_slots,
@@ -60,24 +59,16 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed + (stream << 64)))
 
 
-def _step_primal(spec: ActionSpec, x: tuple, rng) -> tuple:
-    return _draw_fixed_word(spec, _draw_stabilizer(spec, x, rng), rng)
-
-
 def step_primal(spec: ActionSpec, x, rng) -> tuple:
     """One step of the orbit-sampling chain on words."""
     _check_start(spec, PRIMAL, x)
-    return _step_primal(spec, x, rng)
-
-
-def _step_dual(spec: ActionSpec, images: tuple, rng) -> tuple:
-    return _draw_stabilizer(spec, _draw_fixed_word(spec, images, rng), rng)
+    return Stepper(spec, rng).primal(x)
 
 
 def step_dual(spec: ActionSpec, g: Permutation, rng) -> Permutation:
     """One step of the dual chain on permutations with nonempty fixed sets."""
     _check_start(spec, DUAL, g)
-    return Permutation(_step_dual(spec, g.images, rng))
+    return Permutation(Stepper(spec, rng).dual(g.images))
 
 
 def _check_start(spec: ActionSpec, chain: str, start) -> None:
@@ -147,13 +138,13 @@ def _tv_to_stationary(spec: ActionSpec, chain: str, law: EmpiricalLaw) -> float:
 
 def run_chain(run: ChainRun, keep_trajectory: bool = False) -> RunResult:
     """Run the chain on tuples; occupation counts cover every visited state (t = 0..steps)."""
-    rng = make_rng(run.seed, run.stream)
     spec, thin, primal = run.spec, run.thin, run.chain == PRIMAL
-    step, state = (_step_primal, run.start) if primal else (_step_dual, run.start.images)
+    stepper = Stepper(spec, make_rng(run.seed, run.stream))
+    step, state = (stepper.primal, run.start) if primal else (stepper.dual, run.start.images)
     counts: dict = {state: 1}
     trajectory = [state] if keep_trajectory else None
     for t in range(1, run.steps + 1):
-        state = step(spec, state, rng)
+        state = step(state)
         if t % thin == 0:
             counts[state] = counts.get(state, 0) + 1
             if keep_trajectory:
@@ -172,11 +163,11 @@ def empirical_one_step_row(
 ) -> EmpiricalLaw:
     """Law of a single step from a fixed start, over independent draws."""
     _check_start(spec, chain, start)
-    rng = make_rng(seed, stream)
-    step, start = (_step_primal, start) if chain == PRIMAL else (_step_dual, start.images)
+    stepper = Stepper(spec, make_rng(seed, stream))
+    step, start = (stepper.primal, start) if chain == PRIMAL else (stepper.dual, start.images)
     counts: dict = {}
     for _ in range(draws):
-        y = step(spec, start, rng)
+        y = step(start)
         counts[y] = counts.get(y, 0) + 1
     if chain == DUAL:
         counts = {Permutation(s): c for s, c in counts.items()}

@@ -32,7 +32,7 @@ from burnside.actions import (
     words,
 )
 import burnside.actions
-from burnside.permgroup import enumerate_sym, identity, parse_perm
+from burnside.permgroup import canonical_sort_key, enumerate_sym, identity, parse_perm
 from burnside.sampler import make_rng
 
 SMALL_SPECS = [
@@ -341,6 +341,22 @@ class TestDualStates:
             "e", "(1 2)", "(1 3)", "(2 3)", "(1 2 3)", "(1 3 2)",
         ]
         assert len(dual_states(coord_spec(2, 4))) == 24
+
+    def test_coord_yields_all_of_sym_in_order(self, monkeypatch):
+        # no X_g of the coordinate model is empty, so no fixed set is sized
+        sized = []
+        size = burnside.actions.fixed_set_size
+        monkeypatch.setattr(burnside.actions, "fixed_set_size", lambda *a: sized.append(1) or size(*a))
+        for k in (1, 2, 3):
+            for n in range(1, 6):
+                spec = coord_spec(k, n)
+                everything = sorted(enumerate_sym(n), key=canonical_sort_key)
+                duals = dual_states.__wrapped__(spec)
+                assert duals == tuple(g for g in everything if size(spec, g) > 0)
+                assert len(duals) == factorial(n)
+        assert sized == []
+        dual_states.__wrapped__(value_spec(3, 2))
+        assert len(sized) == 6
 
     def test_value_count(self):
         from burnside.combinat import subfactorial

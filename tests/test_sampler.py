@@ -1,6 +1,7 @@
 """Simulation: determinism, one-step fidelity, uniform subroutines."""
 
 import hashlib
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from scipy.stats import chi2
 from burnside import actions, closedforms, kernels, permgroup, sampler
 from burnside.actions import (
     ActionSpec,
+    Stepper,
     coord_spec,
     dual_states,
     enumerate_fixed_words,
@@ -20,7 +22,7 @@ from burnside.actions import (
     words,
 )
 from burnside.kernels import build_bundle
-from burnside.permgroup import identity, parse_perm
+from burnside.permgroup import Permutation, identity, parse_perm
 from burnside.sampler import (
     ChainRun,
     empirical_one_step_row,
@@ -282,23 +284,43 @@ class TestStepsOnTuples:
         assert made == []
 
     @pytest.mark.parametrize(
-        "spec", [value_spec(4, 3), value_spec(12, 2), coord_spec(3, 5)],
+        "spec",
+        [value_spec(4, 3), value_spec(12, 2), coord_spec(3, 5), coord_spec(2, 300), coord_spec(1, 5)],
         ids=lambda s: f"{s.model}{s.k},{s.n}",
     )
     def test_tuple_draws_match_public_draws(self, spec):
-        # the chain's private draws and the public samplers consume one
-        # stream identically, state for state
-        a, b = make_rng(61), make_rng(61)
-        x = y = (1,) * spec.n
+        # twin generators: one stepper bound for the whole run, the public
+        # draws and steps (a stepper per call) and the one-step rows consume
+        # one stream identically, state for state; coord 2,300 draws its
+        # colours both ways, coord 1,5 has one colour and draws none
+        a, b, c = make_rng(61), make_rng(61), make_rng(61)
+        stepper = Stepper(spec, a)
+        x = y = z = (1,) * spec.n
         for _ in range(500):
-            images = actions._draw_stabilizer(spec, x, a)
+            images = stepper.stabilizer(x)
             g = actions.sample_stabilizer_uniform(spec, y, b)
             assert images == g.images
-            x = actions._draw_fixed_word(spec, images, a)
+            x = stepper.fixed_word(images)
             y = actions.sample_fixed_word_uniform(spec, g, b)
             assert x == y
+            z = step_primal(spec, z, c)
+            assert z == x
         # Philox's state holds arrays, so compare the printed states
         assert repr(a.bit_generator.state) == repr(b.bit_generator.state)
+        assert repr(a.bit_generator.state) == repr(c.bit_generator.state)
+        g = h = Permutation(images)
+        for _ in range(500):
+            images = stepper.dual(images)
+            g = step_dual(spec, g, b)
+            assert images == g.images
+        assert repr(a.bit_generator.state) == repr(b.bit_generator.state)
+        # empirical_one_step_row draws from its own generator of one seed
+        one_step = Stepper(spec, make_rng(62))
+        want = Counter(one_step.primal(x) for _ in range(300))
+        assert empirical_one_step_row(spec, "primal", x, 300, seed=62).counts == want
+        one_step = Stepper(spec, make_rng(62))
+        want = Counter(Permutation(one_step.dual(h.images)) for _ in range(300))
+        assert empirical_one_step_row(spec, "dual", h, 300, seed=62).counts == want
 
 
 class CountingRng:
@@ -323,6 +345,7 @@ class TestColorDraws:
         # 2**31 + 1 colours reject about every other 32-bit draw
         a, b = make_rng(71), make_rng(71)
         buffered = set()
+        colors = Stepper(value_spec(3, 1), a).colors  # c = 3 reads its bound threshold
         for c in (1, 2, 3, 7, 2**31 + 1):
             for count in range(actions._SCALAR_DRAWS + 3):
                 for length in (1, 3, 5):
@@ -331,7 +354,7 @@ class TestColorDraws:
                     b.shuffle(y)
                     assert x == y
                     buffered.add(a.bit_generator.state["has_uint32"])
-                    got = actions._draw_colors(a, c, count)
+                    got = colors(c, count)
                     assert got == b.integers(0, c, size=count).tolist()
                     assert repr(a.bit_generator.state) == repr(b.bit_generator.state)
         assert buffered == {0, 1}
