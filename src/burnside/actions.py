@@ -8,19 +8,25 @@ displayed with the 0-based alphabet {0..k-1} (so binary words print as
 bitstrings), the value model with its 1-based symbols; this relabelling is
 presentation-only.
 
-Each model is stated once, in two functions that ``_MODELS`` lists, and the
-stabilizer and fixed-set primitives read them without asking which model
-they serve (``stabilizer_size`` reads |G_x| off the letter counts instead):
+Each model is stated once, in three pieces on colorings that ``_MODELS``
+lists, and the stabilizer and fixed-set primitives read them without asking
+which model they serve (``stabilizer_size`` reads |G_x| off the letter
+counts instead).  A coloring (slot_of, colors, palette) puts the letter
+palette[colors[slot_of[p]]] at position p; a word x is the coloring
+(None, x, range(k + 1)), each position its own slot.
 
-- ``stabilizer_blocks(spec, x)``: G_x is the Young subgroup prod Sym(block),
-  S_{k-r} on the symbols x leaves unused, r the number x uses (value model),
-  or prod_a S_{m_a} on the positions of each letter a (coordinate model);
-- ``fixed_slots(spec, images)``: X_g is the set of colorings of slots by a
-  palette, each position by a fixed symbol of g (value model) or each cycle
-  of g by one of the k letters (coordinate model), read off g's images.
+- ``slots(images)``: X_g is the set of colorings of slots by a palette, each
+  position by a fixed symbol of g (value model) or each cycle of g by one of
+  the k letters (coordinate model), read off g's images (``fixed_slots``);
+- ``blocks(coloring)``: G_x of the colored word x is the Young subgroup
+  prod Sym(block), S_{k-r} on the symbols x leaves unused, r the number x
+  uses (value model), or prod_a S_{m_a} on the positions of each letter a
+  (coordinate model) (``stabilizer_blocks``);
+- ``word(coloring)``: the colored word as a tuple.
 
-A ``Stepper`` binds one model's two functions and one generator once per
-chain, and makes the two uniform draws of a step from them.
+A ``Stepper`` binds one model's pieces and one generator once per chain,
+and makes the two uniform draws of a step, and the two fused steps, from
+them.
 """
 
 from __future__ import annotations
@@ -175,41 +181,80 @@ def word_from_str(spec: ActionSpec, s: str) -> Word:
     return x
 
 
-def _value_blocks(spec: ActionSpec, x: Word) -> list[list[int]]:
-    return [sorted(set(range(1, spec.k + 1)) - set(x))]
+# Each model's pieces (see the module docstring), bound to one spec; blocks
+# are lists of 0-based points of the group's degree, in ascending order.
 
 
-def _coord_blocks(spec: ActionSpec, x: Word) -> list[list[int]]:
-    blocks: list[list[int]] = [[] for _ in range(spec.k + 1)]
-    pos = 0
-    for a in x:
-        pos += 1
-        blocks[a].append(pos)
-    return [block for block in blocks if block]
+def _value_model(spec: ActionSpec):
+    n, k = spec.n, spec.k
+    positions, symbols = range(n), range(k)
+
+    def slots(images: Sequence[int]):
+        return positions, n, [i for i, a in enumerate(images, 1) if i == a]
+
+    def blocks(slot_of, colors, palette) -> list[list[int]]:
+        used = {palette[c] for c in set(colors)}  # every position is a slot
+        return [[a for a in symbols if a + 1 not in used]]
+
+    def word(slot_of, colors, palette) -> Word:
+        return tuple([palette[c] for c in colors])
+
+    return slots, blocks, word
+
+
+def _coord_model(spec: ActionSpec):
+    n, k = spec.n, spec.k
+    starts, letters = range(n), range(1, k + 1)
+
+    def slots(images: Sequence[int]):
+        slot_of = [-1] * n
+        count = 0
+        for start in starts:
+            if slot_of[start] < 0:
+                slot_of[start] = count
+                j = images[start] - 1
+                while slot_of[j] < 0:
+                    slot_of[j] = count
+                    j = images[j] - 1
+                count += 1
+        return slot_of, count, letters
+
+    def blocks(slot_of, colors, palette) -> list[list[int]]:
+        # both palettes ascend, so color order is letter order
+        by_color: list[list[int]] = [[] for _ in range(k + 1)]
+        pos = 0
+        if slot_of is None:  # a word: colors holds each position's letter
+            for a in colors:
+                by_color[a].append(pos)
+                pos += 1
+        else:
+            for s in slot_of:
+                by_color[colors[s]].append(pos)
+                pos += 1
+        return by_color
+
+    def word(slot_of, colors, palette) -> Word:
+        spelled = [palette[c] for c in colors]
+        return tuple([spelled[s] for s in slot_of])
+
+    return slots, blocks, word
+
+
+_MODELS = {VALUE: _value_model, COORD: _coord_model}
+
+
+@lru_cache(maxsize=None)
+def _model(spec: ActionSpec):
+    """spec's (slots, blocks, word), bound to spec."""
+    return _MODELS[spec.model](spec)
 
 
 def stabilizer_blocks(spec: ActionSpec, x: Word) -> list[list[int]]:
     """G_x = prod Sym(block): one block of the symbols x leaves unused (value
-    model), or the positions of each letter in letter order (coordinate model)."""
-    return _MODELS[spec.model][0](spec, x)
-
-
-def _value_slots(spec: ActionSpec, images: Sequence[int]):
-    return range(spec.n), spec.n, [i for i, a in enumerate(images, 1) if i == a]
-
-
-def _coord_slots(spec: ActionSpec, images: Sequence[int]):
-    slot_of = [-1] * spec.n
-    count = 0
-    for start in range(spec.n):
-        if slot_of[start] < 0:
-            slot_of[start] = count
-            j = images[start] - 1
-            while slot_of[j] < 0:
-                slot_of[j] = count
-                j = images[j] - 1
-            count += 1
-    return slot_of, count, range(1, spec.k + 1)
+    model), or the positions of each letter x uses, in letter order
+    (coordinate model)."""
+    blocks = _model(spec)[1](None, x, range(spec.k + 1))
+    return [[p + 1 for p in block] for block in blocks if block or spec.model == VALUE]
 
 
 def fixed_slots(spec: ActionSpec, images: Sequence[int]) -> tuple[Sequence[int], int, Sequence]:
@@ -219,11 +264,7 @@ def fixed_slots(spec: ActionSpec, images: Sequence[int]) -> tuple[Sequence[int],
     model), or the slots are g's cycles and the palette is 1..k (coordinate
     model).  Slots are numbered by their smallest position and the palette
     ascends, so colorings in product order are words in lexicographic order."""
-    return _MODELS[spec.model][1](spec, images)
-
-
-# each model's (stabilizer_blocks, fixed_slots)
-_MODELS = {VALUE: (_value_blocks, _value_slots), COORD: (_coord_blocks, _coord_slots)}
+    return _model(spec)[0](images)
 
 
 def fixed_set_size(spec: ActionSpec, g: Permutation) -> int:
@@ -285,25 +326,29 @@ _SCALAR_DRAWS = 10
 
 
 class Stepper:
-    """The two word-level draws of one chain, bound once to (spec, rng).
+    """The draws and steps of one chain, bound once to (spec, rng).
 
     ``stabilizer(x)`` is the one-line image tuple of a uniform element of
     G_x: one ``rng.shuffle`` per block of two or more points, the same draws
     as ``rng.permutation(block)``.  ``fixed_word(images)`` is a uniform word
-    of X_g: an i.i.d. uniform colour per slot, drawn by ``colors``.
-    ``primal`` and ``dual`` are the two chains' steps, the same two draws in
-    either order.  Bound before the first step: the model's block and slot
-    functions, the identity images, the generator's ``shuffle`` and
-    ``integers``, its bit generator's ``next_uint32`` and state address,
-    and the Lemire threshold of k colours (every coordinate-model palette
-    is 1..k).  The draws are closures over these, so a step looks up no
-    attribute.
+    of X_g: an i.i.d. uniform colour per slot, drawn by ``colors``.  The
+    chains' steps make the same two draws in either order, each in one
+    pass: ``primal(x)`` reads X_g's slots off the images list the shuffles
+    filled, and ``dual(images)`` reads G_x's blocks straight off the slot
+    colours, so neither builds the image tuple or the word between its two
+    draws.  All four are the model's three pieces (``_MODELS``) around the
+    two draws, ``shuffled`` and ``colors``.  Bound before the first step:
+    the model's pieces, the identity images, the generator's ``shuffle``
+    and ``integers``, its bit generator's ``next_uint32`` and state
+    address, and the Lemire threshold of k colours (every coordinate-model
+    palette is 1..k).
     """
 
     __slots__ = ("colors", "fixed_word", "stabilizer", "primal", "dual")
 
     def __init__(self, spec: ActionSpec, rng) -> None:
-        blocks_of, slots_of = _MODELS[spec.model]
+        slots, blocks, word = _model(spec)
+        letters = range(spec.k + 1)  # a word x is the coloring (None, x, letters)
         identity = list(range(1, group_degree(spec) + 1))
         shuffle, integers = rng.shuffle, rng.integers
         bitgen = rng.bit_generator.ctypes
@@ -329,33 +374,44 @@ class Stepper:
                 drawn.append(m >> 32)
             return drawn
 
-        def fixed_word(images: Sequence[int]) -> Word:
-            slot_of, count, palette = slots_of(spec, images)
-            if not palette:
-                _refuse_derangement(images)
-            letters = [palette[p] for p in colors(len(palette), count)]
-            return tuple([letters[s] for s in slot_of])
+        def shuffled(blocks: list[list[int]]) -> list[int]:
+            """The images of a uniform element of prod Sym(block), each block
+            a list of 0-based points."""
+            images = identity.copy()
+            for block in blocks:
+                if len(block) > 1:
+                    moved = block.copy()
+                    shuffle(moved)
+                    for a, b in zip(block, moved):
+                        images[a] = b + 1
+            return images
 
         def stabilizer(x: Word) -> tuple[int, ...]:
-            images = identity.copy()
-            for block in blocks_of(spec, x):
-                if len(block) > 1:
-                    shuffled = block.copy()
-                    shuffle(shuffled)
-                    for a, b in zip(block, shuffled):
-                        images[a - 1] = b
-            return tuple(images)
+            return tuple(shuffled(blocks(None, x, letters)))
 
-        self.colors, self.fixed_word, self.stabilizer = colors, fixed_word, stabilizer
-        self.primal = lambda x: fixed_word(stabilizer(x))
-        self.dual = lambda images: stabilizer(fixed_word(images))
+        def fixed_word(images: Sequence[int]) -> Word:
+            slot_of, count, palette = slots(images)
+            if not palette:
+                _refuse_derangement(images)
+            return word(slot_of, colors(len(palette), count), palette)
+
+        def primal(x: Word) -> Word:
+            slot_of, count, palette = slots(shuffled(blocks(None, x, letters)))
+            return word(slot_of, colors(len(palette), count), palette)
+
+        def dual(images: Sequence[int]) -> tuple[int, ...]:
+            slot_of, count, palette = slots(images)
+            return tuple(shuffled(blocks(slot_of, colors(len(palette), count), palette)))
+
+        self.colors, self.stabilizer, self.fixed_word = colors, stabilizer, fixed_word
+        self.primal, self.dual = primal, dual
 
 
 def stabilizer_size(spec: ActionSpec, x: Word) -> int:
     """|G_x| = (k - r)! (value model) or prod_a m_a! (coordinate model)."""
     if spec.model == VALUE:
         return factorial(spec.k - len(set(x)))
-    return prod(factorial(x.count(a)) for a in range(1, spec.k + 1))
+    return prod(map(factorial, map(x.count, range(1, spec.k + 1))))
 
 
 def stabilizer_elements(spec: ActionSpec, x: Word) -> Iterator[Permutation]:

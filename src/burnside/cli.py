@@ -1,4 +1,7 @@
-"""Command-line interface: build, verify, mix, sample, closedform.
+"""Command-line interface on the exact stack: build, verify, mix and
+closedform.  ``main`` runs every subcommand, sample too; the parser and
+sample live in ``entry``, whose ``main`` (``python -m burnside``, the
+console script) imports this module for the other four only.
 
 Exit codes: 0 all checks passed / output written, 1 a verification failed,
 2 usage error.  All reports are deterministic for a fixed (config, seed).
@@ -17,13 +20,12 @@ SKIP lines.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 
 from ._rat import parse_rat, rat_str
-from .actions import ActionSpec, group_degree, word_from_str
+from .actions import group_degree
 from .closedforms import kernel_forms, pi_coord, pi_value, q_brute, q_brute_row, qbar_value
 from .dynamics import (
     StrongLumpabilityFailure,
@@ -37,6 +39,7 @@ from .dynamics import (
     orbit_lump_K,
     stationarity_transfer_check,
 )
+from .entry import build_parser, cmd_sample, run, spec_from_args
 from .kernels import (
     CapExceeded,
     build_bundle,
@@ -47,7 +50,6 @@ from .kernels import (
 )
 from .permgroup import parse_perm
 from .ratmat import RationalMatrix, matrix_to_csv, matrix_to_json, rows_are_products
-from .sampler import ChainRun, dump_trajectory, run_chain, summary_json
 from .spectra import bundle_gap_report, intertwine_check, spectrum_equal_report
 
 # build writes M = [[0, A], [B, 0]] up to this many rows (|G*| + |X|): its
@@ -72,18 +74,8 @@ DIRECT_Q_DUALS = 200
 # VM, Python 3.11).
 CLOSED_FORM_DUALS = 40
 
-def _spec_from_args(args) -> ActionSpec:
-    return ActionSpec(args.model, args.n, args.k)
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--model", required=True, choices=["value", "coord"])
-    p.add_argument("--k", required=True, type=int)
-    p.add_argument("--n", required=True, type=int)
-
-
 def cmd_build(args) -> int:
-    spec = _spec_from_args(args)
+    spec = spec_from_args(args)
     bundle = build_bundle(spec)
     os.makedirs(args.out, exist_ok=True)
     dl, sl = bundle.dual_labels, bundle.state_labels
@@ -224,7 +216,7 @@ def _check_tmax(tmax: int) -> None:
 
 
 def cmd_verify(args) -> int:
-    spec = _spec_from_args(args)
+    spec = spec_from_args(args)
     _check_tmax(args.tmax)
     try:
         bundle = build_bundle(spec)
@@ -258,7 +250,7 @@ def _parse_eps(values) -> list:
 
 
 def cmd_mix(args) -> int:
-    spec = _spec_from_args(args)
+    spec = spec_from_args(args)
     eps_list = _parse_eps(args.eps)
     _check_tmax(args.tmax)
     bundle = build_bundle(spec)
@@ -336,27 +328,8 @@ def cmd_mix(args) -> int:
     return 1 if bad else 0
 
 
-def cmd_sample(args) -> int:
-    spec = _spec_from_args(args)
-    if args.chain == "primal":
-        start = word_from_str(spec, args.start) if args.start else (1,) * spec.n
-    else:
-        start = parse_perm(args.start or "e", group_degree(spec))
-    run = ChainRun(spec, args.chain, start, args.steps, args.seed, thin=args.thin)
-    result = run_chain(run, keep_trajectory=args.out is not None)
-    if args.out:
-        dump_trajectory(args.out, result)
-    text = summary_json(result)
-    if args.summary:
-        with open(args.summary, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-    return 0
-
-
 def cmd_closedform(args) -> int:
-    spec = _spec_from_args(args)
+    spec = spec_from_args(args)
     deg = group_degree(spec)
     g = parse_perm(args.g, deg)
     h = parse_perm(args.h, deg)
@@ -377,57 +350,19 @@ def cmd_closedform(args) -> int:
     return 0 if payload["all_equal"] else 1
 
 
+COMMANDS = {
+    "build": cmd_build,
+    "verify": cmd_verify,
+    "mix": cmd_mix,
+    "sample": cmd_sample,
+    "closedform": cmd_closedform,
+}
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="burnside",
-        description="Exact kernels, spectra, mixing bounds and samplers for the "
-        "classical and dual orbit-sampling chains on two symmetric-group actions.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("build", help="write A, B, Q, K, M and both stationary laws")
-    _add_common(p)
-    p.add_argument("--out", required=True)
-    p.add_argument("--format", default="both", choices=["json", "csv", "both"])
-    p.set_defaults(func=cmd_build)
-
-    p = sub.add_parser("verify", help="run every exact identity check and bound")
-    _add_common(p)
-    p.add_argument("--tmax", type=int, default=60)
-    p.add_argument("--expect-lump-failure", choices=["cycle-count"], default=None)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("mix", help="TV profiles, bound curves, mixing times")
-    _add_common(p)
-    p.add_argument("--tmax", type=int, default=60)
-    p.add_argument("--eps", action="append", help="threshold like 1/4 (repeatable)")
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", default="csv", choices=["csv", "json"])
-    p.set_defaults(func=cmd_mix)
-
-    p = sub.add_parser("sample", help="simulate the primal or dual chain")
-    _add_common(p)
-    p.add_argument("--chain", default="dual", choices=["primal", "dual"])
-    p.add_argument("--start", default=None, help="word (primal) or permutation (dual)")
-    p.add_argument("--steps", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--thin", type=int, default=1)
-    p.add_argument("--out", default=None, help="trajectory path (.gz compresses)")
-    p.add_argument("--summary", default=None, help="summary JSON path")
-    p.set_defaults(func=cmd_sample)
-
-    p = sub.add_parser("closedform", help="evaluate one dual-kernel entry all ways")
-    _add_common(p)
-    p.add_argument("--g", default="e")
-    p.add_argument("--h", default="e")
-    p.set_defaults(func=cmd_closedform)
-
-    args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except (ValueError, OSError) as exc:  # CapExceeded is a ValueError
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    """Every subcommand in this process, the exact stack loaded."""
+    args = build_parser().parse_args(argv)
+    return run(COMMANDS[args.command], args)
 
 
 if __name__ == "__main__":

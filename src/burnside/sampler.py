@@ -11,9 +11,9 @@ any (seed, config) pair reproduces its trajectory bit-for-bit.
 
 from __future__ import annotations
 
-import gzip
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -125,14 +125,28 @@ class RunResult:
 def _tv_to_stationary(spec: ActionSpec, chain: str, law: EmpiricalLaw) -> float:
     """Exact TV between the occupation law and pi(s) = w(s) / W, where
     w(g) = |X_g| (dual) or w(x) = |G_x| (primal) and W = |G| z sums w over
-    all states; the states never visited carry W minus the visited weight."""
-    weight = fixed_set_size if chain == DUAL else stabilizer_size
+    all states; the states never visited carry W minus the visited weight.
+    |G_x| depends on x through its letter counts alone, and the counts of
+    letters 1..k-1 fix them (they add up to n), so the primal weight is
+    found once per such histogram; each distinct (w, count) pair is summed
+    once."""
     big_w, total = group_order(spec) * orbit_count(spec), law.total
+    pairs: Counter = Counter()
+    if chain == DUAL:
+        for g, c in law.counts.items():
+            pairs[fixed_set_size(spec, g), c] += 1
+    else:
+        letters, weights = range(1, spec.k), {}
+        for x, c in law.counts.items():
+            hist = tuple(map(x.count, letters))
+            w = weights.get(hist)
+            if w is None:
+                w = weights[hist] = stabilizer_size(spec, x)
+            pairs[w, c] += 1
     acc, unvisited = 0, big_w
-    for state, c in law.counts.items():
-        w = weight(spec, state)
-        acc += abs(c * big_w - w * total)
-        unvisited -= w
+    for (w, c), m in pairs.items():
+        acc += m * abs(c * big_w - w * total)
+        unvisited -= m * w
     return (acc + unvisited * total) / (2 * total * big_w)
 
 
@@ -199,33 +213,47 @@ def dump_trajectory(path: str, result: RunResult) -> None:
         raise ValueError("run_chain was called without keep_trajectory")
     label = str if result.run.chain == DUAL else lambda x: word_to_str(result.run.spec, x)
     data = ("\n".join(map(label, result.trajectory)) + "\n").encode()
+    if path.endswith(".gz"):
+        # imported here: gzip and zlib add about 0.3 MB of peak RSS to every
+        # command that loads the sampler, and only this branch needs them
+        import gzip
+
+        data = gzip.compress(data, mtime=0)
     with open(path, "wb") as fh:
-        fh.write(gzip.compress(data, mtime=0) if path.endswith(".gz") else data)
+        fh.write(data)
 
 
 def summary_json(result: RunResult) -> str:
     """The run's parameters and its counts, keyed by state label in the
-    order of str(state)."""
-    spec = result.run.spec
-    label = str if result.run.chain == DUAL else lambda x: word_to_str(spec, x)
-    labels = {s: label(s) for s in result.law.counts}
+    order of str(state): the bytes of json.dumps(payload, indent=2), with
+    the counts written by one join instead of the pure-Python indenting
+    encoder.  Labels (digits, commas, cycle notation) need no escaping."""
+    run, counts = result.run, result.law.counts
+    spec = run.spec
+    label = str if run.chain == DUAL else lambda x: word_to_str(spec, x)
     # the labels order the states as str(state) does when they are str(state)
     # (dual) or one digit per letter of equal-length words (k <= 9)
-    key = labels.__getitem__ if result.run.chain == DUAL or spec.k <= 9 else str
-    payload = {
-        "model": spec.model,
-        "n": spec.n,
-        "k": spec.k,
-        "chain": result.run.chain,
-        "start": label(result.run.start),
-        "steps": result.run.steps,
-        "seed": result.run.seed,
-        "stream": result.run.stream,
-        "thin": result.run.thin,
-        "final_state": label(result.final_state),
-        "total_counted": result.law.total,
-        "distinct_states_visited": len(result.law.counts),
-        "counts": {labels[s]: result.law.counts[s] for s in sorted(labels, key=key)},
-        "tv_to_stationary": result.tv_to_stationary,
-    }
-    return json.dumps(payload, indent=2)
+    if run.chain == DUAL or spec.k <= 9:
+        rows = sorted([(label(s), c) for s, c in counts.items()])
+    else:
+        rows = [row[1:] for row in sorted([(str(s), label(s), c) for s, c in counts.items()])]
+    head = json.dumps(
+        {
+            "model": spec.model,
+            "n": spec.n,
+            "k": spec.k,
+            "chain": run.chain,
+            "start": label(run.start),
+            "steps": run.steps,
+            "seed": run.seed,
+            "stream": run.stream,
+            "thin": run.thin,
+            "final_state": label(result.final_state),
+            "total_counted": result.law.total,
+            "distinct_states_visited": len(counts),
+        },
+        indent=2,
+    )
+    body = ",\n".join([f'    "{name}": {c}' for name, c in rows])
+    tv = json.dumps(result.tv_to_stationary)
+    return f'{head[:-2]},\n  "counts": {{\n{body}\n  }},\n  "tv_to_stationary": {tv}\n}}'

@@ -558,6 +558,47 @@ def test_verify_lump_failure_fails_bound_suite(monkeypatch, capsys):
     assert code == 1
 
 
+# the modules of the exact stack, which sample never runs, and the six
+# modules whose functions perfbench/probe.py spans after `import burnside.cli`
+EXACT_STACK = {f"burnside.{m}" for m in ("kernels", "ratmat", "spectra", "dynamics", "closedforms")}
+PROBE_MODULES = EXACT_STACK | {"burnside.sampler"}
+
+
+def _python(*args):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=300
+    )
+
+
+def test_sample_imports_only_the_sampler_stack():
+    """`python -m burnside sample` loads none of the exact stack, while
+    `import burnside.cli` loads all of it, and the package's names resolve
+    on first use."""
+    proc = _python("-X", "importtime", "-m", "burnside", "sample",
+                   "--model", "coord", "--k", "2", "--n", "6", "--steps", "0")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["total_counted"] == 1
+    # -X importtime writes one "import time: self | cumulative | name" line per module
+    loaded = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if "|" in line}
+    assert {"burnside.sampler", "burnside.actions"} <= loaded
+    assert loaded & (EXACT_STACK | {"burnside.cli"}) == set()
+    script = (
+        "import json, sys\n"
+        "import burnside.cli\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('burnside.'))))\n"
+        "import burnside\n"
+        "from burnside import build_bundle\n"
+        "print(burnside.EXACT_BACKEND, build_bundle.__module__)\n"
+    )
+    proc = _python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    modules, names = proc.stdout.splitlines()
+    assert PROBE_MODULES <= set(json.loads(modules))
+    assert names == "fractions burnside.kernels"
+
+
 def test_runs_without_scipy():
     """scipy is a test-only dependency: verify and sample run with it blocked."""
     script = (

@@ -285,14 +285,20 @@ class TestStepsOnTuples:
 
     @pytest.mark.parametrize(
         "spec",
-        [value_spec(4, 3), value_spec(12, 2), coord_spec(3, 5), coord_spec(2, 300), coord_spec(1, 5)],
+        [
+            value_spec(4, 3), value_spec(12, 2), value_spec(6, 2), coord_spec(3, 5),
+            coord_spec(5, 7), coord_spec(2, 300), coord_spec(1, 5),
+        ],
         ids=lambda s: f"{s.model}{s.k},{s.n}",
     )
     def test_tuple_draws_match_public_draws(self, spec):
         # twin generators: one stepper bound for the whole run, the public
         # draws and steps (a stepper per call) and the one-step rows consume
-        # one stream identically, state for state; coord 2,300 draws its
-        # colours both ways, coord 1,5 has one colour and draws none
+        # one stream identically, state for state; the fused primal and dual
+        # steps equal the two public draws in either order; coord 2,300 draws
+        # its colours both ways, coord 1,5 has one colour and draws none,
+        # value 6,2 shuffles blocks of up to five unused symbols, and coord
+        # 5,7 draws five colours with rejection (2**32 % 5 != 0)
         a, b, c = make_rng(61), make_rng(61), make_rng(61)
         stepper = Stepper(spec, a)
         x = y = z = (1,) * spec.n
@@ -308,12 +314,15 @@ class TestStepsOnTuples:
         # Philox's state holds arrays, so compare the printed states
         assert repr(a.bit_generator.state) == repr(b.bit_generator.state)
         assert repr(a.bit_generator.state) == repr(c.bit_generator.state)
-        g = h = Permutation(images)
+        g = h = w = Permutation(images)
         for _ in range(500):
             images = stepper.dual(images)
             g = step_dual(spec, g, b)
             assert images == g.images
+            w = actions.sample_stabilizer_uniform(spec, actions.sample_fixed_word_uniform(spec, w, c), c)
+            assert w == g
         assert repr(a.bit_generator.state) == repr(b.bit_generator.state)
+        assert repr(a.bit_generator.state) == repr(c.bit_generator.state)
         # empirical_one_step_row draws from its own generator of one seed
         one_step = Stepper(spec, make_rng(62))
         want = Counter(one_step.primal(x) for _ in range(300))
