@@ -13,7 +13,7 @@ lists, and the stabilizer and fixed-set primitives read them without asking
 which model they serve (``stabilizer_size`` reads |G_x| off the letter
 counts instead).  A coloring (slot_of, colors, palette) puts the letter
 palette[colors[slot_of[p]]] at position p; a word x is the coloring
-(None, x, range(k + 1)), each position its own slot.
+(range(n), x, range(k + 1)), each position its own slot.
 
 - ``slots(images)``: X_g is the set of colorings of slots by a palette, each
   position by a fixed symbol of g (value model) or each cycle of g by one of
@@ -182,7 +182,8 @@ def word_from_str(spec: ActionSpec, s: str) -> Word:
 
 
 # Each model's pieces (see the module docstring), bound to one spec; blocks
-# are lists of 0-based points of the group's degree, in ascending order.
+# are lists of 0-based points of the group's degree, in ascending order, and
+# a model keeps only the blocks its stabilizer_blocks lists.
 
 
 def _value_model(spec: ActionSpec):
@@ -223,15 +224,10 @@ def _coord_model(spec: ActionSpec):
         # both palettes ascend, so color order is letter order
         by_color: list[list[int]] = [[] for _ in range(k + 1)]
         pos = 0
-        if slot_of is None:  # a word: colors holds each position's letter
-            for a in colors:
-                by_color[a].append(pos)
-                pos += 1
-        else:
-            for s in slot_of:
-                by_color[colors[s]].append(pos)
-                pos += 1
-        return by_color
+        for s in slot_of:
+            by_color[colors[s]].append(pos)
+            pos += 1
+        return [block for block in by_color if block]
 
     def word(slot_of, colors, palette) -> Word:
         spelled = [palette[c] for c in colors]
@@ -249,12 +245,17 @@ def _model(spec: ActionSpec):
     return _MODELS[spec.model](spec)
 
 
+def _word_blocks(spec: ActionSpec, x: Word) -> list[list[int]]:
+    """G_x's blocks of 0-based points: the word x as the coloring
+    (range(n), x, range(k + 1))."""
+    return _model(spec)[1](range(spec.n), x, range(spec.k + 1))
+
+
 def stabilizer_blocks(spec: ActionSpec, x: Word) -> list[list[int]]:
     """G_x = prod Sym(block): one block of the symbols x leaves unused (value
     model), or the positions of each letter x uses, in letter order
     (coordinate model)."""
-    blocks = _model(spec)[1](None, x, range(spec.k + 1))
-    return [[p + 1 for p in block] for block in blocks if block or spec.model == VALUE]
+    return [[p + 1 for p in block] for block in _word_blocks(spec, x)]
 
 
 def fixed_slots(spec: ActionSpec, images: Sequence[int]) -> tuple[Sequence[int], int, Sequence]:
@@ -348,7 +349,8 @@ class Stepper:
 
     def __init__(self, spec: ActionSpec, rng) -> None:
         slots, blocks, word = _model(spec)
-        letters = range(spec.k + 1)  # a word x is the coloring (None, x, letters)
+        # a word x is the coloring (positions, x, letters)
+        positions, letters = range(spec.n), range(spec.k + 1)
         identity = list(range(1, group_degree(spec) + 1))
         shuffle, integers = rng.shuffle, rng.integers
         bitgen = rng.bit_generator.ctypes
@@ -387,7 +389,7 @@ class Stepper:
             return images
 
         def stabilizer(x: Word) -> tuple[int, ...]:
-            return tuple(shuffled(blocks(None, x, letters)))
+            return tuple(shuffled(blocks(positions, x, letters)))
 
         def fixed_word(images: Sequence[int]) -> Word:
             slot_of, count, palette = slots(images)
@@ -396,8 +398,7 @@ class Stepper:
             return word(slot_of, colors(len(palette), count), palette)
 
         def primal(x: Word) -> Word:
-            slot_of, count, palette = slots(shuffled(blocks(None, x, letters)))
-            return word(slot_of, colors(len(palette), count), palette)
+            return fixed_word(shuffled(blocks(positions, x, letters)))
 
         def dual(images: Sequence[int]) -> tuple[int, ...]:
             slot_of, count, palette = slots(images)
@@ -417,12 +418,12 @@ def stabilizer_size(spec: ActionSpec, x: Word) -> int:
 def stabilizer_elements(spec: ActionSpec, x: Word) -> Iterator[Permutation]:
     """All of G_x, built constructively; the count matches stabilizer_size."""
     m = group_degree(spec)
-    blocks = stabilizer_blocks(spec, x)
+    blocks = _word_blocks(spec, x)
     for taus in itertools.product(*(itertools.permutations(b) for b in blocks)):
         images = list(range(1, m + 1))
         for block, tau in zip(blocks, taus):
             for a, b in zip(block, tau):
-                images[a - 1] = b
+                images[a] = b + 1
         yield Permutation(images)
 
 
