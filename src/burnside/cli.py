@@ -1,7 +1,9 @@
-"""Command-line interface on the exact stack: build, verify, mix and
-closedform.  ``main`` runs every subcommand, sample too; the parser and
+"""Command-line interface on the exact stack: verify, mix and closedform.
+``main`` runs every subcommand, build and sample too; the parser, build and
 sample live in ``entry``, whose ``main`` (``python -m burnside``, the
-console script) imports this module for the other four only.
+console script) runs those two itself and imports this module for the other
+three only.  Importing this module loads every module whose functions
+``perfbench/probe.py`` spans, ``sampler`` included.
 
 Exit codes: 0 all checks passed / output written, 1 a verification failed,
 2 usage error.  All reports are deterministic for a fixed (config, seed).
@@ -21,7 +23,6 @@ SKIP lines.
 from __future__ import annotations
 
 import json
-import os
 import sys
 
 from ._rat import parse_rat, rat_str
@@ -39,7 +40,11 @@ from .dynamics import (
     orbit_lump_K,
     stationarity_transfer_check,
 )
-from .entry import build_parser, cmd_sample, run, spec_from_args
+# perfbench/probe.py spans sampler after importing this module.  Imported
+# first, before the exact stack, it raised the peak RSS of `python -m burnside
+# verify --model value --k 4 --n 4` by about 0.15 MB (2-vCPU VM, medians of 25).
+from . import sampler  # noqa: F401
+from .entry import build_parser, cmd_build, cmd_sample, run, spec_from_args
 from .kernels import (
     CapExceeded,
     build_bundle,
@@ -49,12 +54,9 @@ from .kernels import (
     doeblin_floor,
 )
 from .permgroup import parse_perm
-from .ratmat import RationalMatrix, matrix_to_csv, matrix_to_json, rows_are_products
+from .ratmat import RationalMatrix, rows_are_products
 from .spectra import bundle_gap_report, intertwine_check, spectrum_equal_report
 
-# build writes M = [[0, A], [B, 0]] up to this many rows (|G*| + |X|): its
-# JSON grows with the square of its side.
-M_EXPORT_ROWS = 1024
 # verify squares M (block_flip_square) up to this many rows.
 BLOCK_FLIP_ROWS = 300
 # verify runs intertwining and the gap reports up to this many rows of M.
@@ -73,39 +75,6 @@ DIRECT_Q_DUALS = 200
 # 0.14 s and its whole verify from 1.25 s to 0.72 s (medians of 5, 2-vCPU
 # VM, Python 3.11).
 CLOSED_FORM_DUALS = 40
-
-def cmd_build(args) -> int:
-    spec = spec_from_args(args)
-    bundle = build_bundle(spec)
-    os.makedirs(args.out, exist_ok=True)
-    dl, sl = bundle.dual_labels, bundle.state_labels
-    matrices = {
-        "A": (bundle.A, dl, sl),
-        "B": (bundle.B, sl, dl),
-        "Q": (bundle.Q, dl, dl),
-        "K": (bundle.K, sl, sl),
-    }
-    if bundle.num_duals + bundle.num_states <= M_EXPORT_ROWS:
-        matrices["M"] = (bundle.M, dl + sl, dl + sl)
-    fmts = ["json", "csv"] if args.format == "both" else [args.format]
-    for name, (mat, rows, cols) in matrices.items():
-        for fmt in fmts:
-            path = os.path.join(args.out, f"{name}.{fmt}")
-            if fmt == "json":
-                with open(path, "w") as fh:
-                    json.dump(matrix_to_json(mat, rows, cols), fh, indent=1)
-                    fh.write("\n")
-            else:
-                with open(path, "w") as fh:
-                    fh.write(matrix_to_csv(mat, rows, cols))
-    for name, vec, labels in (("piQ", bundle.piQ, dl), ("piK", bundle.piK, sl)):
-        with open(os.path.join(args.out, f"{name}.json"), "w") as fh:
-            json.dump(
-                {"labels": labels, "entries": [rat_str(v) for v in vec]}, fh, indent=1
-            )
-            fh.write("\n")
-    print(f"wrote {', '.join(sorted(matrices))}, piQ, piK to {args.out}")
-    return 0
 
 
 def _rows(bundle) -> int:

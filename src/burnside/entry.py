@@ -1,26 +1,32 @@
-"""The ``burnside`` command line: its parser, ``sample``, and the entry
-that ``python -m burnside`` and the ``burnside`` console script run.
+"""The ``burnside`` command line: its parser, ``build`` and ``sample``, and
+the entry that ``python -m burnside`` and the ``burnside`` console script run.
 
-``main`` parses and runs ``sample`` on the sampler stack alone
-(``sampler``, ``actions``, ``permgroup``, ``combinat`` and numpy); it
-imports ``burnside.cli``, and with it the exact stack (``kernels``,
-``ratmat``, ``spectra``, ``dynamics``, ``closedforms``), for build, verify,
-mix and closedform only.  When bytecode writing is off
+``main`` parses and runs ``build`` and ``sample`` here, each on its own
+stack.  ``build`` loads ``kernels``, ``ratmat``, ``actions``, ``permgroup``
+and ``combinat``; ``sample`` loads ``sampler``, ``actions``, ``permgroup``
+and ``combinat``; both load numpy.  For verify, mix and closedform ``main``
+imports ``burnside.cli``, and with it the rest of the exact stack
+(``spectra``, ``dynamics``, ``closedforms``).  When bytecode writing is off
 (``PYTHONDONTWRITEBYTECODE``), every run compiles each module it imports
-again, so a sample run that loaded the exact stack would pay for it on
-every command.
+again, so a command that loaded modules it never runs would pay for them
+every time.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
+from ._rat import rat_str
 from .actions import ActionSpec, group_degree, word_from_str
 from .permgroup import parse_perm
-from .sampler import ChainRun, dump_trajectory, run_chain, summary_json
 
-__all__ = ["build_parser", "cmd_sample", "main", "run", "spec_from_args"]
+__all__ = ["build_parser", "cmd_build", "cmd_sample", "main", "run", "spec_from_args"]
+
+# build writes M = [[0, A], [B, 0]] up to this many rows (|G*| + |X|): its
+# JSON grows with the square of its side.
+M_EXPORT_ROWS = 1024
 
 
 def spec_from_args(args) -> ActionSpec:
@@ -76,7 +82,42 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def cmd_build(args) -> int:
+    from .kernels import build_bundle
+    from .ratmat import dump_json, matrix_to_csv, matrix_to_json
+
+    spec = spec_from_args(args)
+    bundle = build_bundle(spec)
+    os.makedirs(args.out, exist_ok=True)
+    dl, sl = bundle.dual_labels, bundle.state_labels
+    matrices = {
+        "A": (bundle.A, dl, sl),
+        "B": (bundle.B, sl, dl),
+        "Q": (bundle.Q, dl, dl),
+        "K": (bundle.K, sl, sl),
+    }
+    if bundle.num_duals + bundle.num_states <= M_EXPORT_ROWS:
+        matrices["M"] = (bundle.M, dl + sl, dl + sl)
+    fmts = ["json", "csv"] if args.format == "both" else [args.format]
+    for name, (mat, rows, cols) in matrices.items():
+        for fmt in fmts:
+            with open(os.path.join(args.out, f"{name}.{fmt}"), "w") as fh:
+                if fmt == "json":
+                    dump_json(matrix_to_json(mat, rows, cols), fh)
+                    fh.write("\n")
+                else:
+                    fh.write(matrix_to_csv(mat, rows, cols))
+    for name, vec, labels in (("piQ", bundle.piQ, dl), ("piK", bundle.piK, sl)):
+        with open(os.path.join(args.out, f"{name}.json"), "w") as fh:
+            dump_json({"labels": labels, "entries": [rat_str(v) for v in vec]}, fh)
+            fh.write("\n")
+    print(f"wrote {', '.join(sorted(matrices))}, piQ, piK to {args.out}")
+    return 0
+
+
 def cmd_sample(args) -> int:
+    from .sampler import ChainRun, dump_trajectory, run_chain, summary_json
+
     spec = spec_from_args(args)
     if args.chain == "primal":
         start = word_from_str(spec, args.start) if args.start else (1,) * spec.n
@@ -105,15 +146,21 @@ def run(command, args) -> int:
         return 2
 
 
+# the commands main runs in this module, without importing burnside.cli
+LOCAL_COMMANDS = {"build": cmd_build, "sample": cmd_sample}
+
+
 def main(argv=None) -> int:
-    """Run ``sample`` here, and every other command line (usage errors
-    too) through ``burnside.cli.main``: a subcommand is the first argument,
-    since the top-level parser takes no option but ``--help``.  Importing
-    the exact stack before the parser is built keeps those commands' peak
-    RSS down: parsing first raised it by about 0.1 MB on verify value 5,3."""
+    """Run ``build`` and ``sample`` here, and every other command line
+    (usage errors too) through ``burnside.cli.main``: a subcommand is the
+    first argument, since the top-level parser takes no option but
+    ``--help``.  Importing the exact stack before the parser is built keeps
+    verify's peak RSS down: parsing first raised it by about 0.1 MB on
+    verify value 5,3."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    if argv[:1] != ["sample"]:
+    command = LOCAL_COMMANDS.get(argv[0]) if argv else None
+    if command is None:
         from .cli import main as cli_main
 
         return cli_main(argv)
-    return run(cmd_sample, build_parser().parse_args(argv))
+    return run(command, build_parser().parse_args(argv))

@@ -61,8 +61,9 @@ class ChainBundle:
     Q (on the dual states) and K (on the words) are exact row-stochastic
     matrices with Q = A B and K = B A; piQ and piK are their stationary laws,
     and spectra["Q"] and spectra["K"] their lazy ``spectra.SpectrumReport``s.
-    ``lumped``, built on first read, is the ``dynamics.LumpedPair`` of the
-    orbits and classes that every such lumping reads and ``lump`` checks.
+    ``M``, ``spectra`` and ``lumped`` are built on first read; ``lumped`` is
+    the ``dynamics.LumpedPair`` of the orbits and classes that every such
+    lumping reads and ``lump`` checks.
     """
 
     spec: Optional[ActionSpec]
@@ -92,6 +93,17 @@ class ChainBundle:
         keys = (self.state_orbit_keys, self.dual_class_keys)
         return LumpedPair(self, *map(StatePartition.from_keys, keys))
 
+    @cached_property
+    def spectra(self) -> dict:
+        """The ``spectra.SpectrumReport``s of Q and K; built on first use, so
+        a bundle that only exports its matrices never loads ``spectra``."""
+        from .spectra import SpectrumReport  # spectra imports this module
+
+        return {
+            "Q": SpectrumReport("Q", self.Q, self.piQ),
+            "K": SpectrumReport("K", self.K, self.piK),
+        }
+
     @property
     def num_duals(self) -> int:
         return len(self.duals)
@@ -104,13 +116,7 @@ class ChainBundle:
         return self._dual_pos[g]
 
     def __post_init__(self) -> None:
-        from .spectra import SpectrumReport  # spectra imports this module
-
         self._dual_pos = {g: i for i, g in enumerate(self.duals)}
-        self.spectra = {
-            "Q": SpectrumReport("Q", self.Q, self.piQ),
-            "K": SpectrumReport("K", self.K, self.piK),
-        }
 
     def fixed_size(self, gi: int) -> int:  # row gi of A is 0/1 over |X_g|
         return int(self.A.den[gi])

@@ -30,18 +30,27 @@ distribution evolution use it, and so does ``rows_are_products``, which
 checks a claimed product row by row without calling ``@``.
 
 Entries serialize in canonical "p/q" form alongside row/column label lists.
+``matrix_to_json`` gives the payload and ``dump_json`` writes it, the same
+bytes as ``json.dump(payload, fh, indent=1)`` with one write per row where
+the stdlib's pure-Python indenting encoder makes one per token.
+``matrix_to_csv`` joins each row's entries in one piece: a "p/q" string
+needs no quoting, so only the labels (with each row's first entry) pass
+through ``csv``.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import json
+from json.encoder import encode_basestring_ascii
 from math import gcd, lcm
+from types import SimpleNamespace
 from typing import Optional, Sequence
 
 import numpy as np
 
-from ._rat import Rat, parse_rat, rat_str
+from ._rat import Rat, parse_rat
 
 __all__ = [
     "RationalMatrix",
@@ -50,6 +59,7 @@ __all__ = [
     "rat_vector",
     "matrix_to_json",
     "matrix_from_json",
+    "dump_json",
     "matrix_to_csv",
     "matrix_from_csv",
 ]
@@ -150,6 +160,9 @@ class RationalMatrix:
             nz = np.flatnonzero(n[i])
             if nz.size:
                 out[i] = n[i, nz] @ r[nz]
+        # the reduction allocates a quotient as large as out: free the scaled
+        # copy of other first
+        del n, r
         return RationalMatrix.from_scaled(out, [d * common for d in self.den.tolist()])
 
     def step(self, nums: Sequence[int], den: int) -> tuple[np.ndarray, int]:
@@ -316,11 +329,16 @@ def rat_vector(nums: Sequence[int], den: int) -> list:
 
 
 def _str_rows(m: RationalMatrix):
-    """The entries row by row as canonical "p/q" strings, without building
-    the ``.data`` view."""
-    for i in range(m.rows):
-        nums = m.num[i].tolist()
-        strs = {x: rat_str(Rat(x, int(m.den[i]))) for x in set(nums)}
+    """The entries row by row as canonical "p/q" strings ("p" over 1), as
+    ``str(Fraction)`` writes them, without building a Fraction or the
+    ``.data`` view: each distinct numerator of a row is reduced once by its
+    gcd with the row's denominator."""
+    for row, den in zip(m.num, m.den.tolist()):
+        nums = row.tolist()
+        strs = {}
+        for x in set(nums):
+            g = gcd(x, den)
+            strs[x] = str(x // g) if g == den else f"{x // g}/{den // g}"
         yield [strs[x] for x in nums]
 
 
@@ -382,6 +400,39 @@ def matrix_to_json(m: RationalMatrix, row_labels: Sequence[str], col_labels: Seq
     }
 
 
+def dump_json(obj, fh) -> None:
+    """Write ``json.dump(obj, fh, indent=1)``, byte for byte, for obj made of
+    dicts with str keys, lists, strs and ints.  A list of strs (a row of
+    entries, a list of labels) is one write, and no whole-file string is
+    built."""
+    _dump_json(obj, fh, "\n")
+
+
+def _dump_json(obj, fh, newline: str) -> None:
+    inner = newline + " "
+    if isinstance(obj, str):
+        fh.write(encode_basestring_ascii(obj))
+    elif not isinstance(obj, (list, dict)) or not obj:
+        fh.write(json.dumps(obj))
+    elif isinstance(obj, dict):
+        fh.write("{")
+        for i, (key, value) in enumerate(obj.items()):
+            fh.write(("," if i else "") + inner + encode_basestring_ascii(key) + ": ")
+            _dump_json(value, fh, inner)
+        fh.write(newline + "}")
+    else:
+        try:  # a list of strs, in one write
+            items = ("," + inner).join(map(encode_basestring_ascii, obj))
+        except TypeError:  # an item is not a str
+            fh.write("[")
+            for i, value in enumerate(obj):
+                fh.write(("," if i else "") + inner)
+                _dump_json(value, fh, inner)
+            fh.write(newline + "]")
+        else:
+            fh.write("[" + inner + items + newline + "]")
+
+
 def matrix_from_json(obj: dict) -> tuple[RationalMatrix, list[str], list[str]]:
     m = RationalMatrix.from_rows(
         [[parse_rat(s) for s in row] for row in obj["entries"]]
@@ -392,12 +443,16 @@ def matrix_from_json(obj: dict) -> tuple[RationalMatrix, list[str], list[str]]:
 def matrix_to_csv(m: RationalMatrix, row_labels: Sequence[str], col_labels: Sequence[str]) -> str:
     if len(row_labels) != m.rows or len(col_labels) != m.cols:
         raise ValueError("label count mismatch")
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
+    lines: list[str] = []
+    w = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n")
     w.writerow([""] + list(col_labels))
     for label, row in zip(row_labels, _str_rows(m)):
-        w.writerow([label] + row)
-    return buf.getvalue()
+        # csv writes a row in one write: here the label with the first entry,
+        # quoting the label as it would in the whole row; a "p/q" entry needs
+        # no quoting, so one join puts the rest in before the line break
+        w.writerow([label, *row[:1]])
+        lines[-1] = lines[-1][:-1] + ",".join(["", *row[1:]]) + "\n"
+    return "".join(lines)
 
 
 def matrix_from_csv(text: str) -> tuple[RationalMatrix, list[str], list[str]]:

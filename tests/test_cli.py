@@ -57,6 +57,24 @@ def test_build_single_state_chain(tmp_path):
     assert pi["entries"] == ["1"]
 
 
+@pytest.mark.parametrize("model, k, n", [("value", 3, 2), ("coord", 2, 3)])
+def test_build_single_format_writes_its_own_files(tmp_path, model, k, n):
+    """--format json and --format csv each write their own matrix files and
+    both stationary laws, the same bytes as a --format both run."""
+    names = ["A", "B", "K", "M", "Q"]
+    written = {}
+    for fmt in ("json", "csv", "both"):
+        out = tmp_path / fmt
+        argv = ["build", "--model", model, "--k", str(k), "--n", str(n), "--out", str(out)]
+        assert main(argv + ["--format", fmt]) == 0
+        written[fmt] = {p.name: p.read_bytes() for p in out.iterdir()}
+    laws = {"piQ.json", "piK.json"}
+    for fmt in ("json", "csv"):
+        assert set(written[fmt]) == {f"{name}.{fmt}" for name in names} | laws
+        assert written[fmt] == {name: written["both"][name] for name in written[fmt]}
+    assert set(written["both"]) == set(written["json"]) | set(written["csv"])
+
+
 def test_verify_pass(capsys):
     code = main(["verify", "--model", "value", "--k", "3", "--n", "2", "--tmax", "30"])
     out = capsys.readouterr().out
@@ -597,6 +615,37 @@ def test_sample_imports_only_the_sampler_stack():
     modules, names = proc.stdout.splitlines()
     assert PROBE_MODULES <= set(json.loads(modules))
     assert names == "fractions burnside.kernels"
+
+
+def test_build_imports_only_the_export_stack(tmp_path):
+    """`python -m burnside build` loads kernels and ratmat, and none of
+    burnside.cli, spectra, dynamics, closedforms or sampler."""
+    proc = _python("-X", "importtime", "-m", "burnside", "build", "--model", "value",
+                   "--k", "3", "--n", "2", "--out", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "M.csv").exists()
+    loaded = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if "|" in line}
+    assert {"burnside.kernels", "burnside.ratmat"} <= loaded
+    unused = {f"burnside.{m}" for m in ("cli", "spectra", "dynamics", "closedforms", "sampler")}
+    assert loaded & unused == set()
+
+
+def test_bundle_spectra_load_on_first_read():
+    """build_bundle leaves spectra unloaded; the first read of bundle.spectra
+    loads it, and every read returns the same records."""
+    script = (
+        "import sys\n"
+        "from burnside.actions import value_spec\n"
+        "from burnside.kernels import build_bundle\n"
+        "bundle = build_bundle(value_spec(3, 2))\n"
+        "assert 'burnside.spectra' not in sys.modules\n"
+        "first = bundle.spectra\n"
+        "assert 'burnside.spectra' in sys.modules\n"
+        "assert bundle.spectra is first and sorted(first) == ['K', 'Q']\n"
+        "assert first['Q'].p is bundle.Q and first['K'].p is bundle.K\n"
+    )
+    proc = _python("-c", script)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_runs_without_scipy():

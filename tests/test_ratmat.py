@@ -1,15 +1,22 @@
-"""Exact matrix arithmetic and serialization round trips."""
+"""Exact matrix arithmetic, serialization round trips, and the p/q writers
+against the stdlib's json and csv output."""
 
+import csv
+import io
 import json
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from burnside._rat import Rat, parse_rat, rat_str
 from burnside.ratmat import (
     RationalMatrix,
+    _str_rows,
+    dump_json,
     matrix_from_csv,
     matrix_from_json,
     matrix_to_csv,
@@ -84,6 +91,89 @@ def test_csv_round_trip(golden_value):
     assert back == golden_value.B
     assert rows == golden_value.state_labels
     assert cols == golden_value.dual_labels
+
+
+# labels with commas, quotes, backslashes, line breaks, non-ASCII text and
+# empty strings: everything json escapes and csv quotes
+LABELS = st.text(alphabet=st.sampled_from(list(',"\\ \n\r\tab1(é€😀')), max_size=6)
+
+
+@st.composite
+def small_matrices(draw):
+    """(matrix, row labels, column labels): up to 4 x 4, empty shapes included,
+    entries p/q with negatives and zeros."""
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    nums = draw(st.lists(st.lists(st.integers(-9, 9), min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+    dens = draw(st.lists(st.integers(1, 12), min_size=rows, max_size=rows))
+    m = RationalMatrix.from_scaled(np.array(nums, dtype=np.int64).reshape(rows, cols), dens)
+    labels = st.lists(LABELS, min_size=rows, max_size=rows), st.lists(LABELS, min_size=cols, max_size=cols)
+    return m, draw(labels[0]), draw(labels[1])
+
+
+JSON_VALUES = st.recursive(
+    st.integers() | LABELS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(LABELS, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+def _dumped(obj) -> str:
+    buf = io.StringIO()
+    dump_json(obj, buf)
+    return buf.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_matrices())
+def test_dump_json_matches_stdlib_on_matrix_payloads(case):
+    payload = matrix_to_json(*case)
+    assert _dumped(payload) == json.dumps(payload, indent=1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+def test_dump_json_matches_stdlib_on_nested_values(obj):
+    # rows of strs, empty rows, mixed lists, nested dicts, bare scalars
+    assert _dumped(obj) == json.dumps(obj, indent=1)
+
+
+def test_dump_json_stationary_law_payload(golden_value):
+    payload = {"labels": golden_value.dual_labels, "entries": [rat_str(v) for v in golden_value.piQ]}
+    assert _dumped(payload) == json.dumps(payload, indent=1)
+
+
+def _csv_per_row(m: RationalMatrix, row_labels, col_labels) -> str:
+    """The CSV text of one csv.writer row per matrix row, entries as str(Fraction)."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow([""] + list(col_labels))
+    for label, row in zip(row_labels, m.data):
+        w.writerow([label] + [str(x) for x in row])
+    return buf.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_matrices())
+def test_matrix_to_csv_matches_per_row_writer(case):
+    assert matrix_to_csv(*case) == _csv_per_row(*case)
+
+
+def test_matrix_to_csv_matches_per_row_writer_on_bundle(golden_value):
+    labels = golden_value.dual_labels + golden_value.state_labels
+    assert matrix_to_csv(golden_value.M, labels, labels) == _csv_per_row(golden_value.M, labels, labels)
+
+
+@pytest.mark.parametrize("scale", [1, 2**40, 2**70], ids=["int64", "int64-wide", "object"])
+def test_str_rows_matches_fraction_str(scale):
+    rng = random.Random(scale)
+    nums = [[rng.choice([0, 1, -1]) * rng.randrange(scale * 50) for _ in range(7)] for _ in range(9)]
+    nums[0] = [0] * 7  # an all-zero row
+    dens = [rng.randrange(1, scale * 30) for _ in nums]
+    m = RationalMatrix.from_scaled(nums, dens)
+    assert m.num.dtype == (object if scale > 2**63 else np.int64)
+    expected = [[str(Fraction(x, d)) for x in row] for row, d in zip(nums, dens)]
+    assert list(_str_rows(m)) == expected
 
 
 def test_shape_errors():
