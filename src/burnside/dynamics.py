@@ -278,9 +278,8 @@ class LumpedPair:
 
 
 def _row_classes(m: RationalMatrix) -> StatePartition:
-    """The rows of m grouped into classes of equal rows; rows are canonical,
-    so equal rows have equal numerators and denominator."""
-    return StatePartition.from_keys(list(zip(map(tuple, m.num.tolist()), m.den.tolist())))
+    """The rows of m grouped into classes of equal rows, each labelled by its number."""
+    return StatePartition.from_keys(m.row_classes()[0])
 
 
 class StrongLumpabilityFailure(Exception):

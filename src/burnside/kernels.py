@@ -253,11 +253,9 @@ def build_q_direct(spec: ActionSpec) -> RationalMatrix:
 
 
 def check_detailed_balance(p: RationalMatrix, pi) -> bool:
-    """Exact detailed balance pi(i) P(i,j) == pi(j) P(j,i) for all pairs."""
-    if p.rows != p.cols or len(pi) != p.rows:
-        raise ValueError("dimension mismatch")
-    flow = p.scale_rows(pi)  # flow(i, j) = pi(i) P(i, j)
-    return flow == flow.transpose()
+    """Exact detailed balance pi(i) P(i,j) == pi(j) P(j,i) for all pairs: the
+    flow diag(pi) P is symmetric."""
+    return p.scaled_rows_symmetric(pi)
 
 
 def reversibility_ratio(bundle: ChainBundle, g, h):

@@ -27,7 +27,8 @@ single entries and for the tests; serialization and exact elimination read
 ``(nums, den) -> (nums, den)``: each nonzero of the vector scatters its row's
 nonzero entries, and the result is reduced by its gcd.  ``vec_mul`` and all
 distribution evolution use it, and so does ``rows_are_products``, which
-checks a claimed product row by row without calling ``@``.
+checks a claimed product row by row without calling ``@``, stepping once
+per class of equal left rows (``row_classes``).
 
 Entries serialize in canonical "p/q" form alongside row/column label lists.
 ``matrix_to_json`` gives the payload and ``dump_json`` writes it, the same
@@ -227,15 +228,18 @@ class RationalMatrix:
         prod = _wide(self.num, _max_abs(vec) * self.cols) @ vec
         return [Rat(x, d * den) for x, d in zip(prod.tolist(), self.den.tolist())]
 
-    def scale_rows(self, v: Sequence) -> "RationalMatrix":
-        """diag(v) P: row i multiplied by v[i]."""
-        if len(v) != self.rows:
-            raise ValueError("vector length mismatch")
-        nums, den = scaled_vector(v)
-        w = _int_array(nums, (self.rows, 1))
-        return RationalMatrix.from_scaled(
-            _wide(self.num, _max_abs(w)) * w, [d * den for d in self.den.tolist()]
-        )
+    def scaled_rows_symmetric(self, v: Sequence) -> bool:
+        """Whether diag(v) P is symmetric: its integer numerators over one
+        common denominator, num[i, j] v[i] L / den[i] with L the lcm of den,
+        equal their transpose."""
+        if len(v) != self.rows or self.rows != self.cols:
+            raise ValueError("dimension mismatch")
+        nums, _ = scaled_vector(v)
+        dens = self.den.tolist()
+        common = lcm(*dens)
+        w = _int_array([x * (common // d) for x, d in zip(nums.tolist(), dens)], (self.rows, 1))
+        flow = _wide(self.num, _max_abs(w)) * w
+        return np.array_equal(flow, flow.T)
 
     def transpose(self) -> "RationalMatrix":
         n, common = self._over_common_den()
@@ -252,6 +256,19 @@ class RationalMatrix:
         """The matrix of the given rows, in the given order."""
         idx = np.asarray(indices, dtype=np.intp)
         return RationalMatrix._canonical(self.num[idx], self.den[idx])
+
+    def row_classes(self) -> tuple[list[int], list[int]]:
+        """The rows grouped by equality: each row's class, numbered in order
+        of first occurrence, and the first row of each class.  Rows are
+        canonical, so equal rows have equal numerators and denominator."""
+        class_of: dict = {}
+        block_of, reps = [], []
+        for i, key in enumerate(zip(map(tuple, self.num.tolist()), self.den.tolist())):
+            c = class_of.setdefault(key, len(reps))
+            if c == len(reps):
+                reps.append(i)
+            block_of.append(c)
+        return block_of, reps
 
     def block_sums(self, block_of: Sequence[int], num_blocks: int) -> "RationalMatrix":
         """The rows x num_blocks matrix of each row's sums over the column
@@ -303,13 +320,18 @@ class RationalMatrix:
 
 def rows_are_products(p: RationalMatrix, left: RationalMatrix, right: RationalMatrix) -> bool:
     """p == left @ right, row i of the product recomputed as the integer
-    scatter of left's row i over the rows of right (never through @)."""
+    scatter of left's row i over the rows of right (never through @): once
+    per class of equal rows of left, and compared with every row of p whose
+    left row lies in that class."""
     if (p.rows, p.cols) != (left.rows, right.cols) or left.cols != right.rows:
         return False
-    for i in range(left.rows):
+    block_of, reps = left.row_classes()
+    block_of = np.asarray(block_of)
+    for c, rep in enumerate(reps):
+        rows = block_of == c
         # both sides are reduced, so equal rows have equal integers
-        row, row_den = right.step(left.num[i], int(left.den[i]))
-        if row_den != int(p.den[i]) or not np.array_equal(row, p.num[i]):
+        row, row_den = right.step(left.num[rep], int(left.den[rep]))
+        if set(p.den[rows].tolist()) != {row_den} or not (p.num[rows] == row).all():
             return False
     return True
 

@@ -10,7 +10,9 @@ records, so verify computes each part at most once per kernel.
 
 char_poly (Hessenberg reduction, then the determinant recurrence) and
 eigen_nullspace (Gauss-Jordan elimination) run fraction-free on the integer
-rows of ``RationalMatrix``.  Past EXACT_DIM_CAP spectrum_equal_report
+rows of ``RationalMatrix``; char_poly reduces only P lumped on its classes
+of equal rows (value 4,4's K: 11 of 256 rows), and EXACT_DIM_CAP bounds the
+rows before that lumping.  Past EXACT_DIM_CAP spectrum_equal_report
 verifies Q == A B and K == B A instead, each row of A B recomputed from the
 legs with integer numerators, never through the product that built Q and K
 (the report records which mode ran).
@@ -45,9 +47,12 @@ __all__ = [
 
 # Above this dimension char_poly refuses, the shared-spectrum check switches
 # to the factorization certificate and a spectral record has no exact part.
-# The limit is set by char_poly, run on Q and K: 0.14 s on the 512-dim K of
-# coord 8,3, 0.85 s at 625 dims (value 5,4), 6.1 s at 1024 (coord 4,5; 2-vCPU
-# VM, Python 3.11).  The float root candidates stay complete while the lcm L
+# It bounds p.rows, before char_poly lumps equal rows.  It was set by
+# char_poly without that lumping: 0.14 s on the 512-dim K of coord 8,3,
+# 0.79 s at 625 dims (value 5,4), 5.5 s at 1024 (coord 4,5).  With it the
+# three take 6.3 ms (5 classes of rows), 17 ms (26) and 48 ms (51) (one
+# pinned CPU of a 2-vCPU VM, Python 3.11, numpy 2.4, medians of 3 and 5
+# runs).  The float root candidates stay complete while the lcm L
 # of the row denominators times the eigenvalue error stays under 1/2; on
 # those kernels it is at most 8e-9 (value 5,4, L = 9720000).
 EXACT_DIM_CAP = 512
@@ -157,12 +162,22 @@ def _hessenberg(num: list[list[int]], den: list[int]) -> None:
 
 def char_poly(p: RationalMatrix) -> CharPoly:
     """Exact characteristic polynomial of a square rational matrix of
-    dimension at most EXACT_DIM_CAP."""
+    dimension at most EXACT_DIM_CAP.
+
+    With V the indicator of P's d classes of equal rows and R picking the
+    first row of each, P = V (R P), so char_P = x^(n - d) char_{(R P) V}, the
+    identity that gives Q = A B and K = B A one nonzero spectrum.  (R P) V,
+    P lumped on those classes, replaces P until no two rows are equal."""
     if p.rows != p.cols:
         raise ValueError("matrix is not square")
     n = p.rows
     if n > EXACT_DIM_CAP:
         raise ValueError(f"dimension {n} exceeds the exact char-poly cap {EXACT_DIM_CAP}")
+    while True:
+        block_of, reps = p.row_classes()
+        if len(reps) == p.rows:
+            break
+        p = p.select_rows(reps).block_sums(block_of, len(reps))
     num, den = p.num.tolist(), p.den.tolist()
     _hessenberg(num, den)
 
@@ -173,7 +188,7 @@ def char_poly(p: RationalMatrix) -> CharPoly:
     # over one denominator:
     # p_m = (x - h_mm) p_{m-1} - sum_i h_im h_{i+1,i} ... h_{m,m-1} p_{i-1}
     polys = [([1], 1)]
-    for m in range(1, n + 1):
+    for m in range(1, p.rows + 1):
         diag = h(m - 1, m - 1)
         terms = [(m, -diag)] if diag else []
         prod = Rat(1)
@@ -193,7 +208,7 @@ def char_poly(p: RationalMatrix) -> CharPoly:
                 if c:
                     cur[e] += f * c
         polys.append(_divide_out(cur, common))
-    return CharPoly(*polys[n])
+    return CharPoly(*polys[-1]).shifted(n - p.rows)
 
 
 def extract_rational_roots(poly: CharPoly, p: RationalMatrix, pi):

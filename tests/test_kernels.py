@@ -244,6 +244,21 @@ class TestKernelOps:
         perturbed = RationalMatrix.from_rows(data)
         assert not check_detailed_balance(perturbed, b.piQ)
 
+    @pytest.mark.parametrize("scale", [1, 3**45], ids=["int64", "python-int"])
+    def test_one_asymmetric_flow_pair_fails_detailed_balance(self, scale):
+        # P(i, j) = S(i, j) / pi(i) with S symmetric balances pi; at 3**45 the
+        # flow over one denominator leaves int64
+        pi = [scale * w for w in (1, 2, 3)]
+        s = [
+            [Rat(2), Rat(1, 3), Rat(5)],
+            [Rat(1, 3), Rat(4), Rat(1, 7)],
+            [Rat(5), Rat(1, 7), Rat(6)],
+        ]
+        rows = [[x / w for x in row] for row, w in zip(s, pi)]
+        assert check_detailed_balance(RationalMatrix(rows), pi)
+        rows[2][1] += Rat(1, 11)
+        assert not check_detailed_balance(RationalMatrix(rows), pi)
+
     def test_state_cap(self, monkeypatch):
         monkeypatch.setattr(burnside.kernels, "STATE_CAP", 100)
         with pytest.raises(CapExceeded):

@@ -21,6 +21,7 @@ from burnside.ratmat import (
     matrix_from_json,
     matrix_to_csv,
     matrix_to_json,
+    rows_are_products,
 )
 
 
@@ -58,6 +59,26 @@ def test_row_stochastic_check():
     assert good.is_row_stochastic()
     bad = RationalMatrix([[Rat(1, 3), Rat(1, 3)], [Rat(1), Rat(0)]])
     assert not bad.is_row_stochastic()
+
+
+def test_row_classes():
+    half = [Rat(1, 2), Rat(1, 2)]
+    m = RationalMatrix([half, [Rat(1), Rat(0)], half, [Rat(2, 4), Rat(1, 2)]])
+    assert m.row_classes() == ([0, 1, 0, 0], [0, 1])
+    assert RationalMatrix.zeros(0, 2).row_classes() == ([], [])
+
+
+def test_rows_are_products_checks_every_member_of_a_class():
+    half = [Rat(1, 2), Rat(1, 2), Rat(0)]
+    left = RationalMatrix([half, [Rat(0), Rat(1, 3), Rat(2, 3)], half])
+    right = RationalMatrix([[Rat(1), Rat(0)], [Rat(1, 4), Rat(3, 4)], [Rat(-2, 5), Rat(7, 5)]])
+    good = left @ right
+    assert rows_are_products(good, left, right)
+    # rows 0 and 2 of left are equal: break row 2 of p in one entry
+    for wrong in (good.data[2][0] + Rat(1, 8), good.data[2][0] + 1):
+        rows = [list(r) for r in good.data]
+        rows[2][0] = wrong
+        assert not rows_are_products(RationalMatrix(rows), left, right)
 
 
 def test_block_flip_squares_to_diagonal():

@@ -180,6 +180,42 @@ class TestCharPoly:
     def test_empty_matrix(self):
         assert char_poly(RationalMatrix.zeros(0, 0)).coeffs == [Rat(1)]
 
+    def test_repeated_rows_match_oracle(self):
+        # d distinct rows, each of the n rows one of them: the matrix lumps once
+        rng = make_rng(47)
+        for trial in range(30):
+            n = int(rng.integers(2, 8))
+            d = int(rng.integers(1, n))
+            distinct = _random_matrix(rng, n, (0.0, 0.5)[trial % 2]).data[:d]
+            m = RationalMatrix([distinct[int(rng.integers(0, d))] for _ in range(n)])
+            assert char_poly(m).coeffs == charpoly_oracle(m)
+
+    def test_rows_equal_after_one_lumping_match_oracle(self):
+        # rows 0 and 1 are equal, so columns 0 and 1 form one block; the last
+        # two rows differ only by swapping those columns, so they are equal
+        # once lumped and the lumped matrix lumps again
+        rng = make_rng(53)
+        for _ in range(20):
+            n = int(rng.integers(4, 8))
+            rows = [list(r) for r in _random_matrix(rng, n, 0.3).data]
+            rows[1] = rows[0]
+            rows[-2][0], rows[-2][1] = Rat(1, 2), Rat(-1, 3)
+            rows[-1] = [rows[-2][1], rows[-2][0], *rows[-2][2:]]
+            m = RationalMatrix(rows)
+            block_of, reps = m.row_classes()
+            once = m.select_rows(reps).block_sums(block_of, len(reps))
+            assert len(once.row_classes()[1]) < once.rows
+            assert char_poly(m).coeffs == charpoly_oracle(m)
+
+    def test_row_differing_in_one_entry_is_not_lumped(self):
+        rng = make_rng(59)
+        rows = [list(r) for r in _random_matrix(rng, 6, 0.3).data]
+        rows[3] = list(rows[1])
+        rows[3][4] += Rat(1, 5)
+        m = RationalMatrix(rows)
+        assert len(m.row_classes()[1]) == m.rows
+        assert char_poly(m).coeffs == charpoly_oracle(m)
+
     # sha256 of the coefficients as "p/q" strings joined by newlines
     @pytest.mark.parametrize(
         "key, which, digest",
