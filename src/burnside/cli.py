@@ -1,8 +1,7 @@
 """Command-line interface on the exact stack: verify, mix and closedform.
-``main`` runs every subcommand, build and sample too; the parser, build and
-sample live in ``entry``, whose ``main`` (``python -m burnside``, the
-console script) runs those two itself and imports this module for the other
-three only.  Importing this module loads every module whose functions
+The parser, build, sample and the dispatcher ``main`` live in ``entry``;
+``main`` is re-exported here and imports this module for these three
+commands only.  Importing this module loads every module whose functions
 ``perfbench/probe.py`` spans, ``sampler`` included.
 
 Exit codes: 0 all checks passed / output written, 1 a verification failed,
@@ -44,7 +43,7 @@ from .dynamics import (
 # first, before the exact stack, it raised the peak RSS of `python -m burnside
 # verify --model value --k 4 --n 4` by about 0.15 MB (2-vCPU VM, medians of 25).
 from . import sampler  # noqa: F401
-from .entry import build_parser, cmd_build, cmd_sample, run, spec_from_args
+from .entry import main, spec_from_args
 from .kernels import (
     CapExceeded,
     build_bundle,
@@ -115,7 +114,7 @@ def _direct_q(bundle, args):
 
 def _fixedpoint_lump(bundle, args):
     lumped, spec = fixedpoint_lump_value(bundle), bundle.spec
-    closed = RationalMatrix.from_rows(
+    closed = RationalMatrix(
         [[qbar_value(spec.k, spec.n, r, s) for s in lumped.labels] for r in lumped.labels]
     )
     return lumped.kernel == closed
@@ -317,21 +316,6 @@ def cmd_closedform(args) -> int:
     }
     print(json.dumps(payload, indent=1))
     return 0 if payload["all_equal"] else 1
-
-
-COMMANDS = {
-    "build": cmd_build,
-    "verify": cmd_verify,
-    "mix": cmd_mix,
-    "sample": cmd_sample,
-    "closedform": cmd_closedform,
-}
-
-
-def main(argv=None) -> int:
-    """Every subcommand in this process, the exact stack loaded."""
-    args = build_parser().parse_args(argv)
-    return run(COMMANDS[args.command], args)
 
 
 if __name__ == "__main__":

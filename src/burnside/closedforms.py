@@ -74,8 +74,6 @@ __all__ = [
     "verify_uniform_floor",
 ]
 
-COLORING_CAP = 16384
-
 
 # ---------------------------------------------------------------------------
 # brute-force oracle
@@ -298,14 +296,12 @@ def _orbit_sizes(g: Permutation, h: Permutation) -> tuple[int, ...]:
 
 def q_coord_colorings(n: int, k: int, g: Permutation, h: Permutation):
     """Colorings sum k^-c(g) * sum_phi prod_a 1/M_a(phi)! over orbit colorings;
-    refuses more than COLORING_CAP colorings."""
+    refuses more than STATE_CAP colorings.  The s joint orbits of <g, h>
+    refine the c(g) cycles of g, so k^s <= k^c(g) = |X_g|: this refuses only
+    where q_brute refuses too."""
     sizes = _orbit_sizes(g, h)
     s = len(sizes)
-    if k**s > COLORING_CAP:
-        raise ValueError(
-            f"k^s = {k**s} colorings exceed the enumeration cap {COLORING_CAP}; "
-            "use the expectation form"
-        )
+    _refuse_above("k^s colorings", k**s, STATE_CAP, "state cap")
     # integer accumulation over a common denominator n! k^c
     total = 0
     for phi in itertools.product(range(k), repeat=s):

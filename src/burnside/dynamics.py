@@ -31,7 +31,6 @@ __all__ = [
     "point_mass",
     "d_profile",
     "ChainProfile",
-    "mixing_time",
     "mixing_time_from_curve",
     "BundleProfiles",
     "bundle_profiles",
@@ -51,8 +50,6 @@ __all__ = [
     "bound_suite",
 ]
 
-# mixing_time scans at most this many steps.
-MIXING_HORIZON = 200
 # minorization_transfer squares Q exactly up to this many dual states.
 Q_SQUARE_DUALS = 200
 
@@ -170,15 +167,6 @@ def mixing_time_from_curve(curve: Sequence, eps) -> Optional[int]:
         if d <= eps:
             return t
     return None
-
-
-def mixing_time(p: RationalMatrix, pi: Sequence, eps) -> int:
-    """Least t with worst-case TV at most eps, searched up to MIXING_HORIZON
-    steps."""
-    t = d_profile(p, pi, MIXING_HORIZON).mixing_time(eps)
-    if t is None:
-        raise RuntimeError(f"chain did not mix to {eps} within {MIXING_HORIZON} steps")
-    return t
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,17 @@
 """The ``burnside`` command line: its parser, ``build`` and ``sample``, and
-the entry that ``python -m burnside`` and the ``burnside`` console script run.
+``main``, the one dispatcher.  ``python -m burnside``, the ``burnside``
+console script and ``burnside.cli.main`` (a re-export) all run it.
 
-``main`` parses and runs ``build`` and ``sample`` here, each on its own
-stack.  ``build`` loads ``kernels``, ``ratmat``, ``actions``, ``permgroup``
-and ``combinat``; ``sample`` loads ``sampler``, ``actions``, ``permgroup``
-and ``combinat``; both load numpy.  For verify, mix and closedform ``main``
-imports ``burnside.cli``, and with it the rest of the exact stack
-(``spectra``, ``dynamics``, ``closedforms``).  When bytecode writing is off
-(``PYTHONDONTWRITEBYTECODE``), every run compiles each module it imports
-again, so a command that loaded modules it never runs would pay for them
-every time.
+``main`` runs each subcommand from the module that ``COMMANDS`` names.
+``build`` and ``sample`` run here, each on its own stack: ``build`` loads
+``kernels``, ``ratmat``, ``actions``, ``permgroup`` and ``combinat``;
+``sample`` loads ``sampler``, ``actions``, ``permgroup`` and ``combinat``;
+both load numpy.  verify, mix and closedform, and every command line that
+names no subcommand, import ``burnside.cli``, and with it the rest of the
+exact stack (``spectra``, ``dynamics``, ``closedforms``).  When bytecode
+writing is off (``PYTHONDONTWRITEBYTECODE``), every run compiles each module
+it imports again, so a command that loaded modules it never runs would pay
+for them every time.
 """
 
 from __future__ import annotations
@@ -17,12 +19,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from importlib import import_module
 
 from ._rat import rat_str
 from .actions import ActionSpec, group_degree, word_from_str
 from .permgroup import parse_perm
 
-__all__ = ["build_parser", "cmd_build", "cmd_sample", "main", "run", "spec_from_args"]
+__all__ = ["COMMANDS", "build_parser", "cmd_build", "cmd_sample", "main", "run", "spec_from_args"]
 
 # build writes M = [[0, A], [B, 0]] up to this many rows (|G*| + |X|): its
 # JSON grows with the square of its side.
@@ -146,21 +149,24 @@ def run(command, args) -> int:
         return 2
 
 
-# the commands main runs in this module, without importing burnside.cli
-LOCAL_COMMANDS = {"build": cmd_build, "sample": cmd_sample}
+# Each subcommand's module, which defines it as cmd_<subcommand>.
+COMMANDS = {
+    "build": __name__,
+    "sample": __name__,
+    "verify": "burnside.cli",
+    "mix": "burnside.cli",
+    "closedform": "burnside.cli",
+}
 
 
 def main(argv=None) -> int:
-    """Run ``build`` and ``sample`` here, and every other command line
-    (usage errors too) through ``burnside.cli.main``: a subcommand is the
+    """Parse a command line and run its subcommand.  The subcommand is the
     first argument, since the top-level parser takes no option but
-    ``--help``.  Importing the exact stack before the parser is built keeps
-    verify's peak RSS down: parsing first raised it by about 0.1 MB on
-    verify value 5,3."""
+    ``--help``; its module is imported before the parser is built, and
+    ``burnside.cli`` for a command line that names none (a usage error or
+    ``--help``).  Importing the exact stack first keeps verify's peak RSS
+    down: parsing first raised it by about 0.1 MB on verify value 5,3."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    command = LOCAL_COMMANDS.get(argv[0]) if argv else None
-    if command is None:
-        from .cli import main as cli_main
-
-        return cli_main(argv)
-    return run(command, build_parser().parse_args(argv))
+    module = import_module(COMMANDS.get(argv[0] if argv else None, "burnside.cli"))
+    args = build_parser().parse_args(argv)
+    return run(getattr(module, f"cmd_{args.command}"), args)

@@ -44,7 +44,6 @@ __all__ = [
     "build_k_matrix",
     "build_q_direct",
     "check_detailed_balance",
-    "reversibility_ratio",
     "diagonal_equals_e_column",
     "doeblin_floor",
 ]
@@ -112,17 +111,8 @@ class ChainBundle:
     def num_states(self) -> int:
         return len(self.states)
 
-    def dual_index(self, g) -> int:
-        return self._dual_pos[g]
-
-    def __post_init__(self) -> None:
-        self._dual_pos = {g: i for i, g in enumerate(self.duals)}
-
     def fixed_size(self, gi: int) -> int:  # row gi of A is 0/1 over |X_g|
         return int(self.A.den[gi])
-
-    def stab_size(self, xi: int) -> int:  # row xi of B is 0/1 over |G_x|
-        return int(self.B.den[xi])
 
     @property
     def doeblin_delta(self):
@@ -249,28 +239,13 @@ def build_q_direct(spec: ActionSpec) -> RationalMatrix:
     _check_size(spec, "Q")
     duals = list(dual_states(spec))
     _, entry = kernel_forms(spec)[0]
-    return RationalMatrix.from_rows([[entry(g, h) for h in duals] for g in duals])
+    return RationalMatrix([[entry(g, h) for h in duals] for g in duals])
 
 
 def check_detailed_balance(p: RationalMatrix, pi) -> bool:
     """Exact detailed balance pi(i) P(i,j) == pi(j) P(j,i) for all pairs: the
     flow diag(pi) P is symmetric."""
     return p.scaled_rows_symmetric(pi)
-
-
-def reversibility_ratio(bundle: ChainBundle, g, h):
-    """Q(g,h)/Q(h,g); equals |X_h|/|X_g| by detailed balance."""
-    gi = bundle.dual_index(g) if not isinstance(g, int) else g
-    hi = bundle.dual_index(h) if not isinstance(h, int) else h
-    forward = bundle.Q[gi, hi]
-    backward = bundle.Q[hi, gi]
-    if not backward:
-        raise ZeroDivisionError("Q(h,g) = 0: ratio undefined")
-    ratio = forward / backward
-    expected = Rat(bundle.fixed_size(hi), bundle.fixed_size(gi))
-    if ratio != expected:
-        raise AssertionError(f"reversibility ratio {ratio} != |X_h|/|X_g| = {expected}")
-    return ratio
 
 
 def diagonal_equals_e_column(bundle: ChainBundle) -> bool:

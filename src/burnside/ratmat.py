@@ -15,10 +15,10 @@ Python ints otherwise.  Before an operation whose results could leave
 them and switches to Python ints when the bound reaches ``2**63``.  The rule
 is fixed: there is no option to choose.
 
-Matrices are immutable.  ``.data`` is a read-only view of the entries as
-rows of exact rationals, built on first access, for the code that needs
-single entries and for the tests; serialization and exact elimination read
-``num`` and ``den`` directly.
+Matrices are immutable.  ``RationalMatrix(rows)`` builds one from rows of
+ints or exact rationals; ``m[i, j]`` and ``row(i)`` read entries as exact
+rationals, and ``.data`` gives all of them as a tuple of row tuples.
+Serialization and exact elimination read ``num`` and ``den`` directly.
 
 ``P @ R`` scales ``R`` to the lcm ``L`` of its row denominators and forms
 ``num_P (L R)`` row by row over the nonzero entries of each row of
@@ -68,28 +68,18 @@ __all__ = [
 _INT64_LIMIT = 2**63
 
 
-class _FrozenList(list):
-    """A list that refuses changes: the entry view of an immutable matrix."""
-
-    def _refuse(self, *args, **kwargs):
-        raise TypeError("RationalMatrix entries are read-only")
-
-    __setitem__ = __delitem__ = __iadd__ = __imul__ = _refuse
-    append = extend = insert = pop = remove = clear = sort = reverse = _refuse
-
-
 class RationalMatrix:
     """Exact rational matrix: entry (i, j) is num[i, j] / den[i]."""
 
-    __slots__ = ("rows", "cols", "num", "den", "_data", "_row_scale_cache", "_scatter_cache")
+    __slots__ = ("rows", "cols", "num", "den", "_row_scale_cache", "_scatter_cache")
 
-    def __init__(self, data: Sequence[Sequence]) -> None:
-        self._adopt(*_scale_rows([[Rat(v) for v in row] for row in data]))
+    def __init__(self, rows: Sequence[Sequence]) -> None:
+        """From rows of ints or exact rationals."""
+        self._adopt(*_scale_rows(rows))
 
     def _adopt(self, num: np.ndarray, den: np.ndarray) -> "RationalMatrix":
         self.num, self.den = num, den
         self.rows, self.cols = num.shape
-        self._data = None
         self._row_scale_cache = None
         self._scatter_cache = None
         return self
@@ -97,11 +87,6 @@ class RationalMatrix:
     @classmethod
     def _canonical(cls, num: np.ndarray, den: np.ndarray) -> "RationalMatrix":
         return cls.__new__(cls)._adopt(num, den)
-
-    @classmethod
-    def from_rows(cls, data) -> "RationalMatrix":
-        """Build from rows of exact rationals (or ints) without converting each value."""
-        return cls._canonical(*_scale_rows(data))
 
     @classmethod
     def from_scaled(cls, num, den: Sequence[int]) -> "RationalMatrix":
@@ -123,11 +108,9 @@ class RationalMatrix:
         return cls._canonical(np.eye(n, dtype=np.int64), np.ones(n, dtype=np.int64))
 
     @property
-    def data(self) -> list:
-        """The entries as read-only rows of exact rationals (built on first use)."""
-        if self._data is None:
-            self._data = _FrozenList(_FrozenList(self.row(i)) for i in range(self.rows))
-        return self._data
+    def data(self) -> tuple:
+        """The entries as a tuple of rows, each a tuple of exact rationals."""
+        return tuple(tuple(self.row(i)) for i in range(self.rows))
 
     def __getitem__(self, ij) -> object:
         i, j = ij
@@ -352,9 +335,9 @@ def rat_vector(nums: Sequence[int], den: int) -> list:
 
 def _str_rows(m: RationalMatrix):
     """The entries row by row as canonical "p/q" strings ("p" over 1), as
-    ``str(Fraction)`` writes them, without building a Fraction or the
-    ``.data`` view: each distinct numerator of a row is reduced once by its
-    gcd with the row's denominator."""
+    ``str(Fraction)`` writes them, without building a Fraction: each
+    distinct numerator of a row is reduced once by its gcd with the row's
+    denominator."""
     for row, den in zip(m.num, m.den.tolist()):
         nums = row.tolist()
         strs = {}
@@ -456,9 +439,7 @@ def _dump_json(obj, fh, newline: str) -> None:
 
 
 def matrix_from_json(obj: dict) -> tuple[RationalMatrix, list[str], list[str]]:
-    m = RationalMatrix.from_rows(
-        [[parse_rat(s) for s in row] for row in obj["entries"]]
-    )
+    m = RationalMatrix([[parse_rat(s) for s in row] for row in obj["entries"]])
     return m, list(obj["row_labels"]), list(obj["col_labels"])
 
 
@@ -481,5 +462,5 @@ def matrix_from_csv(text: str) -> tuple[RationalMatrix, list[str], list[str]]:
     rows = list(csv.reader(io.StringIO(text)))
     col_labels = rows[0][1:]
     row_labels = [r[0] for r in rows[1:]]
-    m = RationalMatrix.from_rows([[parse_rat(s) for s in r[1:]] for r in rows[1:]])
+    m = RationalMatrix([[parse_rat(s) for s in r[1:]] for r in rows[1:]])
     return m, row_labels, col_labels

@@ -12,7 +12,6 @@ any (seed, config) pair reproduces its trajectory bit-for-bit.
 from __future__ import annotations
 
 import json
-import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
@@ -22,9 +21,7 @@ import numpy as np
 from .actions import (
     ActionSpec,
     Stepper,
-    count_orbits,
     fixed_set_size,
-    fixed_slots,
     group_degree,
     group_order,
     orbit_count,
@@ -42,7 +39,6 @@ __all__ = [
     "RunResult",
     "run_chain",
     "empirical_one_step_row",
-    "estimate_orbit_count",
     "dump_trajectory",
 ]
 
@@ -186,24 +182,6 @@ def empirical_one_step_row(
     if chain == DUAL:
         counts = {Permutation(s): c for s, c in counts.items()}
     return EmpiricalLaw(counts, draws)
-
-
-def estimate_orbit_count(spec: ActionSpec, samples: int, seed: int = 0):
-    """Monte Carlo orbit count: the mean of |X_g| = |palette|^slots over
-    uniform g drawn from stream 0 of seed, with its standard error.
-    samples == 0 falls back to the exact count; samples < 0 is refused."""
-    if samples < 0:
-        raise ValueError(f"samples must be >= 0, got {samples}")
-    if samples == 0:
-        return float(count_orbits(spec)), 0.0
-    rng = make_rng(seed)
-    m = group_degree(spec)
-    slots = (fixed_slots(spec, (rng.permutation(m) + 1).tolist()) for _ in range(samples))
-    vals = np.array([float(len(palette) ** count) for _, count, palette in slots])
-    # z = (1/|G|) sum_g |X_g| is the expectation of |X_g| under uniform g
-    est = float(vals.mean())
-    se = float(vals.std(ddof=1) / math.sqrt(samples)) if samples > 1 else float("inf")
-    return est, se
 
 
 def dump_trajectory(path: str, result: RunResult) -> None:

@@ -20,13 +20,12 @@ legs with integer numerators, never through the product that built Q and K
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import comb, gcd, lcm
 import numpy as np
 
-from ._rat import Rat, rat_str
+from ._rat import Rat
 from .actions import coord_spec, stabilizer_size, words
 from .kernels import ChainBundle, check_detailed_balance
 from .ratmat import RationalMatrix, rows_are_products
@@ -437,25 +436,6 @@ class SpectrumReport:
     @property
     def relaxation_time(self) -> float:
         return float("inf") if self.gamma_star <= 0 else 1.0 / self.gamma_star
-
-    def to_json(self) -> str:
-        roots, rem = self.roots if self.mode != "float" else ({}, CharPoly([1]))
-        return json.dumps(
-            {
-                "name": self.name,
-                "dim": self.dim,
-                "exact_roots": [
-                    {"value": rat_str(r), "multiplicity": m} for r, m in roots.items()
-                ],
-                "remaining_degree": rem.degree,
-                "float_roots": [f"{x:.12g}" for x in self.float_roots],
-                "gamma": f"{self.gamma:.12g}",
-                "gamma_star": f"{self.gamma_star:.12g}",
-                "relaxation_time": f"{self.relaxation_time:.12g}",
-                "mode": self.mode,
-            },
-            indent=2,
-        )
 
 
 def bundle_gap_report(bundle: ChainBundle) -> tuple[SpectrumReport, SpectrumReport]:

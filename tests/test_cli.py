@@ -89,11 +89,12 @@ def test_verify_catches_faulty_product(monkeypatch, capsys):
     good_matmul = RationalMatrix.__matmul__
 
     def faulty_matmul(self, other):
-        rows = [list(row) for row in good_matmul(self, other).data]
+        product = good_matmul(self, other)
+        rows = [product.row(i) for i in range(product.rows)]
         j = next(j for j, v in enumerate(rows[0]) if v)
         moved, rows[0][j] = rows[0][j], Rat(0)
         rows[0][(j + 1) % len(rows[0])] += moved
-        return RationalMatrix.from_rows(rows)
+        return RationalMatrix(rows)
 
     monkeypatch.setattr(RationalMatrix, "__matmul__", faulty_matmul)
     code = main(["verify", "--model", "value", "--k", "3", "--n", "2", "--tmax", "10"])
@@ -235,6 +236,16 @@ def test_closedform_all_equal(capsys):
     assert code == 0
     assert payload["all_equal"]
     assert payload["Q(g,h)"]["brute_force"] == "1/24"
+
+
+def test_closedform_colorings_up_to_the_state_cap(capsys):
+    # the identity's 15 joint orbits give 2^15 colorings, within the state
+    # cap, as X_e is: every form evaluates
+    code = main(["closedform", "--model", "coord", "--k", "2", "--n", "15"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert payload["all_equal"]
+    assert payload["Q(g,h)"]["colorings_sum"] == "215441/59513713459200"
 
 
 def test_closedform_refuses_past_state_cap(monkeypatch, capsys):
@@ -588,6 +599,21 @@ def _python(*args):
     return subprocess.run(
         [sys.executable, *args], env=env, capture_output=True, text=True, timeout=300
     )
+
+
+def test_cli_main_is_the_entry_main():
+    import burnside.entry
+
+    assert burnside.cli.main is burnside.entry.main
+
+
+@pytest.mark.parametrize("args, code", [((), 2), (("--help",), 0)], ids=["bare", "help"])
+def test_module_usage_exit_codes(args, code):
+    """`python -m burnside` without a subcommand is a usage error; with
+    --help it prints the usage and exits 0."""
+    proc = _python("-m", "burnside", *args)
+    assert proc.returncode == code
+    assert (proc.stdout if code == 0 else proc.stderr).startswith("usage: burnside")
 
 
 def test_sample_imports_only_the_sampler_stack():

@@ -39,7 +39,14 @@ from burnside.closedforms import (
     verify_uniform_floor,
 )
 from burnside.combinat import bell, stirling2, subfactorial
-from burnside.permgroup import enumerate_sym, from_cycles, identity, joint_orbits, parse_perm
+from burnside.permgroup import (
+    CapExceeded,
+    enumerate_sym,
+    from_cycles,
+    identity,
+    joint_orbits,
+    parse_perm,
+)
 
 
 def _q_brute_by_definition(spec, g, h):
@@ -306,8 +313,8 @@ class TestCoordForms:
             assert total == 1
 
     def test_enumeration_cap(self, monkeypatch):
-        monkeypatch.setattr(burnside.closedforms, "COLORING_CAP", 100)
-        with pytest.raises(ValueError):
+        monkeypatch.setattr(burnside.closedforms, "STATE_CAP", 100)
+        with pytest.raises(CapExceeded, match="k\\^s colorings = 6561"):
             q_coord_colorings(8, 3, identity(8), identity(8))
         # the expectation form has no such cap
         assert q_coord_expectation(8, 3, identity(8), identity(8)) > 0

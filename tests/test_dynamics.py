@@ -23,7 +23,6 @@ from burnside.dynamics import (
     fixedpoint_lump_value,
     lump,
     minorization_transfer,
-    mixing_time,
     mixing_time_from_curve,
     orbit_lump_K,
     point_mass,
@@ -152,14 +151,16 @@ class TestProfiles:
 
     def test_mixing_time_definition_scan(self, golden_value):
         b = golden_value
-        t = mixing_time(b.Q, b.piQ, Rat(1, 4))
         prof = d_profile(b.Q, b.piQ, 10)
+        t = prof.mixing_time(Rat(1, 4))
         assert t == mixing_time_from_curve(prof.worst, Rat(1, 4)) == 2
+        # the least t whose worst-case TV is at most eps
+        assert prof.worst[t] <= Rat(1, 4) < min(prof.worst[:t])
 
     def test_single_state_chain(self):
         b = build_bundle(value_spec(2, 2))
         assert b.num_duals == 1
-        assert mixing_time(b.Q, b.piQ, Rat(1, 4)) == 0
+        assert d_profile(b.Q, b.piQ, 10).mixing_time(Rat(1, 4)) == 0
 
 
 class TestLumping:
@@ -207,8 +208,8 @@ class TestLumping:
         blocks = [[0], [1, 2, 3], [4, 5]]
         for bi, rows in enumerate(blocks):
             for bj, cols in enumerate(blocks):
-                agg = sum((q.data[rows[0]][j] for j in cols), Rat(0))
-                assert lumped.kernel.data[bi][bj] == agg
+                agg = sum((q[rows[0], j] for j in cols), Rat(0))
+                assert lumped.kernel[bi, bj] == agg
 
     def test_value_fixed_point_coincides_with_conjugacy_at_k3(self, golden_value):
         assert fixedpoint_lump_value(golden_value).kernel == conjugacy_lump_Q(golden_value).kernel
@@ -220,13 +221,13 @@ class TestLumping:
             b = bundles(*key)
             for lumped in (orbit_lump_K(b), conjugacy_lump_Q(b)):
                 m = lumped.kernel
-                reach = [[bool(v) for v in row] for row in m.data]
+                reach = [[bool(v) for v in m.row(i)] for i in range(m.rows)]
                 for _ in range(m.rows):
                     for i in range(m.rows):
                         for j in range(m.rows):
                             if reach[i][j]:
                                 for l in range(m.rows):
-                                    if m.data[j][l]:
+                                    if m[j, l]:
                                         reach[i][l] = True
                 assert all(all(row) for row in reach)
 
@@ -313,10 +314,10 @@ class TestMinorization:
 
     def test_hypothesis_failure_raises(self, golden_value):
         # move the mass of K(0, 1) onto K(0, 0): one entry below delta/|X|
-        rows = [list(row) for row in golden_value.K.data]
+        rows = [golden_value.K.row(i) for i in range(golden_value.K.rows)]
         rows[0][0] += rows[0][1]
         rows[0][1] = Rat(0)
-        tampered = dataclasses.replace(golden_value, K=RationalMatrix.from_rows(rows))
+        tampered = dataclasses.replace(golden_value, K=RationalMatrix(rows))
         with pytest.raises(MinorizationError, match=r"K\(0,1\) = 0"):
             minorization_transfer(tampered)
 
@@ -407,7 +408,7 @@ class TestMixingCeilings:
 
         for key in [("value", 3, 2), ("value", 4, 3), ("coord", 2, 4)]:
             b = bundles(*key)
-            m = max(b.stab_size(xi) for xi in range(b.num_states))
+            m = int(b.B.den.max())  # row x of B is 0/1 over |G_x|
             profs = bundle_profiles(b, 60)
             for eps in (Rat(1, 4), Rat(1, 10)):
                 ceiling = math.ceil(m * math.log(1 / float(eps)) - 1e-12)

@@ -42,7 +42,7 @@ def test_matmul_against_hand_product():
     a = RationalMatrix([[Rat(1, 2), Rat(1, 2)], [Rat(1, 3), Rat(2, 3)]])
     b = RationalMatrix([[Rat(1), Rat(0)], [Rat(1, 4), Rat(3, 4)]])
     c = a @ b
-    assert c.data == [
+    assert [c.row(0), c.row(1)] == [
         [Rat(5, 8), Rat(3, 8)],
         [Rat(1, 2), Rat(1, 2)],
     ]
@@ -75,8 +75,8 @@ def test_rows_are_products_checks_every_member_of_a_class():
     good = left @ right
     assert rows_are_products(good, left, right)
     # rows 0 and 2 of left are equal: break row 2 of p in one entry
-    for wrong in (good.data[2][0] + Rat(1, 8), good.data[2][0] + 1):
-        rows = [list(r) for r in good.data]
+    for wrong in (good[2, 0] + Rat(1, 8), good[2, 0] + 1):
+        rows = [good.row(i) for i in range(good.rows)]
         rows[2][0] = wrong
         assert not rows_are_products(RationalMatrix(rows), left, right)
 
@@ -91,11 +91,11 @@ def test_block_flip_squares_to_diagonal():
     for i in range(4):
         for j in range(4):
             if i < 1 and j < 1:
-                assert m2.data[i][j] == q.data[i][j]
+                assert m2[i, j] == q[i, j]
             elif i >= 1 and j >= 1:
-                assert m2.data[i][j] == k.data[i - 1][j - 1]
+                assert m2[i, j] == k[i - 1, j - 1]
             else:
-                assert m2.data[i][j] == 0
+                assert m2[i, j] == 0
 
 
 def test_json_round_trip(golden_value):
@@ -169,8 +169,8 @@ def _csv_per_row(m: RationalMatrix, row_labels, col_labels) -> str:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow([""] + list(col_labels))
-    for label, row in zip(row_labels, m.data):
-        w.writerow([label] + [str(x) for x in row])
+    for i, label in enumerate(row_labels):
+        w.writerow([label] + [str(x) for x in m.row(i)])
     return buf.getvalue()
 
 
@@ -210,7 +210,7 @@ def test_shape_errors():
 def _entrywise_product(a: RationalMatrix, b: RationalMatrix) -> list:
     """(ab)_ij = sum_t a_it b_tj, summed term by term in Rat."""
     return [
-        [sum((a.data[i][t] * b.data[t][j] for t in range(a.cols)), Rat(0)) for j in range(b.cols)]
+        [sum((a[i, t] * b[t, j] for t in range(a.cols)), Rat(0)) for j in range(b.cols)]
         for i in range(a.rows)
     ]
 
@@ -218,8 +218,9 @@ def _entrywise_product(a: RationalMatrix, b: RationalMatrix) -> list:
 def _assert_exact_product(a: RationalMatrix, b: RationalMatrix) -> None:
     c = a @ b
     assert (c.rows, c.cols) == (a.rows, b.cols)
-    assert c.data == _entrywise_product(a, b)
-    assert all(type(v) is type(Rat(0)) for row in c.data for v in row)
+    rows = [c.row(i) for i in range(c.rows)]
+    assert rows == _entrywise_product(a, b)
+    assert all(type(v) is type(Rat(0)) for row in rows for v in row)
 
 
 def test_matmul_negative_entries_and_zero_row():
@@ -235,7 +236,7 @@ def test_matmul_negative_entries_and_zero_row():
     ])
     _assert_exact_product(a, b)
     _assert_exact_product(b.transpose(), a.transpose())
-    assert (a @ b).data[1] == [Rat(0), Rat(0)]
+    assert (a @ b).row(1) == [Rat(0), Rat(0)]
 
 
 def test_matmul_empty_shapes():
@@ -280,7 +281,7 @@ def test_to_float_array_matches_fraction_route():
         assert (m.num.dtype == object) == (regime == 2)
         floats = m.to_float_array()
         assert floats.dtype == np.float64 and floats.shape == (rows, cols)
-        assert np.array_equal(floats, np.array([[float(v) for v in row] for row in m.data]))
+        assert np.array_equal(floats, np.array([[float(v) for v in m.row(i)] for i in range(rows)]))
     assert RationalMatrix.zeros(0, 3).to_float_array().shape == (0, 3)
     assert RationalMatrix.zeros(2, 0).to_float_array().shape == (2, 0)
 
@@ -289,7 +290,8 @@ def test_entries_are_read_only():
     m = RationalMatrix([[Rat(1, 2), Rat(1, 2)], [Rat(1, 3), Rat(2, 3)]])
     with pytest.raises(TypeError):
         m.data[0][0] = Rat(1)
-    with pytest.raises(TypeError):
-        m.data.append([Rat(1), Rat(0)])
-    assert m.data == [[Rat(1, 2), Rat(1, 2)], [Rat(1, 3), Rat(2, 3)]]
-    assert m == RationalMatrix.from_rows([list(row) for row in m.data])
+    with pytest.raises(AttributeError):
+        m.data.append((Rat(1), Rat(0)))
+    m.row(0)[0] = Rat(1)  # row builds a new list
+    assert m.data == ((Rat(1, 2), Rat(1, 2)), (Rat(1, 3), Rat(2, 3)))
+    assert m == RationalMatrix(m.data)

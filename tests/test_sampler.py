@@ -26,7 +26,6 @@ from burnside.permgroup import Permutation, identity, parse_perm
 from burnside.sampler import (
     ChainRun,
     empirical_one_step_row,
-    estimate_orbit_count,
     make_rng,
     run_chain,
     step_dual,
@@ -97,7 +96,7 @@ class TestOneStepRows:
         spec = golden_value.spec
         law = empirical_one_step_row(spec, "primal", (1, 1), 200_000, seed=101)
         exact = {
-            x: golden_value.K.data[0][word_index(spec, x)] for x in words(spec)
+            x: golden_value.K[0, word_index(spec, x)] for x in words(spec)
         }
         assert law.tv_to(exact) <= 0.01
 
@@ -105,7 +104,7 @@ class TestOneStepRows:
         spec = golden_value.spec
         g = golden_value.duals[1]  # (1 2): row (1/2, 1/2, 0, 0)
         law = empirical_one_step_row(spec, "dual", g, 200_000, seed=102)
-        exact = {h: golden_value.Q.data[1][j] for j, h in enumerate(golden_value.duals)}
+        exact = dict(zip(golden_value.duals, golden_value.Q.row(1)))
         assert law.tv_to(exact) <= 0.01
         assert set(law.counts) <= {golden_value.duals[0], golden_value.duals[1]}
 
@@ -113,14 +112,14 @@ class TestOneStepRows:
         spec = golden_coord.spec
         law = empirical_one_step_row(spec, "primal", (1, 1, 1), 200_000, seed=103)
         exact = {
-            x: golden_coord.K.data[0][word_index(spec, x)] for x in words(spec)
+            x: golden_coord.K[0, word_index(spec, x)] for x in words(spec)
         }
         assert law.tv_to(exact) <= 0.01
 
     def test_dual_coord_row_from_identity(self, golden_coord):
         spec = golden_coord.spec
         law = empirical_one_step_row(spec, "dual", identity(3), 200_000, seed=104)
-        exact = {h: golden_coord.Q.data[0][j] for j, h in enumerate(golden_coord.duals)}
+        exact = dict(zip(golden_coord.duals, golden_coord.Q.row(0)))
         assert law.tv_to(exact) <= 0.01
 
     def test_dual_flat_row_from_ncycle(self, golden_coord):
@@ -381,24 +380,6 @@ class TestColorDraws:
         rng = CountingRng(make_rng(5))
         (step_dual if chain == "dual" else step_primal)(spec, start, rng)
         assert rng.integers_calls == calls
-
-
-class TestOrbitEstimate:
-    def test_value_model(self):
-        est, se = estimate_orbit_count(value_spec(5, 4), 60_000, seed=500)
-        assert abs(est - 15) <= 3 * se
-
-    def test_coord_model(self):
-        est, se = estimate_orbit_count(coord_spec(3, 4), 60_000, seed=501)
-        assert abs(est - 15) <= 3 * se
-
-    def test_exact_fallback(self):
-        est, se = estimate_orbit_count(coord_spec(3, 4), 0)
-        assert est == 15.0 and se == 0.0
-
-    def test_negative_samples_refused(self):
-        with pytest.raises(ValueError, match="samples"):
-            estimate_orbit_count(coord_spec(3, 4), -3)
 
 
 def _exact_tv(res, bundle) -> Fraction:
