@@ -1,5 +1,3 @@
-import sys
+from .entry import console_main
 
-from .entry import main
-
-sys.exit(main())
+console_main()

@@ -16,6 +16,7 @@ import burnside.dynamics
 import burnside.kernels
 import burnside.spectra
 from burnside._rat import Rat
+from burnside.actions import ActionSpec
 from burnside.cli import main
 from burnside.ratmat import RationalMatrix, matrix_from_csv, matrix_from_json
 
@@ -102,6 +103,29 @@ def test_verify_catches_faulty_product(monkeypatch, capsys):
     assert "FAIL factorization_Q_eq_AB" in out
     assert "FAIL factorization_K_eq_BA" in out
     assert code == 1
+
+
+def test_verify_block_flip_square_fails_a_wrong_m(monkeypatch, capsys):
+    # an M with one entry of its B block moved squares to something other
+    # than diag(Q, K); the check builds M itself and never calls @
+    good_flip = RationalMatrix.block_flip.__func__
+
+    def moved_flip(cls, a, b):
+        m = good_flip(cls, a, b)
+        num, row = m.num.copy(), a.rows  # the first row of the B block
+        j, k = np.flatnonzero(num[row])[0], np.flatnonzero(num[row] == 0)[0]
+        num[row, [j, k]] = num[row, [k, j]]
+        return RationalMatrix.from_scaled(num, m.den.tolist())
+
+    def no_matmul(self, other):
+        raise AssertionError("block_flip_square called @")
+
+    bundle = burnside.kernels.build_bundle(ActionSpec("value", 2, 3))
+    assert burnside.cli._block_flip_square(bundle, None) is True
+    monkeypatch.setattr(RationalMatrix, "__matmul__", no_matmul)
+    assert burnside.cli._block_flip_square(bundle, None) is True
+    monkeypatch.setattr(RationalMatrix, "block_flip", classmethod(moved_flip))
+    assert burnside.cli._block_flip_square(bundle, None) is False
 
 
 def test_verify_expected_lump_failure(capsys):
@@ -462,21 +486,60 @@ def _wrap_grid(monkeypatch, on_form, on_oracle):
     monkeypatch.setattr(burnside.cli, "q_brute_row", wrapped_oracle)
 
 
-def test_verify_closed_form_grid_is_full(monkeypatch, capsys):
+def test_verify_closed_form_grid_checks_every_pair(monkeypatch, capsys):
     # value 5,3 has 76 dual states, fewer than 2 * CLOSED_FORM_DUALS: the
-    # grid compares every one of the 76^2 pairs, each by forms and oracle
-    pairs = {"form": 0, "oracle": 0}
+    # grid compares every one of the 76^2 pairs with the oracle, and the
+    # value forms run once per (|Fix g|, |Fix g & Fix h|) of the grid, 13
+    # overlaps; coord 2,4 (24 duals) runs its forms on each of its 576 pairs
+    for argv, expected in [
+        (("value", "5", "3"), {"form": 13, "oracle": 5776}),
+        (("coord", "2", "4"), {"form": 576, "oracle": 576}),
+    ]:
+        pairs = {"form": 0, "oracle": 0}
 
-    def count(kind):
-        def seen(g, h, value):
-            pairs[kind] += 1
-            return value
-        return seen
+        def count(kind):
+            def seen(g, h, value):
+                pairs[kind] += 1
+                return value
+            return seen
 
-    _wrap_grid(monkeypatch, count("form"), count("oracle"))
-    assert main(["verify", "--model", "value", "--k", "5", "--n", "3"]) == 0
-    assert "PASS closed_forms_match_kernel" in capsys.readouterr().out.splitlines()
-    assert pairs == {"form": 5776, "oracle": 5776}
+        monkeypatch.undo()
+        _wrap_grid(monkeypatch, count("form"), count("oracle"))
+        model, k, n = argv
+        assert main(["verify", "--model", model, "--k", k, "--n", n]) == 0
+        assert "PASS closed_forms_match_kernel" in capsys.readouterr().out.splitlines()
+        assert pairs == expected
+
+
+def test_verify_closed_form_grid_fails_a_form_wrong_on_one_class(monkeypatch, capsys):
+    # the first form is off on the overlap a = 3, j = 1 only; the grid
+    # evaluates it on that class's first pair in row order and fails there
+    def off_on_class(g, h, value):
+        fixed = g.fixed_points()
+        return value + 1 if (len(fixed), len(fixed & h.fixed_points())) == (3, 1) else value
+
+    _wrap_grid(monkeypatch, off_on_class, lambda g, h, value: value)
+    code = main(["verify", "--model", "value", "--k", "5", "--n", "3"])
+    lines = capsys.readouterr().out.splitlines()
+    assert "FAIL closed_forms_match_kernel: mismatch at ((1 2), (3 4))" in lines
+    assert lines[-1] == "FAIL total: 1 failure(s)"
+    assert code == 1
+
+
+def test_closed_form_grid_fails_one_q_entry_inside_a_class():
+    # ((1 3), (1 2 3)) is in the overlap class a = 3, j = 2 of value 5,3,
+    # whose forms run on its first pair ((1 2), (1 3)): a change to this
+    # one Q entry is still caught, against the class's values and the oracle
+    bundle = burnside.kernels.build_bundle(ActionSpec("value", 3, 5))
+    assert burnside.cli._closed_forms_match(bundle, None) is True
+    labels = bundle.dual_labels
+    gi, hi = labels.index("(1 3)"), labels.index("(1 2 3)")
+    num = bundle.Q.num.copy()
+    num[gi, hi] += 1
+    bundle.Q = RationalMatrix.from_scaled(num, bundle.Q.den.tolist())
+    assert burnside.cli._closed_forms_match(bundle, None) == (
+        False, "mismatch at ((1 3), (1 2 3))"
+    )
 
 
 # two pairs of value 5,3 whose order differs by rows and by columns: the grid
@@ -484,18 +547,14 @@ def test_verify_closed_form_grid_is_full(monkeypatch, capsys):
 CORRUPTED_PAIRS = {("(1 3)", "(1 2 3)"), ("(1 2)", "(1 4 5)")}
 
 
-@pytest.mark.parametrize("corrupt", ["form", "oracle"])
+# the value forms run once per overlap class (the class test above checks a
+# wrong form); the oracle runs on every pair, so it is named at its own pair
+@pytest.mark.parametrize("corrupt", ["oracle"])
 def test_verify_closed_form_grid_names_first_mismatch(monkeypatch, capsys, corrupt):
     def off_by_one(g, h, value):
         return value + 1 if (str(g), str(h)) in CORRUPTED_PAIRS else value
 
-    def exact(g, h, value):
-        return value
-
-    if corrupt == "form":
-        _wrap_grid(monkeypatch, off_by_one, exact)
-    else:
-        _wrap_grid(monkeypatch, exact, off_by_one)
+    _wrap_grid(monkeypatch, lambda g, h, value: value, off_by_one)
     code = main(["verify", "--model", "value", "--k", "5", "--n", "3"])
     lines = capsys.readouterr().out.splitlines()
     assert "FAIL closed_forms_match_kernel: mismatch at ((1 2), (1 4 5))" in lines
@@ -593,12 +652,116 @@ EXACT_STACK = {f"burnside.{m}" for m in ("kernels", "ratmat", "spectra", "dynami
 PROBE_MODULES = EXACT_STACK | {"burnside.sampler"}
 
 
-def _python(*args):
+def _python_env(**extra):
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    return dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1", **extra)
+
+
+def _python(*args, cwd=None, **env):
     return subprocess.run(
-        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=300
+        [sys.executable, *args], env=_python_env(**env), cwd=cwd, capture_output=True,
+        text=True, timeout=300,
     )
+
+
+# command lines that console_main ends with os._exit, one per kind of output:
+# stdout only (verify passing and failing, closedform, sample), files
+# (build, mix --out) and a gzip trajectory with a summary file
+EXIT_PATH_COMMANDS = {
+    "verify-pass": ["verify", "--model", "value", "--k", "3", "--n", "2"],
+    "verify-fail": ["verify", "--model", "value", "--k", "3", "--n", "2",
+                    "--expect-lump-failure", "cycle-count"],
+    "build": ["build", "--model", "value", "--k", "3", "--n", "2", "--format", "both",
+              "--out", "b"],
+    "sample-files": ["sample", "--model", "coord", "--k", "2", "--n", "6", "--steps", "300",
+                     "--seed", "3", "--out", "x.gz", "--summary", "s.json"],
+    "sample-stdout": ["sample", "--model", "coord", "--k", "2", "--n", "6", "--steps", "300",
+                      "--seed", "3"],
+    "mix": ["mix", "--model", "value", "--k", "3", "--n", "2", "--tmax", "10",
+            "--out", "mix.csv"],
+    "closedform": ["closedform", "--model", "value", "--k", "4", "--n", "3", "--g", "(1 2)"],
+}
+
+
+def _written(root: Path) -> dict:
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("name", list(EXIT_PATH_COMMANDS))
+def test_module_run_matches_in_process_main(tmp_path, monkeypatch, capsys, name):
+    """`python -m burnside` flushes and calls os._exit after main: its exit
+    code, stdout, stderr and written files are those of entry.main run in
+    process.  Its stdout is a pipe, block-buffered (PYTHONUNBUFFERED empty),
+    so what main printed reaches it only through console_main's flush."""
+    import burnside.entry
+
+    argv = EXIT_PATH_COMMANDS[name]
+    proc_dir, main_dir = tmp_path / "proc", tmp_path / "main"
+    proc_dir.mkdir()
+    main_dir.mkdir()
+    proc = _python("-m", "burnside", *argv, cwd=proc_dir, PYTHONUNBUFFERED="")
+    monkeypatch.chdir(main_dir)
+    code = burnside.entry.main(argv)
+    out, err = capsys.readouterr()
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+    assert code == (1 if name == "verify-fail" else 0)
+    assert _written(proc_dir) == _written(main_dir)
+
+
+@pytest.mark.parametrize("name", list(EXIT_PATH_COMMANDS))
+def test_commands_register_no_atexit_callback(tmp_path, name):
+    """os._exit skips atexit callbacks, and no command registers one."""
+    script = (
+        "import atexit, contextlib, io, sys\n"
+        "before = atexit._ncallbacks()\n"
+        "from burnside.entry import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    main(sys.argv[1:])\n"
+        "print(before, atexit._ncallbacks())\n"
+    )
+    proc = _python("-c", script, *EXIT_PATH_COMMANDS[name], cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    before, after = proc.stdout.split()
+    assert before == after
+
+
+def test_entry_main_returns_in_process(monkeypatch, capsys):
+    import burnside.entry
+
+    def no_exit(code):
+        raise AssertionError(f"os._exit({code}) in process")
+
+    monkeypatch.setattr(os, "_exit", no_exit)
+    assert burnside.entry.main(EXIT_PATH_COMMANDS["verify-pass"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "PASS total: 0 failure(s)"
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["at-flush", "at-print"])
+def test_closed_stdout_exits_sigpipe(unbuffered):
+    """A reader that closes stdout before verify writes: nothing on stderr,
+    exit 141 (128 + SIGPIPE).  Buffered, the write fails at console_main's
+    flush; unbuffered (PYTHONUNBUFFERED=1), at verify's first print."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "burnside", *EXIT_PATH_COMMANDS["verify-pass"]],
+        env=_python_env(PYTHONUNBUFFERED=unbuffered),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=300), err) == (141, b"")
+
+
+def test_module_cli_runs_its_body_once():
+    """`python -m burnside.cli` prints what `python -m burnside` prints, and
+    main finds the running module as burnside.cli instead of importing it
+    again (-X importtime lists each module it imports)."""
+    argv = EXIT_PATH_COMMANDS["verify-pass"]
+    proc = _python("-X", "importtime", "-m", "burnside.cli", *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == _python("-m", "burnside", *argv).stdout
+    loaded = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if "|" in line}
+    assert "burnside.kernels" in loaded and "burnside.cli" not in loaded
 
 
 def test_cli_main_is_the_entry_main():
@@ -683,11 +846,7 @@ def test_runs_without_scipy():
         "assert main(['verify', '--model', 'value', '--k', '3', '--n', '2']) == 0\n"
         "sys.exit(main(['sample', '--model', 'coord', '--k', '2', '--n', '6', '--steps', '100']))\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
-    proc = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
-    )
+    proc = _python("-c", script)
     assert proc.returncode == 0, proc.stderr
     assert "FAIL" not in proc.stdout
 
