@@ -4,20 +4,10 @@ The parser, build, sample and the dispatcher ``main`` live in ``entry``;
 commands only.  Importing this module loads every module whose functions
 ``perfbench/probe.py`` spans, ``sampler`` included.
 
-Exit codes: 0 all checks passed / output written, 1 a verification failed,
-2 usage error, 141 stdout closed by its reader (see ``entry``).  All
-reports are deterministic for a fixed (config, seed).
-
-A spec past a size cap is a usage error (exit 2), except under verify: it
-prints `FAIL build: <reason>` and exits 1, since a refused spec runs no check,
-so verify reports a failure, not a usage error.
-
-verify runs the table VERIFY_CHECKS in one loop.  A check that raises
-AssertionError, ValueError or StrongLumpabilityFailure prints
-`FAIL <name>: <message>` and the run goes on to the next check and the total
-line.  The row-size gates (block_flip_square, intertwining, the gap reports)
-are silent; the direct Q past DIRECT_Q_DUALS and an inapplicable bound print
-SKIP lines.
+Exit codes are those of ``entry``; all reports are deterministic for a
+fixed (config, seed).  A spec past a size cap is a usage error (exit 2),
+except under verify, which prints `FAIL build: <reason>` and exits 1.
+verify runs the table VERIFY_CHECKS in one loop.
 """
 
 from __future__ import annotations
@@ -25,9 +15,13 @@ from __future__ import annotations
 import json
 import sys
 
+import numpy as np
+
 from ._rat import parse_rat, rat_str
 from .actions import group_degree
-from .closedforms import kernel_forms, pi_coord, pi_value, q_brute, q_brute_row, qbar_value
+from .closedforms import (
+    kernel_forms, overlaps, pi_coord, pi_value, q_brute, q_brute_row, qbar_value,
+)
 from .dynamics import (
     StrongLumpabilityFailure,
     bound_suite,
@@ -41,8 +35,7 @@ from .dynamics import (
     stationarity_transfer_check,
 )
 # perfbench/probe.py spans sampler after importing this module.  Imported
-# first, before the exact stack, it raised the peak RSS of `python -m burnside
-# verify --model value --k 4 --n 4` by about 0.15 MB (2-vCPU VM, medians of 25).
+# before the exact stack, it raised verify value 4,4's peak RSS by 0.15 MB.
 from . import sampler  # noqa: F401
 from .entry import console_main, main, spec_from_args
 from .kernels import (
@@ -54,26 +47,20 @@ from .kernels import (
     doeblin_floor,
 )
 from .permgroup import parse_perm
-from .ratmat import RationalMatrix, rows_are_products
+from .ratmat import RationalMatrix, differs, ratio_arrays, rows_are_products
 from .spectra import bundle_gap_report, intertwine_check, spectrum_equal_report
 
 # verify squares M (block_flip_square) up to this many rows.
 BLOCK_FLIP_ROWS = 300
-# verify runs intertwining and the gap reports up to this many rows of M.
-# Past it intertwining takes tens of seconds: 16 s on value 4,4 (271 rows)
-# and 41 s on coord 3,5 (363 rows), against 1.5 s on coord 2,5 (152 rows),
-# while the gap reports take 0.07 s, 0.25 s and 0.12 s (2-vCPU VM, Python 3.11).
+# verify runs intertwining and the gap reports up to this many rows of M:
+# past it intertwining takes 11.6 s on value 4,4 (271 rows) and 31 s on coord
+# 3,5 (363), against 1.3 s on coord 2,5 (152) (see README).
 EIGEN_ROWS = 200
 # verify rebuilds Q from the closed forms (|G*|^2 entries) up to this many duals.
 DIRECT_Q_DUALS = 200
 # verify compares the closed forms on a grid of every (nd // this)-th dual
-# plus the identity, nd the number of duals.  Below 80 duals the step is 1, so
-# every pair is compared (all 5776 on value 5,3); from 80 duals on the grid
-# has 40 to 61 rows and columns.  The brute-force oracle enumerates X_g once
-# per row and acts on those words with each h of the row; the value forms are
-# memoized on (k, n, a, j).  That took the grid of value 5,3 from 0.49 s to
-# 0.14 s and its whole verify from 1.25 s to 0.72 s (medians of 5, 2-vCPU
-# VM, Python 3.11).
+# plus the identity, nd the number of duals: every pair below 80 duals (all
+# 5776 on value 5,3, 7.5 ms of verify's 233 ms), 40 to 61 rows and columns above.
 CLOSED_FORM_DUALS = 40
 
 
@@ -92,38 +79,41 @@ def _gaps_agree(bundle, args):
 
 
 def _closed_forms_match(bundle, args):
-    """Q against every closed form and q_brute_row on a grid of every
-    (nd // CLOSED_FORM_DUALS)-th dual plus the identity row and column."""
+    """Q against every closed form and q_brute_row on the grid's pairs; the
+    first pair that differs, in row-major order, is named."""
     # The value forms read (g, h) only through a = |Fix g| and
-    # j = |Fix g & Fix h|: they run once per (a, j), on its first pair of the
-    # grid.  Each pair's Q entry num/den is compared with its values and its
-    # own oracle entry v in integers, num * v.denominator == v.numerator * den.
+    # j = |Fix g & Fix h|: they run once per class a (k + 1) + j, on its
+    # first pair (a coordinate-model pair is its own class).
     spec, nd = bundle.spec, bundle.num_duals
     forms = kernel_forms(spec)
     idx = sorted(set(range(0, nd, max(1, nd // CLOSED_FORM_DUALS))) | {bundle.e_index})
-    hs = [bundle.duals[hi] for hi in idx]
-    fixed = [h.fixed_points() for h in hs] if spec.model == "value" else None
-    by_overlap = {}
-    for r, gi in enumerate(idx):
-        g, num, den = bundle.duals[gi], bundle.Q.num[gi].tolist(), int(bundle.Q.den[gi])
-        for c, (hi, h, brute) in enumerate(zip(idx, hs, q_brute_row(spec, g, hs))):
-            if fixed is None:
-                values = [form(g, h) for _, form in forms]
-            else:
-                overlap = (len(fixed[r]), len(fixed[r] & fixed[c]))
-                values = by_overlap.get(overlap)
-                if values is None:
-                    values = by_overlap[overlap] = [form(g, h) for _, form in forms]
-            if any(num[hi] * v.denominator != v.numerator * den for v in (*values, brute)):
-                return False, f"mismatch at ({g}, {h})"
+    hs, m = [bundle.duals[hi] for hi in idx], len(idx)
+    if spec.model == "value":
+        a, j = overlaps(hs)
+        classes = a[:, None] * (spec.k + 1) + j
+    else:
+        classes = np.arange(m * m).reshape(m, m)
+    firsts = {}
+    for p, c in enumerate(classes.ravel().tolist()):
+        firsts.setdefault(c, p)
+    table = [[0] * len(forms)] * (max(firsts) + 1)
+    for c, p in firsts.items():
+        table[c] = [form(hs[p // m], hs[p % m]) for _, form in forms]
+    tnum, tden = ratio_arrays([v for row in table for v in row], (len(table), len(forms)))
+    oracle = [v for g in hs for v in q_brute_row(spec, g, hs)]
+    num, den = bundle.Q.num[np.ix_(idx, idx)], bundle.Q.den[idx, None]
+    wrong = differs(num, den, *ratio_arrays(oracle, (m, m)))
+    for f in range(len(forms)):
+        wrong |= differs(num, den, tnum[classes, f], tden[classes, f])
+    if wrong.any():
+        r, c = divmod(int(np.argmax(wrong)), m)
+        return False, f"mismatch at ({hs[r]}, {hs[c]})"
     return True
 
 
 def _block_flip_square(bundle, args):
-    """M M == diag(Q, K), each row of M M recomputed by rows_are_products,
-    not by the product that built Q and K.  M is built here, not read from
-    bundle.M, so it is freed with the check: holding it, and M @ M with
-    diag(Q, K), put verify value 4,4's peak RSS about 0.45 MB higher."""
+    """M M == diag(Q, K), row by row through rows_are_products.  M is built
+    here and freed with the check: holding it raised the peak RSS 0.45 MB."""
     m = RationalMatrix.block_flip(bundle.A, bundle.B)
     return rows_are_products(RationalMatrix.block_diag(bundle.Q, bundle.K), m, m)
 
@@ -165,8 +155,7 @@ def _bound_lines(bundle, args):
 # The checks of `verify`, in print order: (name, runs here, check).  A row
 # whose predicate is false prints nothing; a check returns ok, (ok, detail),
 # (None, reason) for a SKIP line, or a list of (name, ok, detail) lines.
-# Rows call library functions by name, so a rebound module global is the one
-# that runs.
+# Rows call library functions by name, so a rebound module global runs.
 VERIFY_CHECKS = [
     ("legs_row_stochastic", None,
      lambda b, a: b.A.is_row_stochastic() and b.B.is_row_stochastic()),

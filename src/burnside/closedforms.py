@@ -1,21 +1,14 @@
 """Closed-form transition formulas for both models.
 
 Each dual-kernel entry Q(g,h) admits several equivalent forms (a Stirling
-sum, an occupancy expectation, a generating-function coefficient, ...).
-Every public function here computes its value exactly; the test suite pins
-all of them against the brute-force definition sum over X_g intersect X_h.
-
-The brute-force oracle ``q_brute_row`` evaluates a whole row Q(g, .) at once:
-it enumerates the words of X_g once, with their weights |G|/|G_x|, finds
-the words each h fixes for all of the row's h at once, acting on the words
-as ``apply_perm`` does, and for each h sums the weights of the words it
-fixes; ``q_brute`` is its one-entry case.  The value-model forms depend
-on g and h only through a = |Fix g| and j = |Fix g & Fix h|, and are
-memoized on (k, n, a, j).  Together these took the closed-form check of
-``burnside verify --model value --k 5 --n 3`` (all 5776 pairs) from
-0.49 s to 0.14 s, and the whole command from 1.25 s to 0.72 s (medians of
-5, 2-vCPU VM, Python 3.11).  Testing every h of a row at once then took
-the oracle's 76 rows of that grid from 35 ms to 13 ms (medians of 7).
+sum, an occupancy expectation, a generating-function coefficient, ...), each
+computed exactly and pinned by the tests against the brute-force oracle
+``q_brute_row``, which evaluates a row Q(g, .) enumerating X_g once.  The
+value forms depend on g and h only through a = |Fix g| and j = |Fix g & Fix
+h| (``overlaps``) and are memoized on (k, n, a, j).  On ``burnside verify
+--model value --k 5 --n 3`` the oracle's 76 rows take 5.4 ms and the whole
+closed-form check (all 5776 pairs) 7.5 ms of the command's 233 ms (one
+pinned CPU of a 2-vCPU VM, Python 3.11, medians of 21).
 """
 
 from __future__ import annotations
@@ -47,11 +40,13 @@ from .combinat import (
     subfactorial,
 )
 from .permgroup import STATE_CAP, Permutation, _refuse_above, enumerate_sym, joint_orbits
+from .ratmat import rat_vector
 
 __all__ = [
     "q_brute_row",
     "q_brute",
     "intersection_size",
+    "overlaps",
     "q_value_from_overlap",
     "q_value_stirling",
     "q_value_expectation",
@@ -83,27 +78,25 @@ def q_brute_row(spec: ActionSpec, g: Permutation, hs: Sequence[Permutation]) -> 
     """Direct evaluation of Q(g,h) for each h in hs: the sum of
     1/(|X_g| |G_x|) over the words x of X_g that h fixes.
 
-    Deliberately enumerates words; this is the oracle every closed form is
-    checked against.  X_g is enumerated once, each word weighted by
-    |G|/|G_x|, and each entry sums the weights of the words h fixes in
-    Python ints.  Refuses, before enumerating, an X_g larger than the
-    builders' state cap.
+    Deliberately enumerates words: the oracle of every closed form.  One
+    product (int64 while |G| |X_g| fits) sums the weights |G|/|G_x| of the
+    words each h fixes.  Refuses an X_g past the state cap, before enumerating.
     """
     _refuse_above("|X_g|", fixed_set_size(spec, g), STATE_CAP, "state cap")
     xs = list(enumerate_fixed_words(spec, g))
     order = group_order(spec)
     weights = [order // stabilizer_size(spec, x) for x in xs]
     fixed = _fixed_by(spec, hs, np.array(xs, dtype=np.min_scalar_type(spec.k)))
-    den = order * len(xs)
-    return [Rat(sum(itertools.compress(weights, row)), den) for row in fixed.tolist()]
+    den = order * len(xs)  # no sum exceeds it: every |G_x| >= 1
+    sums = fixed @ np.array(weights, dtype=np.int64 if den < 2**63 else object)
+    return rat_vector(sums.tolist(), den)
 
 
 def _fixed_by(spec: ActionSpec, hs: Sequence[Permutation], words: np.ndarray) -> np.ndarray:
-    """Which words each h of hs fixes, as a (len(hs), len(words)) bool
-    array, h acting as in apply_perm: symbols through h (value), positions
-    through h^-1 (coord).  It compares one position of every word at a time,
-    so no array of every acted word is formed."""
-    for h in hs:
+    """Which words each h of hs fixes, as a (len(hs), len(words)) bool array,
+    h acting as in apply_perm (on symbols, or on positions through h^-1), one
+    position of every word at a time: no array of acted words is formed."""
+    for h in {h.degree: h for h in hs}.values():  # one h per degree
         _check_degree(spec, h)
     columns = words.T
     fixed = np.ones((len(hs), len(words)), dtype=bool)
@@ -137,10 +130,7 @@ def intersection_size(spec: ActionSpec, g: Permutation, h: Permutation) -> int:
 
 @lru_cache(maxsize=None)
 def q_value_from_overlap(k: int, n: int, a: int, j: int):
-    """Stirling-sum form: a^-n * sum_r C(j,r) S(n,r) r!/(k-r)!, r <= min(j, n, k).
-
-    The value forms are memoized, as pure functions of (k, n, a, j) that the
-    dual pairs of one spec share."""
+    """Stirling-sum form: a^-n * sum_r C(j,r) S(n,r) r!/(k-r)!, r <= min(j, n, k)."""
     if a <= 0:
         raise ValueError("source permutation is a derangement (no fixed symbols)")
     total = Rat(0)
@@ -164,8 +154,7 @@ def _q_value_expectation(k: int, n: int, a: int, j: int):
 @lru_cache(maxsize=None)
 def _coeff_un_zs(j: int, n: int, s: int):
     """Exact [u^n][z^s] of exp(z) (1 + z(e^u - 1))^j, by the binomial theorem
-    in z: sum_i C(j,i)/(s-i)! [u^n](e^u - 1)^i.  Memoized, as a pure function
-    of three ints that every dual pair of one spec shares."""
+    in z: sum_i C(j,i)/(s-i)! [u^n](e^u - 1)^i."""
     power = [1] + [0] * n  # d! [u^d](e^u - 1)^i for d <= n, from i = 0
     total = Rat(0)
     for i in range(min(j, s) + 1):
@@ -182,6 +171,14 @@ def _coeff_un_zs(j: int, n: int, s: int):
 def _q_value_coefficient(k: int, n: int, a: int, j: int):
     """Coefficient form n! a^-n [u^n][z^k] exp(z)(1 + z(e^u - 1))^j."""
     return Rat(factorial(n), a**n) * _coeff_un_zs(j, n, k)
+
+
+def overlaps(perms: Sequence[Permutation]) -> tuple[np.ndarray, np.ndarray]:
+    """a = |Fix g| for each g of perms and j = |Fix g & Fix h| for each pair,
+    from the 0/1 incidence F of their fixed symbols: a = F 1 and j = F F^T."""
+    images = np.array([g.images for g in perms], dtype=np.int64)
+    fixed = (images == np.arange(1, images.shape[1] + 1)).astype(np.int64)
+    return fixed.sum(axis=1), fixed @ fixed.T
 
 
 def _overlap(g: Permutation, h: Permutation) -> tuple[int, int]:

@@ -1,20 +1,14 @@
 """The ``burnside`` command line: its parser, ``build`` and ``sample``,
-``main``, the one dispatcher, and ``console_main``, the process entry.
-``python -m burnside``, ``python -m burnside.cli`` and the ``burnside``
-console script run ``console_main``, which runs ``main`` and then ends the
-process at once; ``main`` and its re-export ``burnside.cli.main`` return
-the exit code and never end the process, for tests and library callers.
+``main``, the one dispatcher, and ``console_main``, the process entry, which
+runs ``main`` and then ends the process at once; ``main`` and its re-export
+``burnside.cli.main`` return the exit code, for tests and library callers.
 
 ``main`` runs each subcommand from the module that ``COMMANDS`` names.
-``build`` and ``sample`` run here, each on its own stack: ``build`` loads
-``kernels``, ``ratmat``, ``actions``, ``permgroup`` and ``combinat``;
-``sample`` loads ``sampler``, ``actions``, ``permgroup`` and ``combinat``;
-both load numpy.  verify, mix and closedform, and every command line that
-names no subcommand, import ``burnside.cli``, and with it the rest of the
-exact stack (``spectra``, ``dynamics``, ``closedforms``).  When bytecode
-writing is off (``PYTHONDONTWRITEBYTECODE``), every run compiles each module
-it imports again, so a command that loaded modules it never runs would pay
-for them every time.
+``build`` and ``sample`` run here, each on its own stack (``build`` without
+``spectra``, ``dynamics`` and ``closedforms``, ``sample`` without
+``kernels`` and ``ratmat`` too); every other command line imports
+``burnside.cli`` and the whole exact stack.  With bytecode writing off, each
+run compiles every module it imports again.
 """
 
 from __future__ import annotations
@@ -99,34 +93,43 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_build(args) -> int:
     from .kernels import build_bundle
-    from .ratmat import dump_json, matrix_to_csv, matrix_to_json
+    from .ratmat import dump_json, matrix_to_csv, matrix_to_json, str_rows
 
     spec = spec_from_args(args)
     bundle = build_bundle(spec)
     os.makedirs(args.out, exist_ok=True)
     dl, sl = bundle.dual_labels, bundle.state_labels
-    matrices = {
-        "A": (bundle.A, dl, sl),
-        "B": (bundle.B, sl, dl),
-        "Q": (bundle.Q, dl, dl),
-        "K": (bundle.K, sl, sl),
-    }
-    if bundle.num_duals + bundle.num_states <= M_EXPORT_ROWS:
-        matrices["M"] = (bundle.M, dl + sl, dl + sl)
+
+    def texts():
+        """Each matrix's p/q rows, formatted once for both of its files."""
+        a, b = str_rows(bundle.A), str_rows(bundle.B)
+        yield "A", a, dl, sl
+        yield "B", b, sl, dl
+        if len(dl) + len(sl) <= M_EXPORT_ROWS:  # M = [[0, A], [B, 0]], from A's and B's text
+            upper = [["0"] * len(dl) + row for row in a]
+            lower = {id(row): row + ["0"] * len(sl) for row in b}  # B's equal rows share a list
+            yield "M", upper + [lower[id(row)] for row in b], dl + sl, dl + sl
+        del a, b
+        yield "Q", str_rows(bundle.Q), dl, dl
+        yield "K", str_rows(bundle.K), sl, sl
+
     fmts = ["json", "csv"] if args.format == "both" else [args.format]
-    for name, (mat, rows, cols) in matrices.items():
+    written = []
+    for name, text, rows, cols in texts():
         for fmt in fmts:
             with open(os.path.join(args.out, f"{name}.{fmt}"), "w") as fh:
                 if fmt == "json":
-                    dump_json(matrix_to_json(mat, rows, cols), fh)
+                    dump_json(matrix_to_json(text, rows, cols), fh)
                     fh.write("\n")
                 else:
-                    fh.write(matrix_to_csv(mat, rows, cols))
+                    fh.write(matrix_to_csv(text, rows, cols))
+        written.append(name)
+        del text  # before the next matrix is formatted
     for name, vec, labels in (("piQ", bundle.piQ, dl), ("piK", bundle.piK, sl)):
         with open(os.path.join(args.out, f"{name}.json"), "w") as fh:
             dump_json({"labels": labels, "entries": [rat_str(v) for v in vec]}, fh)
             fh.write("\n")
-    print(f"wrote {', '.join(sorted(matrices))}, piQ, piK to {args.out}")
+    print(f"wrote {', '.join(sorted(written))}, piQ, piK to {args.out}")
     return 0
 
 
@@ -183,30 +186,24 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    """Parse a command line and run its subcommand.  The subcommand is the
-    first argument, since the top-level parser takes no option but
-    ``--help``; its module is imported before the parser is built, and
-    ``burnside.cli`` for a command line that names none (a usage error or
-    ``--help``).  Importing the exact stack first keeps verify's peak RSS
-    down: parsing first raised it by about 0.1 MB on verify value 5,3."""
+    """Parse a command line and run its subcommand, the first argument (the
+    top-level parser takes no option but ``--help``).  Its module, or
+    ``burnside.cli`` when none is named, is imported before the parser is
+    built: parsing first raised verify value 5,3's peak RSS by 0.1 MB."""
     argv = sys.argv[1:] if argv is None else list(argv)
     module = import_module(COMMANDS.get(argv[0] if argv else None, "burnside.cli"))
     args = build_parser().parse_args(argv)
     return run(getattr(module, f"cmd_{args.command}"), args)
 
 
-# After main, the interpreter's teardown would run a last garbage collection
-# over the objects the imports made (numpy's mostly), freeing memory the OS
-# takes back anyway.  From main's return to the parent's wait4, verify, build
-# and sample took 19-20 ms that way and 1.3-1.7 ms with the flush and
-# os._exit (2-vCPU VM, one pinned CPU, medians of 9).
+# The interpreter's teardown, a last garbage collection over the imports'
+# objects, took 19-20 ms against 1.3-1.7 ms with the flush and os._exit.
 def console_main() -> NoReturn:
     """Run ``main``, flush stdout and stderr, and end the process with
-    ``os._exit``, its one caller.  When ``main`` returns, every file a
-    command writes is closed by its ``with`` block, and no command has
-    registered an ``atexit`` callback (those present at start come from
-    site-packages ``.pth`` files).  A ``SystemExit`` or an uncaught
-    exception from ``main`` leaves through the normal exit."""
+    ``os._exit``.  By then every file a command writes is closed, and no
+    command has registered an ``atexit`` callback (those present at start
+    come from ``.pth`` files).  A ``SystemExit`` or an uncaught exception
+    from ``main`` leaves through the normal exit."""
     code = main()
     try:
         sys.stdout.flush()

@@ -1,16 +1,13 @@
 """Leg matrices A and B, the kernels Q = AB and K = BA, and stationary laws.
 
 A has one row per dual state g (uniform on the fixed words of g); B has one
-row per word x (uniform on the stabilizer of x).  The legs are formed only
-inside a kernel builder: ``build_bundle`` forms both, ``build_k_matrix``
-only K = BA.  Everything is exact: each matrix is integer numerators over one
-denominator per row (see ``ratmat``), and the checks here (detailed balance,
-the diagonal identity, the Doeblin floors) compare those integers.  The same
-assembly runs for the two concrete models and for tabled test actions.  One
-0/1 incidence 1[x in X_g] gives both legs: A is it over its row sums |X_g|,
-B its transpose over its column sums |G_x|.  Only ``build_bundle`` forms the
-orbit and class keys and the labels.  Each builder checks its spec once, from
-closed forms, before any enumeration (``_check_size``, ``permgroup.STATE_CAP``).
+row per word x (uniform on the stabilizer of x): one 0/1 incidence
+1[x in X_g] gives both, over its row sums |X_g| and its column sums |G_x|.
+The legs are formed only inside a kernel builder, for the two models and for
+tabled test actions.  Every matrix is integer numerators over one
+denominator per row (``ratmat``), and the checks here compare those
+integers.  Each builder checks its spec once, from closed forms, before any
+enumeration (``_check_size``, ``permgroup.STATE_CAP``).
 """
 
 from __future__ import annotations
@@ -57,12 +54,10 @@ DENSE_BUDGET = 2**25
 class ChainBundle:
     """The assembled chain pair for one action.
 
-    Q (on the dual states) and K (on the words) are exact row-stochastic
-    matrices with Q = A B and K = B A; piQ and piK are their stationary laws,
-    and spectra["Q"] and spectra["K"] their lazy ``spectra.SpectrumReport``s.
-    ``M``, ``spectra`` and ``lumped`` are built on first read; ``lumped`` is
-    the ``dynamics.LumpedPair`` of the orbits and classes that every such
-    lumping reads and ``lump`` checks.
+    Q = A B (on the dual states) and K = B A (on the words) are exact
+    row-stochastic matrices, piQ and piK their stationary laws.  Built on
+    first read: ``spectra``, their ``spectra.SpectrumReport``s, and
+    ``lumped``, the ``dynamics.LumpedPair`` of the orbits and classes.
     """
 
     spec: Optional[ActionSpec]
@@ -81,11 +76,6 @@ class ChainBundle:
     state_orbit_keys: list
     dual_class_keys: list
     e_index: int
-    @cached_property
-    def M(self) -> RationalMatrix:
-        """Block-flip matrix [[0, A], [B, 0]]; built on first use."""
-        return RationalMatrix.block_flip(self.A, self.B)
-
     @cached_property
     def lumped(self):
         from .dynamics import LumpedPair, StatePartition  # dynamics imports this module
@@ -219,27 +209,35 @@ def build_bundle(source) -> ChainBundle:
 
 
 def build_k_matrix(spec: ActionSpec) -> RationalMatrix:
-    """K = B @ A alone, from the two legs; Q is never formed.
-
-    For long words over a small alphabet |X| is far below |G*|, so K is the
-    small kernel of the pair (coord 2,8: 256 words against 40320 duals).
-    """
+    """K = B @ A alone, from the two legs; Q is never formed.  For long words
+    over a small alphabet K is the small kernel (coord 2,8: 256 words against
+    40320 duals)."""
     _check_size(spec, "ABK")
     a, b = _legs(_incidence(spec)[2])
     return b @ a
 
 
 def build_q_direct(spec: ActionSpec) -> RationalMatrix:
-    """Q assembled entry-by-entry from the closed forms, never touching A, B.
-
-    Must agree with build_bundle(spec).Q whenever both are feasible.
-    """
-    from .closedforms import kernel_forms
+    """Q assembled from the closed forms, never touching A, B; it must agree
+    with build_bundle(spec).Q whenever both are feasible.  The value model
+    evaluates ``q_value_from_overlap`` once per (|Fix g|, |Fix g & Fix h|)
+    into a table that those index arrays read; the coordinate model
+    evaluates its first form on every pair."""
+    from .closedforms import kernel_forms, overlaps, q_value_from_overlap
 
     _check_size(spec, "Q")
     duals = list(dual_states(spec))
-    _, entry = kernel_forms(spec)[0]
-    return RationalMatrix([[entry(g, h) for h in duals] for g in duals])
+    if spec.model != "value":
+        _, entry = kernel_forms(spec)[0]
+        return RationalMatrix([[entry(g, h) for h in duals] for g in duals])
+    a, j = overlaps(duals)
+    seen = np.zeros((spec.k + 1, spec.k + 1), dtype=bool)
+    seen[a[:, None], j] = True
+    table = RationalMatrix([
+        [q_value_from_overlap(spec.k, spec.n, r, c) if seen[r, c] else 0 for c in range(spec.k + 1)]
+        for r in range(spec.k + 1)
+    ])  # row r over its own denominator: from_scaled reduces each row of Q
+    return RationalMatrix.from_scaled(table.num[a[:, None], j], table.den[a])
 
 
 def check_detailed_balance(p: RationalMatrix, pi) -> bool:

@@ -4,39 +4,25 @@ A matrix holds ``num``, a 2-D numpy array of integers, and ``den``, a 1-D
 array with one positive integer per row: entry ``(i, j)`` is
 ``num[i, j] / den[i]``.  ``den[i]`` is the lcm of row ``i``'s reduced
 denominators, so the form is canonical (equal matrices have equal ``num``
-and ``den``) and every whole-matrix operation (products, equality, row sums,
-transposes, block sums, floors, detailed balance) runs on the integers.
-Every leg entry of a Burnside chain is ``1/|X_g|`` or ``1/|G_x|``, so its
-kernels have exactly this shape.
-
-Both arrays are numpy ``int64`` when every value fits and object arrays of
-Python ints otherwise.  Before an operation whose results could leave
-``int64`` (a product, a sum, a cross-multiplied comparison) the code bounds
-them and switches to Python ints when the bound reaches ``2**63``.  The rule
-is fixed: there is no option to choose.
+and ``den``) and every whole-matrix operation runs on the integers.  Every
+leg entry of a Burnside chain is ``1/|X_g|`` or ``1/|G_x|``, so its kernels
+have exactly this shape.  Both arrays are numpy ``int64`` when every value
+fits and object arrays of Python ints otherwise: before an operation whose
+results could leave ``int64`` the code bounds them and switches to Python
+ints when the bound reaches ``2**63``.
 
 Matrices are immutable.  ``RationalMatrix(rows)`` builds one from rows of
-ints or exact rationals; ``m[i, j]`` and ``row(i)`` read entries as exact
-rationals, and ``.data`` gives all of them as a tuple of row tuples.
-Serialization and exact elimination read ``num`` and ``den`` directly.
+ints or exact rationals; ``m[i, j]``, ``row(i)`` and ``.data`` read entries
+as exact rationals.  ``step`` moves a row vector of integer numerators over
+one denominator; all distribution evolution uses it, and so does
+``rows_are_products``, which checks a claimed product without ``@``.
 
-``P @ R`` scales ``R`` to the lcm ``L`` of its row denominators and forms
-``num_P (L R)`` row by row over the nonzero entries of each row of
-``num_P``; row ``i`` of the result is that integer row over ``den_P[i] L``.
-``step`` moves a row vector held as integer numerators over one denominator,
-``(nums, den) -> (nums, den)``: each nonzero of the vector scatters its row's
-nonzero entries, and the result is reduced by its gcd.  ``vec_mul`` and all
-distribution evolution use it, and so does ``rows_are_products``, which
-checks a claimed product row by row without calling ``@``, stepping once
-per class of equal left rows (``row_classes``).
-
-Entries serialize in canonical "p/q" form alongside row/column label lists.
-``matrix_to_json`` gives the payload and ``dump_json`` writes it, the same
-bytes as ``json.dump(payload, fh, indent=1)`` with one write per row where
-the stdlib's pure-Python indenting encoder makes one per token.
-``matrix_to_csv`` joins each row's entries in one piece: a "p/q" string
-needs no quoting, so only the labels (with each row's first entry) pass
-through ``csv``.
+Entries serialize as canonical "p/q" strings beside the row and column
+labels.  ``str_rows`` formats a matrix, each distinct row once, and both
+writers take its rows: ``matrix_to_json`` gives the payload that
+``dump_json`` writes, the bytes of ``json.dump(payload, fh, indent=1)``,
+and ``matrix_to_csv`` the CSV text.  A "p/q" string needs no escaping or
+quoting, so either joins each distinct row once.
 """
 
 from __future__ import annotations
@@ -56,8 +42,11 @@ from ._rat import Rat, parse_rat
 __all__ = [
     "RationalMatrix",
     "rows_are_products",
+    "differs",
+    "ratio_arrays",
     "scaled_vector",
     "rat_vector",
+    "str_rows",
     "matrix_to_json",
     "matrix_from_json",
     "dump_json",
@@ -90,9 +79,8 @@ class RationalMatrix:
 
     @classmethod
     def from_scaled(cls, num, den: Sequence[int]) -> "RationalMatrix":
-        """The matrix with row i equal to num[i] / den[i] (den[i] > 0), reduced
-        to the canonical form: each row divided by the gcd of its numerators
-        and its denominator."""
+        """The matrix with row i equal to num[i] / den[i] (den[i] > 0), each row
+        divided by the gcd of its numerators and its denominator."""
         den = _int_array(list(den), (len(den),))
         if not isinstance(num, np.ndarray):
             num = _int_array(num, (len(den), len(num[0]) if len(num) else 0))
@@ -152,12 +140,9 @@ class RationalMatrix:
     def step(self, nums: Sequence[int], den: int) -> tuple[np.ndarray, int]:
         """One step of the row vector nums/den: (nums/den) P, as integer
         numerators (an object array of Python ints) over one denominator,
-        reduced by their gcd.
-
-        While max|w| max|num| rows fits int64 (w the vector over the common
-        denominator: a stationary law, the first steps from a point mass) this
-        is one int64 product; past it, each nonzero of P takes its term in
-        Python ints and the terms are summed column by column."""
+        reduced by their gcd.  While max|w| max|num| rows fits int64 (w the
+        vector over the common denominator) this is one int64 product; past
+        it, each nonzero of P takes its term in Python ints."""
         if len(nums) != self.rows:
             raise ValueError("vector length mismatch")
         weights, common, bound = self._row_scale()
@@ -184,8 +169,7 @@ class RationalMatrix:
 
     def _scatter(self) -> tuple:
         """The nonzero entries in column order, as their rows and values (None
-        when every value is 1, as in the legs), and the columns holding any,
-        with the offset of each one's first entry."""
+        when all are 1), and the nonempty columns with their first offsets."""
         if self._scatter_cache is None:
             cols, rows = np.nonzero(self.num.T)
             vals = self.num[rows, cols]
@@ -241,12 +225,14 @@ class RationalMatrix:
         return RationalMatrix._canonical(self.num[idx], self.den[idx])
 
     def row_classes(self) -> tuple[list[int], list[int]]:
-        """The rows grouped by equality: each row's class, numbered in order
-        of first occurrence, and the first row of each class.  Rows are
-        canonical, so equal rows have equal numerators and denominator."""
+        """Each row's class of equal rows, numbered in order of first
+        occurrence, and the first row of each class.  Rows are canonical: an
+        int64 row is keyed by its bytes, a row of Python ints by its tuple."""
+        num = self.num
+        rows = map(tuple, num.tolist()) if num.dtype == object else map(np.ndarray.tobytes, num)
         class_of: dict = {}
         block_of, reps = [], []
-        for i, key in enumerate(zip(map(tuple, self.num.tolist()), self.den.tolist())):
+        for i, key in enumerate(zip(rows, self.den.tolist())):
             c = class_of.setdefault(key, len(reps))
             if c == len(reps):
                 reps.append(i)
@@ -303,9 +289,8 @@ class RationalMatrix:
 
 def rows_are_products(p: RationalMatrix, left: RationalMatrix, right: RationalMatrix) -> bool:
     """p == left @ right, row i of the product recomputed as the integer
-    scatter of left's row i over the rows of right (never through @): once
-    per class of equal rows of left, and compared with every row of p whose
-    left row lies in that class."""
+    scatter of left's row i over the rows of right (never through @), once
+    per class of equal rows of left for every row of p in that class."""
     if (p.rows, p.cols) != (left.rows, right.cols) or left.cols != right.rows:
         return False
     block_of, reps = left.row_classes()
@@ -317,6 +302,17 @@ def rows_are_products(p: RationalMatrix, left: RationalMatrix, right: RationalMa
         if set(p.den[rows].tolist()) != {row_den} or not (p.num[rows] == row).all():
             return False
     return True
+
+
+def differs(num: np.ndarray, den: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Where num / den != p / q (den, q > 0), entrywise as the arrays broadcast."""
+    return _wide(num, _max_abs(q)) * q != _wide(p, _max_abs(den)) * den
+
+
+def ratio_arrays(values: Sequence, shape: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The numerators and denominators of exact rationals, in the given shape."""
+    nums, dens = [x.numerator for x in values], [x.denominator for x in values]
+    return _int_array(nums, shape), _int_array(dens, shape)
 
 
 def scaled_vector(v: Sequence) -> tuple[np.ndarray, int]:
@@ -333,18 +329,19 @@ def rat_vector(nums: Sequence[int], den: int) -> list:
     return [values[x] for x in nums]
 
 
-def _str_rows(m: RationalMatrix):
-    """The entries row by row as canonical "p/q" strings ("p" over 1), as
-    ``str(Fraction)`` writes them, without building a Fraction: each
-    distinct numerator of a row is reduced once by its gcd with the row's
-    denominator."""
-    for row, den in zip(m.num, m.den.tolist()):
-        nums = row.tolist()
+def str_rows(m: RationalMatrix) -> list[list[str]]:
+    """The entries row by row as the "p/q" strings of ``str(Fraction)``:
+    each distinct row is formatted once, into one list its equal rows share,
+    and each distinct numerator of it reduced once by its gcd with den."""
+    block_of, reps = m.row_classes()
+    texts = []
+    for nums, den in zip(m.num[reps].tolist(), m.den[reps].tolist()):
         strs = {}
         for x in set(nums):
             g = gcd(x, den)
             strs[x] = str(x // g) if g == den else f"{x // g}/{den // g}"
-        yield [strs[x] for x in nums]
+        texts.append(list(map(strs.__getitem__, nums)))
+    return [texts[c] for c in block_of]
 
 
 def _reduced(nums: np.ndarray, den: int) -> tuple[np.ndarray, int]:
@@ -393,23 +390,38 @@ def _narrow(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def matrix_to_json(m: RationalMatrix, row_labels: Sequence[str], col_labels: Sequence[str]) -> dict:
-    if len(row_labels) != m.rows or len(col_labels) != m.cols:
+class _EntryRows(list):
+    """Rows of "p/q" strings, which ``dump_json`` quotes as they are."""
+
+
+def _per_row(rows: Sequence[list], render) -> list[str]:
+    """render(row) for each row, once per row object (see ``str_rows``)."""
+    rendered = {id(row): row for row in rows}
+    rendered = {key: render(row) for key, row in rendered.items()}
+    return [rendered[id(row)] for row in rows]
+
+
+def _check_labels(text: list, row_labels: Sequence[str], col_labels: Sequence[str]) -> None:
+    if len(row_labels) != len(text) or text and len(text[0]) != len(col_labels):
         raise ValueError("label count mismatch")
+
+
+def matrix_to_json(text: list, row_labels: Sequence[str], col_labels: Sequence[str]) -> dict:
+    """The JSON payload of a matrix's ``str_rows``."""
+    _check_labels(text, row_labels, col_labels)
     return {
-        "rows": m.rows,
-        "cols": m.cols,
+        "rows": len(row_labels),
+        "cols": len(col_labels),
         "row_labels": list(row_labels),
         "col_labels": list(col_labels),
-        "entries": list(_str_rows(m)),
+        "entries": _EntryRows(text),
     }
 
 
 def dump_json(obj, fh) -> None:
     """Write ``json.dump(obj, fh, indent=1)``, byte for byte, for obj made of
-    dicts with str keys, lists, strs and ints.  A list of strs (a row of
-    entries, a list of labels) is one write, and no whole-file string is
-    built."""
+    dicts with str keys, lists, strs and ints.  A list of strs is one write,
+    and no whole-file string is built."""
     _dump_json(obj, fh, "\n")
 
 
@@ -419,6 +431,12 @@ def _dump_json(obj, fh, newline: str) -> None:
         fh.write(encode_basestring_ascii(obj))
     elif not isinstance(obj, (list, dict)) or not obj:
         fh.write(json.dumps(obj))
+    elif isinstance(obj, _EntryRows):
+        quoted = '",' + inner + ' "'
+        rows = _per_row(obj, lambda row: f'[{inner} "{quoted.join(row)}"{inner}]' if row else "[]")
+        for i, text in enumerate(rows):
+            fh.write(("[" if i == 0 else ",") + inner + text)
+        fh.write(newline + "]")
     elif isinstance(obj, dict):
         fh.write("{")
         for i, (key, value) in enumerate(obj.items()):
@@ -443,18 +461,19 @@ def matrix_from_json(obj: dict) -> tuple[RationalMatrix, list[str], list[str]]:
     return m, list(obj["row_labels"]), list(obj["col_labels"])
 
 
-def matrix_to_csv(m: RationalMatrix, row_labels: Sequence[str], col_labels: Sequence[str]) -> str:
-    if len(row_labels) != m.rows or len(col_labels) != m.cols:
-        raise ValueError("label count mismatch")
+def matrix_to_csv(text: list, row_labels: Sequence[str], col_labels: Sequence[str]) -> str:
+    """The CSV text of a matrix's ``str_rows``."""
+    _check_labels(text, row_labels, col_labels)
     lines: list[str] = []
     w = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n")
     w.writerow([""] + list(col_labels))
-    for label, row in zip(row_labels, _str_rows(m)):
+    rests = _per_row(text, lambda row: ",".join(["", *row[1:]]))
+    for label, row, rest in zip(row_labels, text, rests):
         # csv writes a row in one write: here the label with the first entry,
         # quoting the label as it would in the whole row; a "p/q" entry needs
         # no quoting, so one join puts the rest in before the line break
         w.writerow([label, *row[:1]])
-        lines[-1] = lines[-1][:-1] + ",".join(["", *row[1:]]) + "\n"
+        lines[-1] = lines[-1][:-1] + rest + "\n"
     return "".join(lines)
 
 

@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, golden outputs, determinism."""
 
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -18,7 +19,15 @@ import burnside.spectra
 from burnside._rat import Rat
 from burnside.actions import ActionSpec
 from burnside.cli import main
-from burnside.ratmat import RationalMatrix, matrix_from_csv, matrix_from_json
+from burnside.ratmat import (
+    RationalMatrix,
+    dump_json,
+    matrix_from_csv,
+    matrix_from_json,
+    matrix_to_csv,
+    matrix_to_json,
+    str_rows,
+)
 
 import goldens
 
@@ -58,7 +67,8 @@ def test_build_single_state_chain(tmp_path):
     assert pi["entries"] == ["1"]
 
 
-@pytest.mark.parametrize("model, k, n", [("value", 3, 2), ("coord", 2, 3)])
+# value 4,4 is the benchmark's build
+@pytest.mark.parametrize("model, k, n", [("value", 3, 2), ("coord", 2, 3), ("value", 4, 4)])
 def test_build_single_format_writes_its_own_files(tmp_path, model, k, n):
     """--format json and --format csv each write their own matrix files and
     both stationary laws, the same bytes as a --format both run."""
@@ -74,6 +84,19 @@ def test_build_single_format_writes_its_own_files(tmp_path, model, k, n):
         assert set(written[fmt]) == {f"{name}.{fmt}" for name in names} | laws
         assert written[fmt] == {name: written["both"][name] for name in written[fmt]}
     assert set(written["both"]) == set(written["json"]) | set(written["csv"])
+
+
+@pytest.mark.parametrize("model, k, n", [("value", 3, 2), ("coord", 2, 3)])
+def test_build_writes_m_from_the_legs_text(tmp_path, bundles, model, k, n):
+    # build writes M = [[0, A], [B, 0]] from A's and B's p/q text: the same
+    # bytes as the writers give for the block-flip matrix itself
+    assert main(["build", "--model", model, "--k", str(k), "--n", str(n), "--out", str(tmp_path)]) == 0
+    b = bundles(model, k, n)
+    m, labels = RationalMatrix.block_flip(b.A, b.B), b.dual_labels + b.state_labels
+    buf = io.StringIO()
+    dump_json(matrix_to_json(str_rows(m), labels, labels), buf)
+    assert (tmp_path / "M.json").read_text() == buf.getvalue() + "\n"
+    assert (tmp_path / "M.csv").read_text() == matrix_to_csv(str_rows(m), labels, labels)
 
 
 def test_verify_pass(capsys):

@@ -9,6 +9,7 @@ from burnside._rat import Rat, parse_rat
 from burnside.actions import (
     TabledAction,
     coord_spec,
+    dual_states,
     enumerate_fixed_words,
     fixed_set_size,
     random_tabled_action,
@@ -16,6 +17,7 @@ from burnside.actions import (
     value_spec,
     word_index,
 )
+from burnside.closedforms import kernel_forms
 import burnside.kernels
 from burnside.kernels import (
     CapExceeded,
@@ -145,7 +147,8 @@ class TestEveryBundle:
 
     def test_block_flip_square(self, bundles, key):
         b = bundles(*key)
-        m2 = b.M @ b.M
+        m = RationalMatrix.block_flip(b.A, b.B)
+        m2 = m @ m
         nd = b.num_duals
         for i in range(m2.rows):
             for j in range(m2.cols):
@@ -380,3 +383,30 @@ def test_direct_q_without_legs_on_wide_state_space(bundles):
     # |X| = 625 while |G*| = 76: the closed-form route never touches A or B
     b = bundles("value", 5, 4)
     assert build_q_direct(b.spec) == b.Q
+
+
+def _q_per_entry(spec):
+    """Q from the first closed form, one exact rational per entry: the
+    per-entry assembly that build_q_direct's overlap table replaced."""
+    duals = list(dual_states(spec))
+    _, entry = kernel_forms(spec)[0]
+    return RationalMatrix([[entry(g, h) for h in duals] for g in duals])
+
+
+# every value-model config with at most 200 dual states (k <= 5) and n <= 5
+@pytest.mark.parametrize(
+    "spec", [value_spec(k, n) for k in range(1, 6) for n in range(1, 6)],
+    ids=lambda spec: f"value{spec.k},{spec.n}",
+)
+def test_direct_q_overlap_table_matches_bundle_and_per_entry_forms(spec):
+    direct = build_q_direct(spec)
+    assert direct == build_bundle(spec).Q
+    assert direct == _q_per_entry(spec)
+
+
+def test_direct_q_overlap_table_past_int64():
+    # |X_g| = a^45 leaves int64: the table and Q hold Python ints
+    spec = value_spec(4, 45)
+    direct = build_q_direct(spec)
+    assert direct.den.dtype == object
+    assert direct == _q_per_entry(spec)

@@ -15,13 +15,13 @@ from hypothesis import strategies as st
 from burnside._rat import Rat, parse_rat, rat_str
 from burnside.ratmat import (
     RationalMatrix,
-    _str_rows,
     dump_json,
     matrix_from_csv,
     matrix_from_json,
     matrix_to_csv,
     matrix_to_json,
     rows_are_products,
+    str_rows,
 )
 
 
@@ -68,6 +68,49 @@ def test_row_classes():
     assert RationalMatrix.zeros(0, 2).row_classes() == ([], [])
 
 
+@st.composite
+def matrices_with_repeated_rows(draw):
+    """An int64 matrix whose rows are drawn from a few distinct rows, so
+    that most of them repeat.  The distinct rows are one base row, each with
+    at most one entry changed and its own denominator, so two of them may
+    differ in one late entry or only in the denominator; rows that reduce
+    alike are equal too."""
+    cols = draw(st.integers(1, 5))
+    entries = st.integers(-(2**62), 2**62) | st.integers(-3, 3)
+    base = draw(st.lists(entries, min_size=cols, max_size=cols))
+    distinct = []
+    for _ in range(draw(st.integers(1, 4))):
+        row = list(base)
+        if draw(st.booleans()):
+            row[draw(st.integers(0, cols - 1))] = draw(entries)
+        distinct.append((row, draw(st.sampled_from([1, 2, 3, 2**62]))))
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=12))
+    nums, dens = zip(*(distinct[i] for i in picks))
+    return RationalMatrix.from_scaled(np.array(nums, dtype=np.int64).reshape(len(picks), cols), dens)
+
+
+def _object_copy(m: RationalMatrix) -> RationalMatrix:
+    return RationalMatrix._canonical(m.num.astype(object), m.den.astype(object))
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices_with_repeated_rows())
+def test_row_classes_int64_keys_match_object_rows(m):
+    # int64 rows are keyed by their bytes, Python-int rows by their tuples
+    assert m.num.dtype == np.int64
+    block_of, reps = m.row_classes()
+    assert (block_of, reps) == _object_copy(m).row_classes()
+    rows = [m.row(i) for i in range(m.rows)]
+    assert [rows.index(row) for row in rows] == [reps[c] for c in block_of]
+
+
+def test_row_classes_past_int64():
+    big = [Rat(2**70 + 1, 3), Rat(1, 2**64)]
+    m = RationalMatrix([big, [Rat(1), Rat(0)], big, [Rat(2**70 + 1, 3), Rat(2, 2**64)]])
+    assert m.num.dtype == object
+    assert m.row_classes() == ([0, 1, 0, 2], [0, 1, 3])
+
+
 def test_rows_are_products_checks_every_member_of_a_class():
     half = [Rat(1, 2), Rat(1, 2), Rat(0)]
     left = RationalMatrix([half, [Rat(0), Rat(1, 3), Rat(2, 3)], half])
@@ -99,7 +142,8 @@ def test_block_flip_squares_to_diagonal():
 
 
 def test_json_round_trip(golden_value):
-    payload = matrix_to_json(golden_value.Q, golden_value.dual_labels, golden_value.dual_labels)
+    labels = golden_value.dual_labels
+    payload = matrix_to_json(str_rows(golden_value.Q), labels, labels)
     text = json.dumps(payload)
     back, rows, cols = matrix_from_json(json.loads(text))
     assert back == golden_value.Q
@@ -107,7 +151,7 @@ def test_json_round_trip(golden_value):
 
 
 def test_csv_round_trip(golden_value):
-    text = matrix_to_csv(golden_value.B, golden_value.state_labels, golden_value.dual_labels)
+    text = matrix_to_csv(str_rows(golden_value.B), golden_value.state_labels, golden_value.dual_labels)
     back, rows, cols = matrix_from_csv(text)
     assert back == golden_value.B
     assert rows == golden_value.state_labels
@@ -148,7 +192,8 @@ def _dumped(obj) -> str:
 @settings(max_examples=200, deadline=None)
 @given(small_matrices())
 def test_dump_json_matches_stdlib_on_matrix_payloads(case):
-    payload = matrix_to_json(*case)
+    m, row_labels, col_labels = case
+    payload = matrix_to_json(str_rows(m), row_labels, col_labels)
     assert _dumped(payload) == json.dumps(payload, indent=1)
 
 
@@ -177,12 +222,23 @@ def _csv_per_row(m: RationalMatrix, row_labels, col_labels) -> str:
 @settings(max_examples=200, deadline=None)
 @given(small_matrices())
 def test_matrix_to_csv_matches_per_row_writer(case):
-    assert matrix_to_csv(*case) == _csv_per_row(*case)
+    m, row_labels, col_labels = case
+    assert matrix_to_csv(str_rows(m), row_labels, col_labels) == _csv_per_row(*case)
+
+
+def test_writers_check_label_counts(golden_value):
+    text, labels = str_rows(golden_value.B), golden_value.state_labels
+    for writer in (matrix_to_json, matrix_to_csv):
+        with pytest.raises(ValueError, match="label count"):
+            writer(text, labels + ["extra"], golden_value.dual_labels)
+        with pytest.raises(ValueError, match="label count"):
+            writer(text, labels, golden_value.dual_labels[1:])
 
 
 def test_matrix_to_csv_matches_per_row_writer_on_bundle(golden_value):
     labels = golden_value.dual_labels + golden_value.state_labels
-    assert matrix_to_csv(golden_value.M, labels, labels) == _csv_per_row(golden_value.M, labels, labels)
+    m = RationalMatrix.block_flip(golden_value.A, golden_value.B)
+    assert matrix_to_csv(str_rows(m), labels, labels) == _csv_per_row(m, labels, labels)
 
 
 @pytest.mark.parametrize("scale", [1, 2**40, 2**70], ids=["int64", "int64-wide", "object"])
@@ -194,7 +250,7 @@ def test_str_rows_matches_fraction_str(scale):
     m = RationalMatrix.from_scaled(nums, dens)
     assert m.num.dtype == (object if scale > 2**63 else np.int64)
     expected = [[str(Fraction(x, d)) for x in row] for row, d in zip(nums, dens)]
-    assert list(_str_rows(m)) == expected
+    assert str_rows(m) == expected
 
 
 def test_shape_errors():
